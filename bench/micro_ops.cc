@@ -97,6 +97,64 @@ void BM_SetAssocCacheLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_SetAssocCacheLookup);
 
+// The PTcache-L3 shape (1 set x 128 ways), filled with tags 0..127: the
+// geometry behind most cache time in a strict-mode run.
+SetAssocCache FullPtcache() {
+  SetAssocCache cache(1, 128);
+  for (std::uint64_t t = 0; t < 128; ++t) {
+    cache.Insert(t, t);
+  }
+  return cache;
+}
+
+void BM_Ptcache128LookupHit(benchmark::State& state) {
+  SetAssocCache cache = FullPtcache();
+  Rng rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup(rng.NextBelow(128)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Ptcache128LookupHit);
+
+void BM_Ptcache128LookupMiss(benchmark::State& state) {
+  SetAssocCache cache = FullPtcache();
+  Rng rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup(128 + rng.NextBelow(1 << 20)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Ptcache128LookupMiss);
+
+void BM_Ptcache128InsertEvict(benchmark::State& state) {
+  SetAssocCache cache = FullPtcache();
+  std::uint64_t tag = 128;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Insert(tag, tag));  // always a new tag
+    ++tag;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Ptcache128InsertEvict);
+
+// One-tag InvalidateRange: arg 0 on an absent tag (an empty namespace),
+// arg 1 on a cached one, re-inserted after each call to keep the cache full.
+void BM_Ptcache128InvalidateOneTag(benchmark::State& state) {
+  SetAssocCache cache = FullPtcache();
+  const bool present = state.range(0) != 0;
+  Rng rng(3);
+  for (auto _ : state) {
+    const std::uint64_t tag = present ? rng.NextBelow(128) : 128 + rng.NextBelow(1 << 20);
+    benchmark::DoNotOptimize(cache.InvalidateRange(tag, tag));
+    if (present) {
+      cache.Insert(tag, tag);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Ptcache128InvalidateOneTag)->Arg(0)->Arg(1);
+
 void BM_IommuTranslateWarm(benchmark::State& state) {
   StatsRegistry stats;
   MemorySystem memory(MemoryConfig{}, &stats);

@@ -1,5 +1,8 @@
 #include "src/cache/set_assoc_cache.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace fsio {
 
 namespace {
@@ -11,60 +14,79 @@ std::uint64_t MixTag(std::uint64_t tag) {
   tag ^= tag >> 33;
   return tag;
 }
+
+// Home bucket of a tag in the tag index: Fibonacci hashing (multiply by
+// 2^64 / golden ratio, keep the top bits) spreads runs of consecutive tags
+// evenly; MixTag's single multiply maps them to neighbouring buckets, which
+// linear probing turns into long runs.
+constexpr std::uint64_t kFibonacciMultiplier = 0x9E3779B97F4A7C15ULL;
 }  // namespace
 
 SetAssocCache::SetAssocCache(std::uint32_t num_sets, std::uint32_t ways)
-    : num_sets_(num_sets == 0 ? 1 : num_sets), ways_(ways == 0 ? 1 : ways) {
+    : num_sets_(num_sets), ways_(ways == 0 ? 1 : ways) {
+  if (num_sets_ == 0 || (num_sets_ & (num_sets_ - 1)) != 0) {
+    throw std::invalid_argument("SetAssocCache: num_sets must be a power of two, got " +
+                                std::to_string(num_sets));
+  }
   entries_.resize(static_cast<std::size_t>(num_sets_) * ways_);
+  std::size_t buckets = 2;
+  index_shift_ = 63;
+  while (buckets < 2 * entries_.size()) {
+    buckets *= 2;
+    --index_shift_;
+  }
+  index_.resize(buckets);
+  index_mask_ = buckets - 1;
 }
 
 std::size_t SetAssocCache::SetIndexFor(std::uint64_t tag) const {
   return static_cast<std::size_t>(MixTag(tag) & (num_sets_ - 1));
 }
 
-SetAssocCache::Entry* SetAssocCache::FindEntry(std::uint64_t tag) {
-  const std::size_t base = SetIndexFor(tag) * ways_;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    Entry& e = entries_[base + w];
-    if (e.valid && e.tag == tag) {
-      return &e;
-    }
-  }
-  return nullptr;
+std::size_t SetAssocCache::HomeOf(std::uint64_t tag) const {
+  return static_cast<std::size_t>((tag * kFibonacciMultiplier) >> index_shift_);
 }
 
-const SetAssocCache::Entry* SetAssocCache::FindEntry(std::uint64_t tag) const {
-  const std::size_t base = SetIndexFor(tag) * ways_;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    const Entry& e = entries_[base + w];
-    if (e.valid && e.tag == tag) {
-      return &e;
+std::size_t SetAssocCache::Probe(std::uint64_t tag) const {
+  std::size_t i = HomeOf(tag);
+  while (index_[i].slot != kNoSlot && index_[i].tag != tag) {
+    i = (i + 1) & index_mask_;
+  }
+  return i;
+}
+
+void SetAssocCache::EraseBucket(std::size_t hole) {
+  for (std::size_t j = (hole + 1) & index_mask_; index_[j].slot != kNoSlot;
+       j = (j + 1) & index_mask_) {
+    const std::size_t home = HomeOf(index_[j].tag);
+    // j's tag may fill the hole iff the hole lies cyclically in [home, j).
+    if (((j - home) & index_mask_) >= ((j - hole) & index_mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
     }
   }
-  return nullptr;
+  index_[hole].slot = kNoSlot;
+}
+
+void SetAssocCache::RemoveScanned(Entry& e) {
+  e.valid = false;
+  ++invalidations_;
+  EraseBucket(Probe(e.tag));
 }
 
 std::optional<std::uint64_t> SetAssocCache::Lookup(std::uint64_t tag) {
-  Entry* e = FindEntry(tag);
-  if (e == nullptr) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  e->lru = ++tick_;
-  return e->payload;
+  HitHandle unused = 0;
+  return Lookup(tag, &unused);
 }
 
 std::optional<std::uint64_t> SetAssocCache::Lookup(std::uint64_t tag, HitHandle* handle) {
-  Entry* e = FindEntry(tag);
-  if (e == nullptr) {
+  const std::uint32_t slot = index_[Probe(tag)].slot;
+  if (slot == kNoSlot) {
     ++misses_;
     return std::nullopt;
   }
-  ++hits_;
-  e->lru = ++tick_;
-  *handle = static_cast<HitHandle>(e - entries_.data());
-  return e->payload;
+  *handle = slot;
+  return RepeatHit(slot);
 }
 
 std::uint64_t SetAssocCache::RepeatHit(HitHandle handle) {
@@ -75,18 +97,20 @@ std::uint64_t SetAssocCache::RepeatHit(HitHandle handle) {
 }
 
 std::optional<std::uint64_t> SetAssocCache::Peek(std::uint64_t tag) const {
-  const Entry* e = FindEntry(tag);
-  if (e == nullptr) {
+  const std::uint32_t slot = index_[Probe(tag)].slot;
+  if (slot == kNoSlot) {
     return std::nullopt;
   }
-  return e->payload;
+  return entries_[slot].payload;
 }
 
 std::optional<std::uint64_t> SetAssocCache::Insert(std::uint64_t tag, std::uint64_t payload) {
   ++mut_version_;
-  if (Entry* existing = FindEntry(tag); existing != nullptr) {
-    existing->payload = payload;
-    existing->lru = ++tick_;
+  std::size_t bucket = Probe(tag);
+  if (index_[bucket].slot != kNoSlot) {
+    Entry& existing = entries_[index_[bucket].slot];
+    existing.payload = payload;
+    existing.lru = ++tick_;
     return std::nullopt;
   }
   const std::size_t base = SetIndexFor(tag) * ways_;
@@ -114,20 +138,26 @@ std::optional<std::uint64_t> SetAssocCache::Insert(std::uint64_t tag, std::uint6
   if (victim->valid) {
     evicted = victim->tag;
     ++evictions_;
+    EraseBucket(Probe(victim->tag));
+    // The erase may have shifted a bucket back into tag's probe run.
+    bucket = Probe(tag);
   }
   victim->valid = true;
   victim->tag = tag;
   victim->payload = payload;
   victim->lru = ++tick_;
+  index_[bucket] = {tag, static_cast<std::uint32_t>(victim - entries_.data())};
   return evicted;
 }
 
 bool SetAssocCache::Invalidate(std::uint64_t tag) {
-  Entry* e = FindEntry(tag);
-  if (e == nullptr) {
+  const std::size_t bucket = Probe(tag);
+  const std::uint32_t slot = index_[bucket].slot;
+  if (slot == kNoSlot) {
     return false;
   }
-  e->valid = false;
+  entries_[slot].valid = false;
+  EraseBucket(bucket);
   ++invalidations_;
   ++mut_version_;
   return true;
@@ -150,9 +180,8 @@ std::uint64_t SetAssocCache::InvalidateRange(std::uint64_t first, std::uint64_t 
   }
   for (Entry& e : entries_) {
     if (e.valid && e.tag >= first && e.tag <= last) {
-      e.valid = false;
+      RemoveScanned(e);
       ++removed;
-      ++invalidations_;
     }
   }
   if (removed > 0) {
@@ -165,9 +194,8 @@ std::uint64_t SetAssocCache::InvalidateByPayload(std::uint64_t payload) {
   std::uint64_t removed = 0;
   for (Entry& e : entries_) {
     if (e.valid && e.payload == payload) {
-      e.valid = false;
+      RemoveScanned(e);
       ++removed;
-      ++invalidations_;
     }
   }
   if (removed > 0) {
@@ -180,9 +208,8 @@ std::uint64_t SetAssocCache::InvalidateMasked(std::uint64_t mask, std::uint64_t 
   std::uint64_t removed = 0;
   for (Entry& e : entries_) {
     if (e.valid && (e.tag & mask) == value) {
-      e.valid = false;
+      RemoveScanned(e);
       ++removed;
-      ++invalidations_;
     }
   }
   if (removed > 0) {
@@ -215,6 +242,9 @@ void SetAssocCache::InvalidateAll() {
       e.valid = false;
       ++invalidations_;
     }
+  }
+  for (IndexBucket& b : index_) {
+    b.slot = kNoSlot;
   }
 }
 

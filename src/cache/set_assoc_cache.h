@@ -6,9 +6,13 @@
 // entry may carry a 64-bit payload (we store the backing page-table page's
 // generation so the simulator can detect stale-entry use — a safety
 // violation).
+//
+// An exact tag -> slot index makes every single-tag operation O(1) whatever
+// the associativity; only the victim choice and the bulk invalidations scan.
 #ifndef FASTSAFE_SRC_CACHE_SET_ASSOC_CACHE_H_
 #define FASTSAFE_SRC_CACHE_SET_ASSOC_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -19,8 +23,9 @@ namespace fsio {
 
 class SetAssocCache {
  public:
-  // `num_sets` must be a power of two; `ways` >= 1. A fully-associative cache
-  // of N entries is (num_sets=1, ways=N).
+  // `num_sets` must be a power of two (std::invalid_argument otherwise);
+  // `ways` 0 is taken as 1. A fully-associative cache of N entries is
+  // (num_sets=1, ways=N).
   SetAssocCache(std::uint32_t num_sets, std::uint32_t ways);
 
   // Handle to the entry a Lookup hit. Stays valid — and RepeatHit stays
@@ -102,9 +107,24 @@ class SetAssocCache {
     std::uint64_t lru = 0;  // last-touch tick, larger = more recent
   };
 
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  // One bucket of the tag index; slot == kNoSlot marks it empty.
+  struct IndexBucket {
+    std::uint64_t tag = 0;
+    std::uint32_t slot = kNoSlot;
+  };
+
   std::size_t SetIndexFor(std::uint64_t tag) const;
-  Entry* FindEntry(std::uint64_t tag);
-  const Entry* FindEntry(std::uint64_t tag) const;
+  std::size_t HomeOf(std::uint64_t tag) const;  // tag's home bucket in index_
+  // The index bucket holding `tag`, or the empty bucket ending its probe
+  // sequence.
+  std::size_t Probe(std::uint64_t tag) const;
+  // Empties index bucket `hole`, shifting later members of its probe run
+  // back so that no run has a gap.
+  void EraseBucket(std::size_t hole);
+  // Invalidates a valid entry found by a scan and drops its tag from the
+  // index (counts the invalidation; the caller bumps mut_version_).
+  void RemoveScanned(Entry& e);
 
   std::uint32_t num_sets_;
   std::uint32_t ways_;
@@ -115,6 +135,12 @@ class SetAssocCache {
   std::uint64_t tick_ = 0;
   std::uint64_t mut_version_ = 0;
   std::vector<Entry> entries_;  // num_sets_ * ways_, set-major
+  // Tag index: exactly the valid entries' tags, each with its entries_ slot.
+  // Open addressing with linear probing over a power-of-two table of at
+  // least twice the capacity, so every probe run ends at an empty bucket.
+  std::vector<IndexBucket> index_;
+  std::size_t index_mask_ = 0;
+  unsigned index_shift_ = 0;  // HomeOf keeps the product's top bits
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

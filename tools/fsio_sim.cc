@@ -109,7 +109,7 @@ void PrintUsage() {
       "  --mtu=N              wire MTU bytes (default 4096)\n"
       "  --hugepages          2 MB-backed Rx descriptors\n"
       "  --walkers=N          IOMMU walk contexts (default 1)\n"
-      "  --iotlb-entries=N    IOTLB capacity (default 64)\n"
+      "  --iotlb-entries=N    IOTLB capacity, 4 x a power of two (default 64)\n"
       "  --warmup-ms=N        warmup before measuring (default 20)\n"
       "  --window-ms=N        measurement window (default 40)\n"
       "\ntopology:\n"
@@ -259,6 +259,13 @@ Options Parse(int argc, char** argv) {
   return options;
 }
 
+// IOTLB set count for `entries` at 4 ways, or 0 when `entries` is not 4 x a
+// power of two (the cache selects a set by masking the mixed tag).
+std::uint32_t IotlbSets(std::uint32_t entries) {
+  const std::uint32_t sets = entries / 4;
+  return entries % 4 == 0 && sets != 0 && (sets & (sets - 1)) == 0 ? sets : 0;
+}
+
 fsio::ClusterConfig MakeClusterConfig(const Options& options) {
   fsio::ClusterConfig config;
   config.num_hosts = options.hosts;
@@ -271,8 +278,7 @@ fsio::ClusterConfig MakeClusterConfig(const Options& options) {
   config.host.iommu.num_walkers = options.walkers;
   // Keep 4-way associativity; scale the set count.
   config.host.iommu.iotlb_ways = 4;
-  config.host.iommu.iotlb_sets =
-      options.iotlb_entries >= 4 ? options.iotlb_entries / 4 : 1;
+  config.host.iommu.iotlb_sets = IotlbSets(options.iotlb_entries);
   return config;
 }
 
@@ -360,8 +366,7 @@ int RunTenants(const Options& options) {
   fsio::TenantSystemConfig config;
   config.iommu.num_walkers = options.walkers;
   config.iommu.iotlb_ways = 4;
-  config.iommu.iotlb_sets =
-      options.iotlb_entries >= 4 ? options.iotlb_entries / 4 : 1;
+  config.iommu.iotlb_sets = IotlbSets(options.iotlb_entries);
   if (options.iotlb_partition == "per_domain") {
     config.iommu.iotlb_partitions = options.tenants < 2 ? 2 : options.tenants;
   }
@@ -412,6 +417,11 @@ int RunTenants(const Options& options) {
 
 int main(int argc, char** argv) {
   const Options options = Parse(argc, argv);
+  if (IotlbSets(options.iotlb_entries) == 0) {
+    std::fprintf(stderr, "--iotlb-entries must be 4 x a power of two (4, 8, 16, ...), got %u\n",
+                 options.iotlb_entries);
+    return 2;
+  }
   if (options.tenants > 0) {
     return RunTenants(options);
   }
