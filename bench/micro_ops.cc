@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate data structures:
-// IOVA allocation paths, IO page table operations, IOMMU cache operations
-// and reuse-distance tracking. These measure simulator-implementation speed
+// IOVA allocation paths, IO page table operations, IOMMU cache operations,
+// the memory-bank grant, the per-TLP root-complex loops and reuse-distance
+// tracking. These measure simulator-implementation speed
 // (how fast the model itself runs), complementing the figure benches which
 // measure *simulated* performance.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "src/iova/rbtree_allocator.h"
 #include "src/mem/memory_system.h"
 #include "src/pagetable/io_page_table.h"
+#include "src/pcie/root_complex.h"
 #include "src/simcore/rng.h"
 #include "src/stats/reuse_distance.h"
 
@@ -171,6 +173,49 @@ void BM_IommuTranslateWarm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IommuTranslateWarm);
+
+// The Rx commit pattern on the default 8 banks: a 256 B posted write every
+// 16 ns, and every fourth one a 64 B walk read issued behind them.
+void BM_MemorySystemGrant(benchmark::State& state) {
+  StatsRegistry stats;
+  MemorySystem memory(MemoryConfig{}, &stats);
+  TimeNs t = 1000;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    memory.Post(t, 256);
+    if (++i % 4 == 0) {
+      benchmark::DoNotOptimize(memory.ReadWalkSequence(t - 300, 1, 0, 64));
+    }
+    t += 16;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(stats.Value("mem.accesses")));
+}
+BENCHMARK(BM_MemorySystemGrant);
+
+// One 4 KB page per call (16 full-size TLPs) through a bypass root complex,
+// each DMA issued when the previous one leaves the link.
+template <bool kWrite>
+void BM_RootComplex4K(benchmark::State& state) {
+  StatsRegistry stats;
+  MemorySystem memory(MemoryConfig{}, &stats);
+  RootComplex rc(PcieConfig{}, nullptr, &memory, &stats);
+  std::vector<DmaSegment> seg = {DmaSegment{0, static_cast<std::uint32_t>(kPageSize)}};
+  TimeNs t = 0;
+  std::uint64_t page = 0;
+  for (auto _ : state) {
+    seg[0].iova = (page++ % 4096) * kPageSize;
+    t = (kWrite ? rc.DmaWrite(t, seg) : rc.DmaRead(t, seg)).link_done;
+  }
+  benchmark::DoNotOptimize(t);
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      stats.Value(kWrite ? "pcie.write_tlps" : "pcie.read_tlps")));
+}
+
+void BM_RootComplexWrite4K(benchmark::State& state) { BM_RootComplex4K<true>(state); }
+BENCHMARK(BM_RootComplexWrite4K);
+
+void BM_RootComplexRead4K(benchmark::State& state) { BM_RootComplex4K<false>(state); }
+BENCHMARK(BM_RootComplexRead4K);
 
 void BM_ReuseDistanceAccess(benchmark::State& state) {
   ReuseDistanceTracker tracker;

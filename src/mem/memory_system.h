@@ -9,6 +9,7 @@
 #ifndef FASTSAFE_SRC_MEM_MEMORY_SYSTEM_H_
 #define FASTSAFE_SRC_MEM_MEMORY_SYSTEM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,8 @@ struct MemoryConfig {
 
 class MemorySystem {
  public:
+  // Throws std::invalid_argument, naming the field, unless bandwidth_gbps > 0
+  // and parallel_banks > 0.
   explicit MemorySystem(const MemoryConfig& config, StatsRegistry* stats);
 
   // Issues a read of `bytes` at time `start`; returns the completion time.
@@ -51,12 +54,25 @@ class MemorySystem {
 
  private:
   TimeNs Access(TimeNs start, std::uint64_t bytes);
+  // Serves one access of `occupancy` ns issued at `issue` on the
+  // earliest-free bank; returns its grant time.
+  TimeNs Grant(TimeNs issue, TimeNs occupancy);
+  // Bank occupancy of an access of `bytes` (already rounded up to a
+  // cacheline), from the one-entry memo when it holds `bytes`.
+  TimeNs Occupancy(std::uint64_t bytes);
+  TimeNs ComputeOccupancy(std::uint64_t bytes) const;
 
   MemoryConfig config_;
-  double bytes_per_ns_;
-  // Earliest time each bank is free; round-robin assignment approximates
-  // bank-level parallelism without tracking physical addresses.
+  double per_bank_bw_;  // bytes per ns of one bank
+  // Earliest time each bank is free, as a ring sorted ascending from head_.
+  // Bank-level parallelism is approximated without tracking physical
+  // addresses, so a bank is known only by its free time: which of several
+  // equally free banks serves an access cannot change any result.
   std::vector<TimeNs> bank_free_;
+  std::size_t head_ = 0;
+  TimeNs cacheline_occupancy_;
+  std::uint64_t memo_bytes_;
+  TimeNs memo_occupancy_;
   std::uint64_t total_bytes_ = 0;
   Counter* accesses_;
   Counter* queued_ns_;

@@ -1,18 +1,82 @@
 #include "src/pcie/root_complex.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace fsio {
+
+namespace {
+
+PcieConfig Validated(const PcieConfig& config) {
+  if (config.max_payload_bytes == 0) {
+    throw std::invalid_argument("PcieConfig::max_payload_bytes must be > 0, got " +
+                                std::to_string(config.max_payload_bytes));
+  }
+  if (config.max_outstanding_reads == 0) {
+    throw std::invalid_argument("PcieConfig::max_outstanding_reads must be > 0, got " +
+                                std::to_string(config.max_outstanding_reads));
+  }
+  if (!(config.link_gbps > 0)) {
+    throw std::invalid_argument("PcieConfig::link_gbps must be > 0, got " +
+                                std::to_string(config.link_gbps));
+  }
+  if (!(config.commit_bytes_per_ns > 0)) {
+    throw std::invalid_argument("PcieConfig::commit_bytes_per_ns must be > 0, got " +
+                                std::to_string(config.commit_bytes_per_ns));
+  }
+  return config;
+}
+
+// Entries the RC buffer can hold when every TLP is full-size: it admits a
+// TLP only while the bytes it holds fit, or when it is empty.
+std::size_t FullSizeRcEntries(const PcieConfig& config) {
+  return static_cast<std::size_t>(config.rc_buffer_bytes / config.max_payload_bytes + 1);
+}
+
+}  // namespace
 
 RootComplex::RootComplex(const PcieConfig& config, Iommu* iommu, MemorySystem* memory,
                          StatsRegistry* stats)
-    : config_(config),
+    : config_(Validated(config)),
+      full_tlp_wire_ns_(SerializationDelayNs(config.max_payload_bytes + config.tlp_header_bytes,
+                                             config.link_gbps)),
+      full_tlp_drain_ns_(ComputeDrainNs(config.max_payload_bytes)),
+      request_wire_ns_(SerializationDelayNs(config.tlp_header_bytes, config.link_gbps)),
       iommu_(iommu),
       memory_(memory),
+      rc_buffer_(FullSizeRcEntries(config)),
+      outstanding_reads_(config.max_outstanding_reads),
       write_tlps_(stats->Get("pcie.write_tlps")),
       read_tlps_(stats->Get("pcie.read_tlps")),
       wire_bytes_(stats->Get("pcie.wire_bytes")),
       stall_ns_(stats->Get("pcie.stall_ns")),
       faults_(stats->Get("pcie.faults")),
       backpressure_bursts_(stats->Get("pcie.backpressure_bursts")) {}
+
+std::uint32_t RootComplex::TlpPayload(Iova iova, std::uint32_t remaining) const {
+  const auto to_page_end = static_cast<std::uint32_t>(kPageSize - (iova & (kPageSize - 1)));
+  std::uint32_t payload = remaining;
+  if (payload > config_.max_payload_bytes) {
+    payload = config_.max_payload_bytes;
+  }
+  return payload > to_page_end ? to_page_end : payload;
+}
+
+TimeNs RootComplex::TlpWireNs(std::uint32_t payload) const {
+  return payload == config_.max_payload_bytes
+             ? full_tlp_wire_ns_
+             : SerializationDelayNs(payload + config_.tlp_header_bytes, config_.link_gbps);
+}
+
+TimeNs RootComplex::ComputeDrainNs(std::uint32_t payload) const {
+  const auto drain =
+      static_cast<TimeNs>(static_cast<double>(payload) / config_.commit_bytes_per_ns);
+  return drain == 0 ? 1 : drain;
+}
+
+TimeNs RootComplex::DrainNs(std::uint32_t payload) const {
+  return payload == config_.max_payload_bytes ? full_tlp_drain_ns_ : ComputeDrainNs(payload);
+}
 
 TimeNs RootComplex::ApplyBackpressure(TimeNs start) {
   if (fault_injector_ != nullptr) {
@@ -78,21 +142,12 @@ DmaTiming RootComplex::DmaWrite(TimeNs start, const std::vector<DmaSegment>& seg
     std::uint32_t off = 0;
     while (off < seg.len) {
       const Iova iova = seg.iova + off;
-      // TLPs never cross a 4 KB boundary.
-      const std::uint32_t to_page_end = static_cast<std::uint32_t>(kPageSize - (iova & (kPageSize - 1)));
-      std::uint32_t payload = seg.len - off;
-      if (payload > config_.max_payload_bytes) {
-        payload = config_.max_payload_bytes;
-      }
-      if (payload > to_page_end) {
-        payload = to_page_end;
-      }
+      const std::uint32_t payload = TlpPayload(iova, seg.len - off);
       write_tlps_->Add();
       // Admission: wire serialization plus RC buffer flow control.
       TimeNs send = WaitForBufferSpace(t > upstream_link_free_ ? t : upstream_link_free_, payload);
-      const TimeNs wire = SerializationDelayNs(payload + config_.tlp_header_bytes, config_.link_gbps);
       wire_bytes_->Add(payload + config_.tlp_header_bytes);
-      upstream_link_free_ = send + wire;
+      upstream_link_free_ = send + TlpWireNs(payload);
       const TimeNs arrival = upstream_link_free_;
       t = arrival;  // the NIC streams the next TLP right behind this one
 
@@ -117,11 +172,7 @@ DmaTiming RootComplex::DmaWrite(TimeNs start, const std::vector<DmaSegment>& seg
       if (commit_free_ > commit_start) {
         commit_start = commit_free_;
       }
-      auto drain = static_cast<TimeNs>(static_cast<double>(payload) / config_.commit_bytes_per_ns);
-      if (drain == 0) {
-        drain = 1;
-      }
-      commit_free_ = commit_start + drain;
+      commit_free_ = commit_start + DrainNs(payload);
       memory_->Post(commit_start, payload);
       ReleaseAt(commit_free_, payload);
       off += payload;
@@ -147,14 +198,7 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
     std::uint32_t off = 0;
     while (off < seg.len) {
       const Iova iova = seg.iova + off;
-      const std::uint32_t to_page_end = static_cast<std::uint32_t>(kPageSize - (iova & (kPageSize - 1)));
-      std::uint32_t payload = seg.len - off;
-      if (payload > config_.max_payload_bytes) {
-        payload = config_.max_payload_bytes;
-      }
-      if (payload > to_page_end) {
-        payload = to_page_end;
-      }
+      const std::uint32_t payload = TlpPayload(iova, seg.len - off);
       read_tlps_->Add();
       // Bounded outstanding read requests.
       while (!outstanding_reads_.empty() && outstanding_reads_.front() <= t) {
@@ -170,9 +214,8 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
       }
       // Request TLP upstream (header only).
       TimeNs send = t > upstream_link_free_ ? t : upstream_link_free_;
-      const TimeNs req_wire = SerializationDelayNs(config_.tlp_header_bytes, config_.link_gbps);
       wire_bytes_->Add(config_.tlp_header_bytes);
-      upstream_link_free_ = send + req_wire;
+      upstream_link_free_ = send + request_wire_ns_;
       const TimeNs arrival = upstream_link_free_;
       t = arrival;
 
@@ -187,10 +230,8 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
       // over the downstream link.
       const TimeNs data_ready = memory_->Read(translated, payload);
       TimeNs comp_start = data_ready > downstream_link_free_ ? data_ready : downstream_link_free_;
-      const TimeNs comp_wire =
-          SerializationDelayNs(payload + config_.tlp_header_bytes, config_.link_gbps);
       wire_bytes_->Add(payload + config_.tlp_header_bytes);
-      downstream_link_free_ = comp_start + comp_wire;
+      downstream_link_free_ = comp_start + TlpWireNs(payload);
       const TimeNs completion = downstream_link_free_;
       outstanding_reads_.push_back(completion);
       if (completion > last_completion) {

@@ -24,13 +24,13 @@
 #define FASTSAFE_SRC_PCIE_ROOT_COMPLEX_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/faults/fault_injector.h"
 #include "src/iommu/iommu.h"
 #include "src/mem/address.h"
 #include "src/mem/memory_system.h"
+#include "src/pcie/fifo_ring.h"
 #include "src/simcore/time.h"
 #include "src/stats/counters.h"
 #include "src/trace/tracer.h"
@@ -70,6 +70,8 @@ struct DmaTiming {
 class RootComplex {
  public:
   // `iommu` may be null: memory protection disabled (bypass, no translation).
+  // Throws std::invalid_argument, naming the field, unless max_payload_bytes,
+  // max_outstanding_reads, link_gbps and commit_bytes_per_ns are all > 0.
   RootComplex(const PcieConfig& config, Iommu* iommu, MemorySystem* memory,
               StatsRegistry* stats);
 
@@ -99,7 +101,19 @@ class RootComplex {
   void ReleaseAt(TimeNs when, std::uint32_t bytes);
   TimeNs TranslateAt(DomainId domain, Iova iova, TimeNs at, bool* fault);
 
+  // Payload of the TLP at `iova` with `remaining` bytes left in its segment:
+  // at most max_payload_bytes, and never across a 4 KB boundary.
+  std::uint32_t TlpPayload(Iova iova, std::uint32_t remaining) const;
+  // Wire time of a TLP carrying `payload` bytes, and the time its payload
+  // takes to drain into memory. Full-size TLPs use the constructor's values.
+  TimeNs TlpWireNs(std::uint32_t payload) const;
+  TimeNs DrainNs(std::uint32_t payload) const;
+  TimeNs ComputeDrainNs(std::uint32_t payload) const;
+
   PcieConfig config_;
+  TimeNs full_tlp_wire_ns_;   // max_payload_bytes + header on the wire
+  TimeNs full_tlp_drain_ns_;  // max_payload_bytes into memory
+  TimeNs request_wire_ns_;    // header-only read request on the wire
   Iommu* iommu_;
   MemorySystem* memory_;
   FaultInjector* fault_injector_ = nullptr;
@@ -113,10 +127,10 @@ class RootComplex {
     TimeNs release;
     std::uint32_t bytes;
   };
-  std::deque<BufferedBytes> rc_buffer_;  // sorted by release time
+  FifoRing<BufferedBytes> rc_buffer_;  // sorted by release time
   std::uint64_t rc_buffer_occupancy_ = 0;
 
-  std::deque<TimeNs> outstanding_reads_;  // completion times of reads in flight
+  FifoRing<TimeNs> outstanding_reads_;  // completion times of reads in flight
 
   Counter* write_tlps_;
   Counter* read_tlps_;
