@@ -318,15 +318,25 @@ DmaApi::MapResult DmaApi::MapPages(std::uint32_t core, const std::vector<PhysAdd
 }
 
 DmaApi::MapResult DmaApi::MapPage(std::uint32_t core, PhysAddr frame) {
+  const PageMapResult one = MapOnePage(core, frame);
   MapResult out;
+  out.cpu_ns = one.cpu_ns;
+  if (one.ok()) {
+    out.mappings.push_back(one.mapping);
+  }
+  return out;
+}
+
+DmaApi::PageMapResult DmaApi::MapOnePage(std::uint32_t core, PhysAddr frame) {
+  PageMapResult out;
   if (config_.mode == ProtectionMode::kOff) {
-    out.mappings.push_back(DmaMapping{frame, frame, 0});
+    out.mapping = DmaMapping{frame, frame, 0};
     return out;
   }
   if (config_.mode == ProtectionMode::kCapability) {
     const CapabilityTable::GrantResult g = captable_->GrantRange(frame, 1);
     out.cpu_ns += g.cpu_ns;
-    out.mappings.push_back(DmaMapping{frame, frame, g.id.slot});
+    out.mapping = DmaMapping{frame, frame, g.id.slot};
     if (oracle_ != nullptr) {
       oracle_->OnMap(frame, 1);
       oracle_->OnMapBacking(frame, 1, frame);
@@ -341,28 +351,20 @@ DmaApi::MapResult DmaApi::MapPage(std::uint32_t core, PhysAddr frame) {
     // pointing at the recycled buffer page forever (weaker safety).
     auto& pool = persistent_tx_pool_[core];
     if (!pool.empty()) {
-      DmaMapping m = pool.front();
+      out.mapping = pool.front();
       pool.pop_front();
-      m.phys = frame;  // the buffer page is recycled behind the same IOVA
+      out.mapping.phys = frame;  // the buffer page is recycled behind the same IOVA
       if (oracle_ != nullptr) {
-        oracle_->OnMap(m.iova, 1);  // logically re-acquired by the driver
+        oracle_->OnMap(out.mapping.iova, 1);  // logically re-acquired by the driver
       }
-      out.mappings.push_back(m);
       return out;
     }
-    DmaMapping m = MapStandalone(core, frame, &out.cpu_ns);
-    if (m.iova != IovaAllocator::kInvalidIova) {
-      out.mappings.push_back(m);
-    }
+    out.mapping = MapStandalone(core, frame, &out.cpu_ns);
     cpu_ns_total_->Add(out.cpu_ns);
     return out;
   }
-  const DmaMapping m = UsesContiguousIovas(config_.mode)
-                           ? MapIntoChunk(core, frame, &out.cpu_ns)
-                           : MapStandalone(core, frame, &out.cpu_ns);
-  if (m.iova != IovaAllocator::kInvalidIova) {
-    out.mappings.push_back(m);
-  }
+  out.mapping = UsesContiguousIovas(config_.mode) ? MapIntoChunk(core, frame, &out.cpu_ns)
+                                                  : MapStandalone(core, frame, &out.cpu_ns);
   cpu_ns_total_->Add(out.cpu_ns);
   return out;
 }

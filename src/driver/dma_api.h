@@ -3,10 +3,10 @@
 // change, reproduced here as a policy object).
 //
 // The NIC driver calls MapPages() when preparing an Rx descriptor (64 pages
-// at once), MapPage() per Tx buffer page, and UnmapDescriptor() when the NIC
-// signals descriptor completion. Every call returns the CPU time it consumed
-// on the calling core — strict-mode invalidation waits are the dominant term
-// and what F&S's batched invalidations amortize.
+// at once), MapOnePage() per Tx buffer page, and UnmapDescriptor() when the
+// NIC signals descriptor completion. Every call returns the CPU time it
+// consumed on the calling core — strict-mode invalidation waits are the
+// dominant term and what F&S's batched invalidations amortize.
 #ifndef FASTSAFE_SRC_DRIVER_DMA_API_H_
 #define FASTSAFE_SRC_DRIVER_DMA_API_H_
 
@@ -87,6 +87,7 @@ struct DmaMapping {
   Iova iova = 0;
   PhysAddr phys = 0;
   std::uint64_t chunk_id = 0;  // 0 = standalone per-page IOVA
+  bool operator==(const DmaMapping&) const = default;
 };
 
 class DmaApi {
@@ -107,8 +108,18 @@ class DmaApi {
   // Maps `frames` (an Rx descriptor's buffer pages) for `core`.
   MapResult MapPages(std::uint32_t core, const std::vector<PhysAddr>& frames);
 
+  // One mapped page, returned by value (no one-element vector on the per-
+  // packet Tx path). `mapping.iova` is kInvalidIova when the map failed.
+  struct PageMapResult {
+    DmaMapping mapping{IovaAllocator::kInvalidIova, 0, 0};
+    TimeNs cpu_ns = 0;
+    bool ok() const { return mapping.iova != IovaAllocator::kInvalidIova; }
+  };
+
   // Maps a single page (Tx datapath). In contiguous modes the page is placed
   // at the per-core chunk cursor, packing Tx pages across descriptors.
+  PageMapResult MapOnePage(std::uint32_t core, PhysAddr frame);
+  // MapOnePage as a descriptor-shaped result: one mapping, or none on failure.
   MapResult MapPage(std::uint32_t core, PhysAddr frame);
 
   // Unmaps one descriptor's worth of mappings at time `at` and performs the

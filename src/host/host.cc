@@ -231,8 +231,9 @@ void Host::RunCore(std::uint32_t core_idx) {
         frames_.FreeFrame(m.phys);
       }
     }
-    mappings.clear();
-    mapvec_pool_.push_back(std::move(mappings));
+    // The descriptor's vector is freed here, after its unmap, and
+    // ReplenishRing maps into a fresh one: live descriptor vectors stay
+    // bounded by the descriptors posted plus the completions queued.
     replenish = true;
   }
   if (replenish) {
@@ -314,9 +315,14 @@ void Host::TransmitFromCore(const Packet& packet, std::uint32_t core_idx) {
   TimeNs cpu = config_.cpu.tx_packet_ns;
   mappings.reserve(pages);
   for (std::uint32_t i = 0; i < pages; ++i) {
-    DmaApi::MapResult m = dma_->MapPage(core_idx, frames_.AllocFrame());
+    const PhysAddr frame = frames_.AllocFrame();
+    const DmaApi::PageMapResult m = dma_->MapOnePage(core_idx, frame);
     cpu += m.cpu_ns;
-    mappings.push_back(m.mappings[0]);
+    if (!m.ok()) {
+      frames_.FreeFrame(frame);  // IOVA space exhausted: send what did map
+      continue;
+    }
+    mappings.push_back(m.mapping);
   }
   Core& core = cores_[core_idx];
   const TimeNs base = core.busy_until > ev_->now() ? core.busy_until : ev_->now();

@@ -54,8 +54,8 @@ Nic::QuiesceResult Nic::Quiesce(TimeNs now) {
     ring.avail_pages = 0;
   }
   for (TxQueue& q : tx_queues_) {
-    for (const TxWork& w : q.work) {
-      for (const DmaMapping& m : w.mappings) {
+    for (std::size_t i = 0; i < q.work.size(); ++i) {
+      for (const DmaMapping& m : q.work[i].mappings) {
         out.mappings.push_back(m);
       }
     }
@@ -177,58 +177,55 @@ void Nic::MaybeFetchDescriptors(RxRing* ring, TimeNs at) {
 }
 
 void Nic::RetireIfComplete(std::uint32_t core, RxDesc* desc) {
-  if (!desc->retired && desc->exhausted() && desc->outstanding_packets == 0) {
-    desc->retired = true;
-    // Lifecycle span: post → all pages consumed and their DMAs committed.
-    trace_.Complete("nic", "rx_desc", desc->posted_at, ev_->now(), "pages",
-                    static_cast<double>(desc->mappings.size()));
-    RxRing& ring = rings_[core % rings_.size()];
-    // The deque slots hold the only owning references; popping the retired
-    // run below may free `desc` itself, whose mappings the completion
-    // dispatch still reads. Pin it for the rest of this call.
-    std::shared_ptr<RxDesc> keep;
-    while (!ring.descs.empty() && ring.descs.front()->retired) {
-      if (ring.descs.front().get() == desc) {
-        keep = std::move(ring.descs.front());
-      }
-      ring.descs.pop_front();
+  if (desc->retired || !desc->exhausted() || desc->outstanding_packets != 0) {
+    return;
+  }
+  desc->retired = true;
+  // Lifecycle span: post → all pages consumed and their DMAs committed.
+  trace_.Complete("nic", "rx_desc", desc->posted_at, ev_->now(), "pages",
+                  static_cast<double>(desc->mappings.size()));
+  // The completion takes over the descriptor's mapping vector: every reader
+  // of RxDesc::mappings skips retired descriptors, so nothing reads it
+  // again, and popping the retired run below may free `desc` itself.
+  std::vector<DmaMapping> mappings = std::move(desc->mappings);
+  RxRing& ring = rings_[core % rings_.size()];
+  while (!ring.descs.empty() && ring.descs.front()->retired) {
+    ring.descs.pop_front();
+  }
+  if (!desc_complete_) {
+    return;
+  }
+  if (fault_injector_ != nullptr) {
+    const TimeNs now = ev_->now();
+    if (const FaultDecision d =
+            fault_injector_->Sample(FaultKind::kDescCompletionReorder, now,
+                                    static_cast<int>(core));
+        d.fire) {
+      // Completion delayed past younger descriptors' completions: the
+      // driver sees CQEs out of posting order.
+      completion_reorders_->Add();
+      ev_->ScheduleAfter(d.magnitude_ns, [this, core, mappings = std::move(mappings),
+                                          epoch = quiesce_epoch_]() mutable {
+        if (epoch == quiesce_epoch_) {
+          desc_complete_(core, std::move(mappings));
+        }
+      });
+      return;
     }
-    if (desc_complete_) {
-      if (fault_injector_ != nullptr) {
-        const TimeNs now = ev_->now();
-        if (const FaultDecision d =
-                fault_injector_->Sample(FaultKind::kDescCompletionReorder, now,
-                                        static_cast<int>(core));
-            d.fire) {
-          // Completion delayed past younger descriptors' completions: the
-          // driver sees CQEs out of posting order.
-          completion_reorders_->Add();
-          auto mappings = desc->mappings;
-          ev_->ScheduleAfter(d.magnitude_ns,
-                             [this, core, mappings, epoch = quiesce_epoch_] {
-            if (epoch == quiesce_epoch_) {
-              desc_complete_(core, mappings);
-            }
-          });
-          return;
+    if (fault_injector_->Sample(FaultKind::kDescCompletionDuplicate, now, static_cast<int>(core))
+            .fire) {
+      // The same CQE is signalled twice; the second arrives later. The
+      // driver's unmap path must detect the double-unmap. Only this path
+      // copies the vector: each delivery owns one.
+      completion_duplicates_->Add();
+      ev_->ScheduleAfter(1, [this, core, mappings, epoch = quiesce_epoch_]() mutable {
+        if (epoch == quiesce_epoch_) {
+          desc_complete_(core, std::move(mappings));
         }
-        if (fault_injector_
-                ->Sample(FaultKind::kDescCompletionDuplicate, now, static_cast<int>(core))
-                .fire) {
-          // The same CQE is signalled twice; the second arrives later. The
-          // driver's unmap path must detect the double-unmap.
-          completion_duplicates_->Add();
-          auto mappings = desc->mappings;
-          ev_->ScheduleAfter(1, [this, core, mappings, epoch = quiesce_epoch_] {
-            if (epoch == quiesce_epoch_) {
-              desc_complete_(core, mappings);
-            }
-          });
-        }
-      }
-      desc_complete_(core, desc->mappings);
+      });
     }
   }
+  desc_complete_(core, std::move(mappings));
 }
 
 void Nic::PumpRx() {

@@ -26,6 +26,7 @@
 #include "src/faults/fault_injector.h"
 #include "src/pcie/root_complex.h"
 #include "src/simcore/event_queue.h"
+#include "src/simcore/fifo_ring.h"
 #include "src/stats/counters.h"
 #include "src/trace/tracer.h"
 #include "src/transport/packet.h"
@@ -155,7 +156,7 @@ class Nic {
 
  private:
   struct RxDesc {
-    std::vector<DmaMapping> mappings;
+    std::vector<DmaMapping> mappings;  // moved into the completion on retirement
     std::uint32_t next_page = 0;
     std::uint32_t outstanding_packets = 0;
     bool retired = false;
@@ -227,10 +228,10 @@ class Nic {
   CapCheckFn cap_check_;
 
   std::vector<RxRing> rings_;
-  std::deque<Packet> rx_queue_;
-  // Per-packet scratch, reused across pump iterations so the steady-state
-  // datapath allocates nothing (separate buffers: a descriptor fetch can be
-  // issued while PumpRx is still assembling its payload segments).
+  FifoRing<Packet> rx_queue_{64};
+  // Per-packet scratch, reused across pump iterations so building a
+  // packet's DMA segments allocates nothing (separate buffers: a descriptor
+  // fetch can be issued while PumpRx is still assembling its segments).
   std::vector<DmaSegment> seg_scratch_;
   std::vector<DmaSegment> fetch_scratch_;
   std::uint64_t rx_buffer_used_ = 0;
@@ -238,7 +239,7 @@ class Nic {
   bool rx_pump_scheduled_ = false;
 
   struct TxQueue {
-    std::deque<TxWork> work;
+    FifoRing<TxWork> work{16};
     std::uint64_t bytes = 0;
   };
   std::vector<TxQueue> tx_queues_;  // one per core, served round-robin

@@ -30,7 +30,7 @@
 #include "src/iommu/iommu.h"
 #include "src/mem/address.h"
 #include "src/mem/memory_system.h"
-#include "src/pcie/fifo_ring.h"
+#include "src/simcore/fifo_ring.h"
 #include "src/simcore/time.h"
 #include "src/stats/counters.h"
 #include "src/trace/tracer.h"

@@ -85,14 +85,14 @@ void TenantSystem::RunOp(Tenant* tenant) {
     op_frames.reserve(pages);
     for (std::uint32_t i = 0; i < pages; ++i) {
       const PhysAddr f = frames_->AllocFrame();
-      DmaApi::MapResult mr = tenant->domain->dma().MapPage(0, f);
+      const DmaApi::PageMapResult mr = tenant->domain->dma().MapOnePage(0, f);
       t += mr.cpu_ns;
-      if (mr.mappings.empty()) {
+      if (!mr.ok()) {
         frames_->FreeFrame(f);
         continue;
       }
       op_frames.push_back(f);
-      mappings.push_back(mr.mappings.front());
+      mappings.push_back(mr.mapping);
     }
     for (const DmaMapping& m : mappings) {
       segments.push_back(DmaSegment{m.iova, static_cast<std::uint32_t>(kPageSize), did});

@@ -540,22 +540,28 @@ class NicFaultTest : public ::testing::Test {
     config.model_descriptor_fetch = false;
     nic_ = std::make_unique<Nic>(config, 1, &ev_, rc_.get(), stats_.get());
     nic_->SetFaultInjector(injector_.get());
-    nic_->SetDescComplete([this](std::uint32_t, std::vector<DmaMapping>) {
+    nic_->SetDescComplete([this](std::uint32_t, std::vector<DmaMapping> mappings) {
       completions_.push_back(ev_.now());
+      completion_mappings_.push_back(std::move(mappings));
     });
   }
 
-  // Posts a one-page descriptor and delivers one packet that consumes it.
+  // Posts kDesc and delivers one packet that consumes all of its pages.
   // Returns the sim-time at which the packet was handed to the NIC.
   TimeNs RunOnePacket() {
     const TimeNs start = ev_.now();
-    nic_->PostRxDescriptor(0, {DmaMapping{0x10000, 0x10000, 0}});
+    nic_->PostRxDescriptor(0, kDesc);
     Packet packet;
-    packet.payload = 1000;
+    packet.payload = static_cast<std::uint32_t>(kDesc.size() * kPageSize) - kHeaderBytes;
     nic_->OnWireArrival(packet);
     ev_.RunAll();
     return start;
   }
+
+  // A three-page descriptor; every field differs per page.
+  const std::vector<DmaMapping> kDesc = {DmaMapping{0x10000, 0x70000, 5},
+                                         DmaMapping{0x11000, 0x93000, 5},
+                                         DmaMapping{0x12000, 0x81000, 5}};
 
   EventQueue ev_;
   std::unique_ptr<StatsRegistry> stats_;
@@ -564,6 +570,7 @@ class NicFaultTest : public ::testing::Test {
   std::unique_ptr<RootComplex> rc_;
   std::unique_ptr<Nic> nic_;
   std::vector<TimeNs> completions_;
+  std::vector<std::vector<DmaMapping>> completion_mappings_;
 };
 
 TEST_F(NicFaultTest, DuplicateCompletionIsDeliveredTwice) {
@@ -576,6 +583,11 @@ TEST_F(NicFaultTest, DuplicateCompletionIsDeliveredTwice) {
   RunOnePacket();
   EXPECT_EQ(completions_.size(), 2u);
   EXPECT_EQ(stats_->Value("nic.completion_duplicates"), 1u);
+  // The retired descriptor's vector moves into one completion; the
+  // duplicate carries its own copy. Both name the posted pages.
+  ASSERT_EQ(completion_mappings_.size(), 2u);
+  EXPECT_EQ(completion_mappings_[0], kDesc);
+  EXPECT_EQ(completion_mappings_[1], kDesc);
 }
 
 TEST_F(NicFaultTest, ReorderDelaysTheCompletion) {
@@ -590,12 +602,19 @@ TEST_F(NicFaultTest, ReorderDelaysTheCompletion) {
   ASSERT_EQ(completions_.size(), 1u);
   EXPECT_GE(completions_[0], start + 50'000u);
   EXPECT_EQ(stats_->Value("nic.completion_reorders"), 1u);
+  // The delayed completion still carries the posted pages, although the
+  // descriptor itself was popped from the ring long before it fired.
+  ASSERT_EQ(completion_mappings_.size(), 1u);
+  EXPECT_EQ(completion_mappings_[0], kDesc);
 
   // Without the fault budget, the next completion is prompt.
   completions_.clear();
+  completion_mappings_.clear();
   start = RunOnePacket();
   ASSERT_EQ(completions_.size(), 1u);
   EXPECT_LT(completions_[0], start + 50'000u);
+  ASSERT_EQ(completion_mappings_.size(), 1u);
+  EXPECT_EQ(completion_mappings_[0], kDesc);
 }
 
 TEST(RootComplexFaultTest, BackpressureBurstStallsAdmission) {

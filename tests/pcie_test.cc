@@ -14,7 +14,6 @@
 #include "src/iommu/iommu.h"
 #include "src/mem/memory_system.h"
 #include "src/pagetable/io_page_table.h"
-#include "src/pcie/fifo_ring.h"
 #include "src/pcie/root_complex.h"
 #include "src/simcore/rng.h"
 #include "src/stats/counters.h"
@@ -581,41 +580,6 @@ INSTANTIATE_TEST_SUITE_P(
                       RcGeometry{"OneReadIommu", 6400, 1, 256, 16.0, true},
                       RcGeometry{"OddPayloadThreeReads", 1000, 3, 100, 1.0, false}),
     [](const ::testing::TestParamInfo<RcGeometry>& info) { return info.param.name; });
-
-// FifoRing against std::deque over random pushes and pops, starting from a
-// capacity of 3 so the ring wraps and grows many times.
-TEST(FifoRingTest, MatchesDeque) {
-  FifoRing<std::uint64_t> ring(3);
-  std::deque<std::uint64_t> ref;
-  Rng rng(5);
-  for (std::uint64_t i = 0; i < 20000; ++i) {
-    if (ref.empty() || rng.NextBool(0.55)) {
-      ring.push_back(i);
-      ref.push_back(i);
-    } else {
-      ring.pop_front();
-      ref.pop_front();
-    }
-    ASSERT_EQ(ring.size(), ref.size());
-    ASSERT_EQ(ring.empty(), ref.empty());
-    if (!ref.empty()) {
-      ASSERT_EQ(ring.front(), ref.front()) << "op " << i;
-    }
-  }
-  EXPECT_GT(ring.capacity(), 3u);
-}
-
-TEST(FifoRingTest, StaysAtCapacityWhileNotFull) {
-  FifoRing<int> ring(4);
-  for (int i = 0; i < 100; ++i) {
-    ring.push_back(i);
-    if (ring.size() == 4) {
-      ring.pop_front();
-    }
-  }
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.front(), 97);
-}
 
 // Degenerate configs the constructor refuses, one field each: each would
 // otherwise hang the TLP loop, read an empty queue or cast inf/NaN to time.

@@ -1,10 +1,14 @@
 // Unit tests for the discrete-event core: clock semantics, ordering
-// guarantees, and deterministic RNG behaviour.
+// guarantees, deterministic RNG behaviour, and the FIFO ring.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/simcore/event_queue.h"
+#include "src/simcore/fifo_ring.h"
 #include "src/simcore/rng.h"
 #include "src/simcore/time.h"
 
@@ -173,6 +177,74 @@ TEST(RngTest, BernoulliFrequencyMatchesP) {
     hits += rng.NextBool(0.25) ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
+}
+
+// FifoRing against std::deque over random pushes and pops, starting from a
+// capacity of 3 so the ring wraps and grows many times. Front-to-back
+// indexing must list the deque's elements in order.
+TEST(FifoRingTest, MatchesDeque) {
+  FifoRing<std::uint64_t> ring(3);
+  std::deque<std::uint64_t> ref;
+  Rng rng(5);
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    if (ref.empty() || rng.NextBool(0.55)) {
+      ring.push_back(i);
+      ref.push_back(i);
+    } else {
+      ring.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    ASSERT_EQ(ring.empty(), ref.empty());
+    if (!ref.empty()) {
+      ASSERT_EQ(ring.front(), ref.front()) << "op " << i;
+    }
+    if (i % 97 == 0) {
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        ASSERT_EQ(ring[k], ref[k]) << "op " << i << " index " << k;
+      }
+    }
+  }
+  EXPECT_GT(ring.capacity(), 3u);
+}
+
+TEST(FifoRingTest, StaysAtCapacityWhileNotFull) {
+  FifoRing<int> ring(4);
+  for (int i = 0; i < 100; ++i) {
+    ring.push_back(i);
+    if (ring.size() == 4) {
+      ring.pop_front();
+    }
+  }
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.front(), 97);
+}
+
+// Move-only elements: push_back moves in, growth moves across, front()
+// hands the element out, clear() destroys what is still queued.
+TEST(FifoRingTest, MovesOwningElements) {
+  FifoRing<std::unique_ptr<int>> ring(2);
+  for (int i = 0; i < 5; ++i) {
+    ring.push_back(std::make_unique<int>(i));
+  }
+  EXPECT_EQ(ring.capacity(), 8u);
+  std::unique_ptr<int> first = std::move(ring.front());
+  ring.pop_front();
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(*first, 0);
+  EXPECT_EQ(*ring[0], 1);
+  EXPECT_EQ(*ring[3], 4);
+
+  auto watched = std::make_shared<int>(7);
+  FifoRing<std::shared_ptr<int>> owners(4);
+  owners.push_back(watched);
+  owners.push_back(watched);
+  EXPECT_EQ(watched.use_count(), 3);
+  owners.clear();
+  EXPECT_TRUE(owners.empty());
+  EXPECT_EQ(watched.use_count(), 1);
+  owners.push_back(watched);
+  EXPECT_EQ(owners.front(), watched);
 }
 
 }  // namespace

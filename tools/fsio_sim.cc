@@ -429,6 +429,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "need --hosts>=2 and 1 <= --switches <= --hosts\n");
     return 2;
   }
+  if (options.cores == 0) {
+    std::fprintf(stderr, "--cores must be at least 1\n");
+    return 2;
+  }
+  if (options.ring == 0) {
+    std::fprintf(stderr, "--ring must be at least 1\n");
+    return 2;
+  }
 
   std::vector<std::uint32_t> sweep = options.sweep_flows;
   if (sweep.empty()) {
