@@ -8,8 +8,17 @@
 #ifndef FASTSAFE_SRC_DRIVER_PROTECTION_H_
 #define FASTSAFE_SRC_DRIVER_PROTECTION_H_
 
+#include <array>
+#include <cstddef>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 namespace fsio {
 
+// Append new modes at the end, each with a row in kProtectionModes below
+// (ModeTableCoversEnum names the last enumerator).
 enum class ProtectionMode {
   kOff,             // IOMMU disabled: devices use physical addresses
   kStrict,          // Linux strict: per-IOVA unmap + full invalidation
@@ -31,26 +40,81 @@ enum class ProtectionMode {
   kCapability,
 };
 
-constexpr const char* ProtectionModeName(ProtectionMode mode) {
-  switch (mode) {
-    case ProtectionMode::kOff:
-      return "iommu-off";
-    case ProtectionMode::kStrict:
-      return "linux-strict";
-    case ProtectionMode::kDeferred:
-      return "linux-deferred";
-    case ProtectionMode::kStrictPreserve:
-      return "linux+A(preserve)";
-    case ProtectionMode::kStrictContig:
-      return "linux+B(contig+batch)";
-    case ProtectionMode::kFastSafe:
-      return "fast-and-safe";
-    case ProtectionMode::kHugepagePersistent:
-      return "hugepage-persistent";
-    case ProtectionMode::kCapability:
-      return "capability";
+// The one protection-mode table, one row per enumerator in declaration
+// order. Every tool, test and repro format spells modes through it.
+struct ProtectionModeInfo {
+  ProtectionMode mode;
+  const char* name;        // display name: results tables, golden CSVs, bench manifest
+  const char* token;       // canonical token: CLI flags and repro files
+  const char* aliases[2];  // older spellings the tools still accept, or nullptr
+};
+
+inline constexpr ProtectionModeInfo kProtectionModes[] = {
+    {ProtectionMode::kOff, "iommu-off", "off", {}},
+    {ProtectionMode::kStrict, "linux-strict", "strict", {}},
+    {ProtectionMode::kDeferred, "linux-deferred", "deferred", {}},
+    {ProtectionMode::kStrictPreserve, "linux+A(preserve)", "strict-preserve",
+     {"preserve", "linux+a"}},
+    {ProtectionMode::kStrictContig, "linux+B(contig+batch)", "strict-contig",
+     {"contig", "linux+b"}},
+    {ProtectionMode::kFastSafe, "fast-and-safe", "fast-safe", {"fastsafe", "fs"}},
+    {ProtectionMode::kHugepagePersistent, "hugepage-persistent", "hugepage-persistent",
+     {"hugepersist"}},
+    {ProtectionMode::kCapability, "capability", "capability", {"cap"}},
+};
+
+constexpr bool ModeTableCoversEnum() {
+  for (std::size_t i = 0; i < std::size(kProtectionModes); ++i) {
+    if (static_cast<std::size_t>(kProtectionModes[i].mode) != i) {
+      return false;
+    }
   }
-  return "?";
+  return std::size(kProtectionModes) == static_cast<std::size_t>(ProtectionMode::kCapability) + 1;
+}
+static_assert(ModeTableCoversEnum(),
+              "kProtectionModes needs one row per ProtectionMode, in declaration order");
+
+// Every protection mode, in declaration order.
+inline constexpr auto kAllModes = [] {
+  std::array<ProtectionMode, std::size(kProtectionModes)> modes{};
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    modes[i] = kProtectionModes[i].mode;
+  }
+  return modes;
+}();
+
+constexpr const char* ProtectionModeName(ProtectionMode mode) {
+  return kProtectionModes[static_cast<std::size_t>(mode)].name;
+}
+
+constexpr const char* ModeToken(ProtectionMode mode) {
+  return kProtectionModes[static_cast<std::size_t>(mode)].token;
+}
+
+// Every accepted token paired with its mode; each row's canonical token
+// comes before its aliases.
+inline std::vector<std::pair<std::string, ProtectionMode>> ModeTokenChoices() {
+  std::vector<std::pair<std::string, ProtectionMode>> choices;
+  for (const ProtectionModeInfo& row : kProtectionModes) {
+    choices.emplace_back(row.token, row.mode);
+    for (const char* alias : row.aliases) {
+      if (alias != nullptr) {
+        choices.emplace_back(alias, row.mode);
+      }
+    }
+  }
+  return choices;
+}
+
+// Resolves a canonical token or an alias.
+inline bool ParseModeToken(std::string_view token, ProtectionMode* mode) {
+  for (const auto& [candidate, value] : ModeTokenChoices()) {
+    if (candidate == token) {
+      *mode = value;
+      return true;
+    }
+  }
+  return false;
 }
 
 // True if the mode guarantees the strict safety property: a device can never

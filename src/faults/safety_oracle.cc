@@ -1,5 +1,6 @@
 #include "src/faults/safety_oracle.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace fsio {
@@ -146,6 +147,20 @@ std::string SafetyOracle::TraceString() const {
        << " kind=" << SafetyViolationKindName(v.kind) << " epoch=" << v.epoch << "\n";
   }
   return os.str();
+}
+
+std::string ElideTrace(const std::string& trace, std::size_t max_lines) {
+  std::size_t pos = 0;
+  for (std::size_t lines = 0; pos < trace.size() && lines < max_lines; ++lines) {
+    const std::size_t nl = trace.find('\n', pos);
+    pos = nl == std::string::npos ? trace.size() : nl + 1;
+  }
+  if (pos == trace.size()) {
+    return trace;
+  }
+  const auto rest =
+      std::count(trace.begin() + static_cast<std::ptrdiff_t>(pos), trace.end(), '\n');
+  return trace.substr(0, pos) + "  ... (" + std::to_string(rest) + " more)\n";
 }
 
 }  // namespace fsio

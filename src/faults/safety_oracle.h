@@ -176,6 +176,11 @@ class SafetyOracle {
   Counter* overlap_counter_ = nullptr;
 };
 
+// The first `max_lines` lines of a TraceString(), plus a deterministic
+// "  ... (N more)" marker for the rest: keeps reports readable under
+// failure storms.
+std::string ElideTrace(const std::string& trace, std::size_t max_lines);
+
 }  // namespace fsio
 
 #endif  // FASTSAFE_SRC_FAULTS_SAFETY_ORACLE_H_

@@ -19,17 +19,6 @@
 namespace fsio {
 namespace {
 
-constexpr ProtectionMode kModeByToken[] = {
-    ProtectionMode::kOff,           ProtectionMode::kStrict,
-    ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
-    ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
-    ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability,
-};
-constexpr const char* kModeTokens[] = {
-    "off", "strict", "deferred", "strict-preserve", "strict-contig", "fast-safe",
-    "hugepage-persistent", "capability",
-};
-
 // Descriptors still owned by the (simulated) NIC.
 struct LiveDesc {
   std::vector<DmaMapping> mappings;
@@ -39,35 +28,31 @@ struct LiveDesc {
 
 }  // namespace
 
-const char* ModeToken(ProtectionMode mode) {
-  for (std::size_t i = 0; i < std::size(kModeByToken); ++i) {
-    if (kModeByToken[i] == mode) {
-      return kModeTokens[i];
-    }
-  }
-  return "?";
-}
-
-bool ParseModeToken(const std::string& token, ProtectionMode* mode) {
-  for (std::size_t i = 0; i < std::size(kModeTokens); ++i) {
-    if (token == kModeTokens[i]) {
-      *mode = kModeByToken[i];
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ParseBugToken(const std::string& token, InjectedBug* bug) {
-  for (InjectedBug b : {InjectedBug::kNone, InjectedBug::kUseAfterUnmap,
-                        InjectedBug::kSkipInvalidation, InjectedBug::kEarlyReclaim,
-                        InjectedBug::kUntaggedIotlb, InjectedBug::kSkipCapabilityCheck}) {
-    if (token == InjectedBugName(b)) {
-      *bug = b;
+  for (const auto& [name, value] : BugChoices()) {
+    if (token == name) {
+      *bug = value;
       return true;
     }
   }
   return false;
+}
+
+std::vector<std::pair<std::string, InjectedBug>> BugChoices() {
+  std::vector<std::pair<std::string, InjectedBug>> choices;
+  for (std::size_t i = 0; i < std::size(kBugTokens); ++i) {
+    choices.emplace_back(kBugTokens[i], static_cast<InjectedBug>(i));
+  }
+  return choices;
+}
+
+std::vector<std::pair<std::string, std::vector<ProtectionMode>>> ModeSweepChoices() {
+  std::vector<std::pair<std::string, std::vector<ProtectionMode>>> choices = {
+      {"all", {kAllModes.begin(), kAllModes.end()}}};
+  for (auto& [token, mode] : ModeTokenChoices()) {
+    choices.push_back({std::move(token), {mode}});
+  }
+  return choices;
 }
 
 std::vector<DiffOp> DifferentialHarness::GenerateOps(const DiffConfig& config) {

@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/driver/protection.h"
@@ -56,22 +57,17 @@ enum class InjectedBug : int {
   kSkipCapabilityCheck,
 };
 
+// Bug tokens for CLI flags and repro files, one per InjectedBug in
+// declaration order.
+inline constexpr const char* kBugTokens[] = {
+    "none",          "use-after-unmap", "skip-invalidation",
+    "early-reclaim", "untagged-iotlb",  "skip-capability-check",
+};
+static_assert(std::size(kBugTokens) ==
+              static_cast<std::size_t>(InjectedBug::kSkipCapabilityCheck) + 1);
+
 constexpr const char* InjectedBugName(InjectedBug bug) {
-  switch (bug) {
-    case InjectedBug::kNone:
-      return "none";
-    case InjectedBug::kUseAfterUnmap:
-      return "use-after-unmap";
-    case InjectedBug::kSkipInvalidation:
-      return "skip-invalidation";
-    case InjectedBug::kEarlyReclaim:
-      return "early-reclaim";
-    case InjectedBug::kUntaggedIotlb:
-      return "untagged-iotlb";
-    case InjectedBug::kSkipCapabilityCheck:
-      return "skip-capability-check";
-  }
-  return "?";
+  return kBugTokens[static_cast<std::size_t>(bug)];
 }
 
 enum class OpKind : int {
@@ -129,10 +125,12 @@ struct DiffResult {
   std::uint64_t stale_uses = 0;
 };
 
-// Short mode tokens for CLI flags and repro files ("strict", "fast-safe", ...).
-const char* ModeToken(ProtectionMode mode);
-bool ParseModeToken(const std::string& token, ProtectionMode* mode);
 bool ParseBugToken(const std::string& token, InjectedBug* bug);
+
+// Token -> value choices for the fsio_diff and fsio_model flags: --bug, and
+// --mode as "all" (every mode) or one mode token.
+std::vector<std::pair<std::string, InjectedBug>> BugChoices();
+std::vector<std::pair<std::string, std::vector<ProtectionMode>>> ModeSweepChoices();
 
 class DifferentialHarness {
  public:

@@ -98,7 +98,7 @@ TEST_P(HeapBoundTest, LiveBytesStayFlatAfterWarmup) {
       << "live heap grew by " << growth << " bytes between windows 2 and 8";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, HeapBoundTest, ::testing::ValuesIn(test::kAllModes),
+INSTANTIATE_TEST_SUITE_P(AllModes, HeapBoundTest, ::testing::ValuesIn(kAllModes),
                          test::ModeParamName);
 
 // The benchmark's iperf_off workload: 40 bulk flows over 5 cores, 4 KB MTU,

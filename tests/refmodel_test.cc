@@ -160,7 +160,7 @@ TEST_P(DiffMatrixTest, RealStackAgreesWithModel) {
 
 std::vector<MatrixParam> AllMatrixParams() {
   std::vector<MatrixParam> params;
-  for (ProtectionMode mode : test::kAllModes) {
+  for (ProtectionMode mode : kAllModes) {
     params.push_back({mode, true});
     params.push_back({mode, false});
   }

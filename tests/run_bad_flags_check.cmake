@@ -1,47 +1,108 @@
-# fsio_sim must refuse a flag value it cannot run with exit code 2 and a
-# message naming the flag, instead of crashing or running something else:
-#  - an --iotlb-entries value that is not 4 x a power of two, on the cluster
-#    path and on the --tenants path (a silently resized or partly
-#    unreachable IOTLB);
-#  - --cores=0 (a division by zero) and --ring=0 (every packet dropped).
-# A valid value must still run.
+# Every tool must refuse a flag value it cannot run with exit code 2 and a
+# message naming the flag, instead of crashing, running something else or
+# passing vacuously:
+#  - fsio_sim: an --iotlb-entries value that is not 4 x a power of two, on the
+#    cluster path and on the --tenants path (a silently resized or partly
+#    unreachable IOTLB); --cores=0 (a division by zero), --ring=0 (every
+#    packet dropped), --flows=abc (0 flows), --window-ms=-1, --mtu=10 (the
+#    MSS underflows), an unknown --mode;
+#  - fsio_diff --seeds abc ("0 runs"), fsio_model --depth x (depth 0),
+#    fsio_sidechan --trials -1 (a huge allocation), fsio_chaos --window abc
+#    (a 0 window), safety_fuzz --ops x (a 0-op matrix), and the shared
+#    parser's generic cases on fsio_trace and fsio_lint.
+# Valid runs in both flag syntaxes (--name=value and --name value) must still
+# exit 0.
 # Invoked by ctest as
-#   cmake -DSIM=<fsio_sim> -P run_bad_flags_check.cmake
-if(NOT DEFINED SIM)
-  message(FATAL_ERROR "pass -DSIM=<fsio_sim>")
-endif()
+#   cmake -DSIM=<fsio_sim> -DDIFF=<fsio_diff> -DMODEL=<fsio_model>
+#         -DSIDECHAN=<fsio_sidechan> -DCHAOS=<fsio_chaos> -DFUZZ=<safety_fuzz>
+#         -DTRACE_TOOL=<fsio_trace> -DLINT=<fsio_lint> -P run_bad_flags_check.cmake
+foreach(tool SIM DIFF MODEL SIDECHAN CHAOS FUZZ TRACE_TOOL LINT)
+  if(NOT DEFINED ${tool})
+    message(FATAL_ERROR "pass -D${tool}=<path to the tool>")
+  endif()
+endforeach()
 
-# Each case: the arguments, "|", and the text the error message must contain.
+# Each case: the tool variable, "|", the arguments, "|", and the text the
+# error message must contain. fsio_sim cases also get a 1 ms warmup and
+# window so a wrongly accepted value cannot run long.
 set(cases "")
 foreach(path_args "--flows=1" "--tenants=2")
   foreach(entries 24 0 2 6)
     list(APPEND cases
-         "${path_args} --iotlb-entries=${entries}|--iotlb-entries must be 4 x a power of two")
+         "SIM|${path_args} --iotlb-entries=${entries}|--iotlb-entries must be 4 x a power of two")
   endforeach()
 endforeach()
 list(APPEND cases
-     "--flows=1 --cores=0|--cores must be at least 1"
-     "--flows=1 --ring=0|--ring must be at least 1")
+     "SIM|--flows=1 --cores=0|--cores must be at least 1"
+     "SIM|--flows=1 --ring=0|--ring must be at least 1"
+     "SIM|--flows=abc|--flows"
+     "SIM|--flows=5x|--flows"
+     "SIM|--flows=1 --window-ms=-1|--window-ms"
+     "SIM|--flows=1 --mtu=10|--mtu must be at least"
+     "SIM|--mode=bogus|--mode"
+     "SIM|--flows 4294967296|--flows must be at most"
+     "SIM|--flows=|--flows: empty value"
+     "SIM|--flows|--flows: missing value"
+     "SIM|--csv=1|--csv: takes no value"
+     "SIM|--sweep-flows=1,,3|--sweep-flows"
+     "SIM|--tenant-modes=strict,|--tenant-modes"
+     "SIM|--no-such-flag|--no-such-flag"
+     "DIFF|--seeds abc|--seeds"
+     "DIFF|--mode fastsafe --bug nope|--bug"
+     "DIFF|--rcache maybe|--rcache"
+     "MODEL|--depth x|--depth"
+     "MODEL|--domains 4|--domains must be at most"
+     "SIDECHAN|--trials -1|--trials"
+     "SIDECHAN|--partition bogus|--partition"
+     "CHAOS|--window abc|--window"
+     "CHAOS|--jobs=+2|--jobs"
+     "FUZZ|--ops x|--ops"
+     "FUZZ|--seed|--seed: missing value"
+     "TRACE_TOOL|top trace.json --n=0|--n must be at least 1"
+     "LINT|--rules=bogus src|--rules")
 
 foreach(case IN LISTS cases)
-  string(FIND "${case}" "|" bar)
-  string(SUBSTRING "${case}" 0 ${bar} args)
-  math(EXPR message_at "${bar} + 1")
-  string(SUBSTRING "${case}" ${message_at} -1 want)
+  string(REPLACE "|" ";" fields "${case}")
+  list(GET fields 0 tool)
+  list(GET fields 1 args)
+  list(GET fields 2 want)
   separate_arguments(arg_list UNIX_COMMAND "${args}")
-  execute_process(COMMAND ${SIM} ${arg_list} --warmup-ms=1 --window-ms=1
+  if(tool STREQUAL "SIM")
+    list(APPEND arg_list --warmup-ms=1 --window-ms=1)
+  endif()
+  execute_process(COMMAND ${${tool}} ${arg_list}
                   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "${args}: exit ${rc}, want 2\n${out}${err}")
+    message(FATAL_ERROR "${tool} ${args}: exit ${rc}, want 2\n${out}${err}")
   endif()
   string(FIND "${err}" "${want}" found)
   if(found EQUAL -1)
-    message(FATAL_ERROR "${args}: no message \"${want}\"\n${err}")
+    message(FATAL_ERROR "${tool} ${args}: no message \"${want}\"\n${err}")
   endif()
 endforeach()
 
-execute_process(COMMAND ${SIM} --flows=1 --iotlb-entries=32 --warmup-ms=1 --window-ms=1
-                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--iotlb-entries=32 failed with exit ${rc}:\n${out}${err}")
-endif()
+# Valid runs, in both syntaxes and through mode aliases.
+set(valid
+    "SIM|--flows=1 --iotlb-entries=32 --warmup-ms=1 --window-ms=1"
+    "SIM|--flows 1 --mode strict --warmup-ms 1 --window-ms 1"
+    "SIM|--tenants 2 --tenant-modes=strict,fastsafe --tenant-rounds 50"
+    "DIFF|--seeds 1 --ops 100 --mode fastsafe --quiet"
+    "DIFF|--seeds=1 --ops=100 --mode=strict-contig --rcache=on"
+    "MODEL|--mode strict --depth 4"
+    "MODEL|--mode=linux+a --depth=4 --quiet"
+    "SIDECHAN|--trials 32 --partition=none"
+    "CHAOS|--help"
+    "FUZZ|--help"
+    "TRACE_TOOL|--help"
+    "LINT|--list-rules")
+foreach(case IN LISTS valid)
+  string(REPLACE "|" ";" fields "${case}")
+  list(GET fields 0 tool)
+  list(GET fields 1 args)
+  separate_arguments(arg_list UNIX_COMMAND "${args}")
+  execute_process(COMMAND ${${tool}} ${arg_list}
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${tool} ${args} failed with exit ${rc}:\n${out}${err}")
+  endif()
+endforeach()

@@ -1,6 +1,8 @@
 # Oracle power, cluster scale: a recovery path that skips the global IOTLB
 # invalidation must be caught by the cross-host safety oracle, shrink to a
 # minimal fault-event list, and the written repro must replay the violation.
+# A repro with a corrupted number must be refused as unreadable instead of
+# replaying zeros.
 # Invoked by ctest as
 #   cmake -DCHAOS=<fsio_chaos> -DWORKDIR=<build dir> -P run_chaos_bug_check.cmake
 if(NOT DEFINED CHAOS OR NOT DEFINED WORKDIR)
@@ -24,5 +26,26 @@ execute_process(COMMAND ${CHAOS} --replay ${repro}
 if(NOT rc_replay EQUAL 0)
   message(FATAL_ERROR "repro replay did not reproduce (exit ${rc_replay}):\n${out_replay}")
 endif()
+
+file(READ ${repro} repro_text)
+set(corrupt "${WORKDIR}/repro_chaos_corrupt.txt")
+foreach(pattern "seed=[0-9]+|seed=abc" " p=[0-9.]+| p=x")
+  string(REPLACE "|" ";" pair "${pattern}")
+  list(GET pair 0 from)
+  list(GET pair 1 to)
+  string(REGEX REPLACE "${from}" "${to}" corrupt_text "${repro_text}")
+  if(corrupt_text STREQUAL repro_text)
+    message(FATAL_ERROR "repro has no '${from}' to corrupt:\n${repro_text}")
+  endif()
+  file(WRITE ${corrupt} "${corrupt_text}")
+  execute_process(COMMAND ${CHAOS} --replay ${corrupt}
+                  OUTPUT_VARIABLE out_corrupt ERROR_VARIABLE err_corrupt
+                  RESULT_VARIABLE rc_corrupt)
+  string(FIND "${out_corrupt}" "REPLAY FAILED: unreadable repro" found)
+  if(rc_corrupt EQUAL 0 OR found EQUAL -1)
+    message(FATAL_ERROR "repro with '${to}' was not refused (exit ${rc_corrupt}):\n"
+                        "${out_corrupt}${err_corrupt}")
+  endif()
+endforeach()
 
 message(STATUS "chaos oracle-power check OK (repro at ${repro})")

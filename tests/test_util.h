@@ -1,9 +1,9 @@
 // Shared tables and helpers for the test suites.
 //
-// Every suite that parameterizes over protection modes must use these tables
-// instead of redeclaring its own: a newly added ProtectionMode then fails to
-// compile (exhaustive switch in ProtectionModeName) or is picked up
-// automatically, instead of being silently missed by one suite.
+// Every suite that parameterizes over protection modes must use kAllModes
+// (src/driver/protection.h) or these tables instead of redeclaring its own:
+// a newly added ProtectionMode then fails the mode table's static_assert or
+// is picked up automatically, instead of being silently missed by one suite.
 #ifndef FASTSAFE_TESTS_TEST_UTIL_H_
 #define FASTSAFE_TESTS_TEST_UTIL_H_
 
@@ -16,14 +16,6 @@
 
 namespace fsio {
 namespace test {
-
-// Every protection mode, in protection.h declaration order.
-inline constexpr ProtectionMode kAllModes[] = {
-    ProtectionMode::kOff,           ProtectionMode::kStrict,
-    ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
-    ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
-    ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability,
-};
 
 // Modes that tear mappings down on descriptor completion and do so with the
 // strict safety property (unmap implies immediate invalidation).

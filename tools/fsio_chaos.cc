@@ -35,13 +35,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/cli/flags.h"
 #include "src/core/cluster.h"
 #include "src/core/cluster_faults.h"
 #include "src/core/sweep_runner.h"
@@ -67,43 +66,6 @@ struct ChaosOptions {
   std::string repro_out;
   std::string replay;
 };
-
-// Stable CLI/repro keys for protection modes (ProtectionModeName() is a
-// human-facing label with spaces; repro files need single tokens).
-struct ModeEntry {
-  ProtectionMode mode;
-  const char* key;
-};
-constexpr ModeEntry kModes[] = {
-    {ProtectionMode::kOff, "off"},
-    {ProtectionMode::kStrict, "strict"},
-    {ProtectionMode::kDeferred, "deferred"},
-    {ProtectionMode::kStrictPreserve, "strict-preserve"},
-    {ProtectionMode::kStrictContig, "strict-contig"},
-    {ProtectionMode::kFastSafe, "fastsafe"},
-    {ProtectionMode::kHugepagePersistent, "hugepage-persistent"},
-    {ProtectionMode::kCapability, "capability"},
-};
-constexpr std::size_t kNumModes = sizeof(kModes) / sizeof(kModes[0]);
-
-const char* ModeKey(ProtectionMode mode) {
-  for (const ModeEntry& e : kModes) {
-    if (e.mode == mode) {
-      return e.key;
-    }
-  }
-  return "?";
-}
-
-bool ModeFromKey(const std::string& key, ProtectionMode* out) {
-  for (const ModeEntry& e : kModes) {
-    if (key == e.key) {
-      *out = e.mode;
-      return true;
-    }
-  }
-  return false;
-}
 
 // One scenario: a named fault-event list plus the expectations it must meet
 // in every protection mode.
@@ -261,27 +223,6 @@ struct CellResult {
   std::uint64_t post_recovery_bytes = 0;
 };
 
-// Appends at most `limit` lines of `trace` with a deterministic elision
-// marker, keeping reports readable under failure storms.
-void AppendTrace(std::ostringstream* os, const std::string& trace, std::size_t limit) {
-  std::size_t lines = 0;
-  std::size_t pos = 0;
-  while (pos < trace.size() && lines < limit) {
-    const std::size_t nl = trace.find('\n', pos);
-    const std::size_t end = nl == std::string::npos ? trace.size() : nl + 1;
-    os->write(trace.data() + pos, static_cast<std::streamsize>(end - pos));
-    pos = end;
-    ++lines;
-  }
-  if (pos < trace.size()) {
-    std::size_t rest = 0;
-    for (std::size_t i = pos; i < trace.size(); ++i) {
-      rest += trace[i] == '\n' ? 1 : 0;
-    }
-    *os << "  ... (" << rest << " more)\n";
-  }
-}
-
 // Runs one (mode, scenario) cell: an independent 4-host / 2-switch cluster
 // with a 3→1 incast, the scenario's faults armed, and full safety
 // instrumentation. `broken` skips the recovery global invalidation — the
@@ -330,7 +271,7 @@ CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOpt
   for (int slice = 1; slice <= kSlices; ++slice) {
     if (cancel.load(std::memory_order_relaxed)) {
       r.cancelled = true;
-      r.report = "=== scenario=" + scenario.name + " mode=" + ModeKey(mode) +
+      r.report = "=== scenario=" + scenario.name + " mode=" + ModeToken(mode) +
                  " ===\nTIMED OUT (partial cell dropped)\n";
       return r;
     }
@@ -353,7 +294,7 @@ CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOpt
     r.flow_aborts += hs.Value("dctcp.flow_aborts");
     if (oracle->total_violations() != 0) {
       vio << "host " << h << " violations:\n";
-      AppendTrace(&vio, oracle->TraceString(), 20);
+      vio << ElideTrace(oracle->TraceString(), 20);
     }
   }
   StatsRegistry& crash_stats = cluster.host(scenario.crash_host).stats();
@@ -373,7 +314,7 @@ CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOpt
   }
 
   std::ostringstream os;
-  os << "=== scenario=" << scenario.name << " mode=" << ModeKey(mode)
+  os << "=== scenario=" << scenario.name << " mode=" << ModeToken(mode)
      << (broken ? " broken-recovery" : "") << " ===\n";
   os << "violations=" << r.violations << " reclaimed_frame=" << r.reclaimed_frame
      << " stale_translation=" << r.stale_translation
@@ -401,15 +342,15 @@ CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOpt
 // every expectation. Returns the number of failed expectations.
 int RunSuite(const ChaosOptions& opt, std::string* output) {
   const std::vector<Scenario> scenarios = BuildScenarios(opt.window);
-  const std::size_t n = scenarios.size() * kNumModes;
+  const std::size_t n = scenarios.size() * kAllModes.size();
   std::vector<CellResult> cells(n);
 
   SweepRunner runner(opt.jobs);
   const SweepRunReport sweep = runner.RunCancellable(
       n,
       [&](std::size_t i, const std::atomic<bool>& cancel) {
-        const Scenario& scenario = scenarios[i / kNumModes];
-        const ProtectionMode mode = kModes[i % kNumModes].mode;
+        const Scenario& scenario = scenarios[i / kAllModes.size()];
+        const ProtectionMode mode = kAllModes[i % kAllModes.size()];
         cells[i] = RunCell(mode, scenario, opt, /*broken=*/false, cancel);
       },
       SweepRunner::DefaultDeadlineMs());
@@ -424,10 +365,10 @@ int RunSuite(const ChaosOptions& opt, std::string* output) {
   };
 
   for (std::size_t i = 0; i < n; ++i) {
-    const Scenario& scenario = scenarios[i / kNumModes];
+    const Scenario& scenario = scenarios[i / kAllModes.size()];
     const CellResult& r = cells[i];
     all << r.report;
-    const std::string tag = scenario.name + " / " + kModes[i % kNumModes].key;
+    const std::string tag = scenario.name + " / " + ModeToken(kAllModes[i % kAllModes.size()]);
     if (r.cancelled) {
       expect(false, tag + ": cell hit the sweep deadline");
       continue;
@@ -480,7 +421,7 @@ int RunSuite(const ChaosOptions& opt, std::string* output) {
 //     co-tenant's resident entries are counted before and after;
 //   * the recovered tenant resumes, and the safety oracles of both domains
 //     end at zero violations, including zero dma_cross_domain_hit.
-int RunTenantCrash(const ChaosOptions& opt, std::string* output) {
+int RunTenantCrash(std::string* output) {
   std::ostringstream all;
   int failures = 0;
   auto expect = [&](bool ok, const std::string& what) {
@@ -490,16 +431,16 @@ int RunTenantCrash(const ChaosOptions& opt, std::string* output) {
     }
   };
 
-  for (const ModeEntry& entry : kModes) {
-    const std::string tag = std::string("tenant-crash / ") + entry.key;
+  for (ProtectionMode mode : kAllModes) {
+    const std::string tag = std::string("tenant-crash / ") + ModeToken(mode);
     TenantSystemConfig config;
     TenantConfig victim;
-    victim.mode = entry.mode;
+    victim.mode = mode;
     victim.latency_critical = true;
     victim.weight = 1;
     config.tenants.push_back(victim);
     TenantConfig co;
-    co.mode = entry.mode;
+    co.mode = mode;
     co.latency_critical = true;  // closed-loop, so `ops` measures progress
     co.weight = 2;
     config.tenants.push_back(co);
@@ -522,8 +463,8 @@ int RunTenantCrash(const ChaosOptions& opt, std::string* output) {
     const DomainId co_id = system.domain(1).id();
     // Capability mode never populates the IOMMU (pass-through); device
     // visibility is judged by the capability check instead of Translate.
-    const bool cap = entry.mode == ProtectionMode::kCapability;
-    if (entry.mode != ProtectionMode::kOff) {
+    const bool cap = mode == ProtectionMode::kCapability;
+    if (mode != ProtectionMode::kOff) {
       expect(!stranded.empty(), tag + ": crash strands an in-flight descriptor");
     }
     if (!stranded.empty()) {
@@ -578,7 +519,7 @@ int RunTenantCrash(const ChaosOptions& opt, std::string* output) {
     expect(system.stats().Value("iommu.cross_domain_hits") == 0,
            tag + ": IOMMU-wide cross-domain hit counter stays zero");
 
-    all << "=== scenario=tenant-crash mode=" << entry.key << " ===\n";
+    all << "=== scenario=tenant-crash mode=" << ModeToken(mode) << " ===\n";
     all << "victim_ops=" << victim_final.ops << " co_ops=" << co_final.ops
         << " stranded=" << stranded.size()
         << " co_resident=" << co_resident_before
@@ -612,7 +553,7 @@ std::string FormatRepro(const ChaosOptions& opt, ProtectionMode mode,
   os << "# fsio_chaos repro: broken recovery (skipped global invalidation)\n";
   os << "seed=" << opt.seed << "\n";
   os << "window=" << opt.window << "\n";
-  os << "mode=" << ModeKey(mode) << "\n";
+  os << "mode=" << ModeToken(mode) << "\n";
   os << "break-recovery=1\n";
   for (const ClusterFaultEvent& e : events) {
     os << "event " << e.ToString() << "\n";
@@ -634,19 +575,23 @@ bool ParseReproLine(const std::string& line, ClusterFaultEvent* e) {
     }
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
+    bool ok = true;
     if (key == "at") {
-      e->at = std::strtoull(value.c_str(), nullptr, 10);
+      ok = cli::ParseUnsigned(value, &e->at);
     } else if (key == "dur") {
-      e->duration_ns = std::strtoull(value.c_str(), nullptr, 10);
+      ok = cli::ParseUnsigned(value, &e->duration_ns);
     } else if (key == "switch") {
-      e->switch_id = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      ok = cli::ParseUnsigned(value, &e->switch_id);
     } else if (key == "host") {
-      e->host = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      ok = cli::ParseUnsigned(value, &e->host);
     } else if (key == "any_port") {
       e->any_port = value == "1";
     } else if (key == "p") {
-      e->probability = std::strtod(value.c_str(), nullptr);
+      ok = cli::ParseDouble(value, &e->probability);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       return false;
     }
   }
@@ -681,19 +626,20 @@ bool ParseRepro(const std::string& path, ChaosOptions* opt, ProtectionMode* mode
     }
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
+    bool ok = true;
     if (key == "seed") {
-      opt->seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = cli::ParseUnsigned(value, &opt->seed);
     } else if (key == "window") {
-      opt->window = std::strtoull(value.c_str(), nullptr, 10);
+      ok = cli::ParseUnsigned(value, &opt->window);
     } else if (key == "mode") {
-      if (!ModeFromKey(value, mode)) {
-        std::fprintf(stderr, "fsio_chaos: unknown mode %s\n", value.c_str());
-        return false;
-      }
+      ok = ParseModeToken(value, mode);
     } else if (key == "break-recovery") {
       opt->break_recovery = value == "1";
     } else {
-      std::fprintf(stderr, "fsio_chaos: unknown repro key %s\n", key.c_str());
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "fsio_chaos: bad repro line: %s\n", line.c_str());
       return false;
     }
   }
@@ -819,7 +765,7 @@ int RunReplay(const std::string& path, ChaosOptions opt, std::string* output) {
     return 1;
   }
   std::ostringstream all;
-  all << "replaying " << events.size() << " event(s), mode=" << ModeKey(mode)
+  all << "replaying " << events.size() << " event(s), mode=" << ModeToken(mode)
       << " seed=" << opt.seed << " window=" << opt.window
       << " break-recovery=" << (opt.break_recovery ? 1 : 0) << "\n";
   const CellResult r = RunBrokenCell(events, mode, opt);
@@ -835,43 +781,33 @@ int RunReplay(const std::string& path, ChaosOptions opt, std::string* output) {
 int Main(int argc, char** argv) {
   ChaosOptions opt;
   bool selftest = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--window") == 0 && i + 1 < argc) {
-      opt.window = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      opt.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
-      opt.verbose = true;
-    } else if (std::strcmp(argv[i], "--break-recovery") == 0) {
-      opt.break_recovery = true;
-    } else if (std::strcmp(argv[i], "--tenant-crash") == 0) {
-      opt.tenant_crash = true;
-    } else if (std::strcmp(argv[i], "--expect-violation") == 0) {
-      opt.expect_violation = true;
-    } else if (std::strcmp(argv[i], "--repro-out") == 0 && i + 1 < argc) {
-      opt.repro_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
-      opt.replay = argv[++i];
-    } else if (std::strcmp(argv[i], "--selftest-determinism") == 0) {
-      selftest = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--window NS] [--seed S] [--jobs N] [--verbose]\n"
-                   "          [--break-recovery [--expect-violation] [--repro-out F]]\n"
-                   "          [--tenant-crash] [--replay F] [--selftest-determinism]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  cli::Parse(
+      argc, argv, "fsio_chaos",
+      "Cluster chaos matrix: fault scenarios x every protection mode on a 4-host,\n"
+      "2-switch incast; every cell must end with zero safety-oracle violations.",
+      {
+          cli::Unsigned("window", &opt.window, "base fault window in simulated ns", 1),
+          cli::Unsigned("seed", &opt.seed, "seed"),
+          cli::Unsigned("jobs", &opt.jobs, "matrix worker threads"),
+          cli::Switch("verbose", &opt.verbose, "print violation traces for every cell"),
+          cli::Switch("break-recovery", &opt.break_recovery,
+                      "run one cell whose recovery skips the global IOTLB invalidation"),
+          cli::Switch("expect-violation", &opt.expect_violation,
+                      "with --break-recovery: shrink the caught violation to a minimal repro"),
+          cli::String("repro-out", &opt.repro_out, "FILE", "write the shrunken repro here"),
+          cli::Switch("tenant-crash", &opt.tenant_crash,
+                      "run the multi-tenant crash matrix instead"),
+          cli::String("replay", &opt.replay, "FILE", "replay a repro file"),
+          cli::Switch("selftest-determinism", &selftest,
+                      "run the matrix twice in-process and compare the reports"),
+      });
 
   std::string output;
   int failures;
   if (!opt.replay.empty()) {
     failures = RunReplay(opt.replay, opt, &output);
   } else if (opt.tenant_crash) {
-    failures = RunTenantCrash(opt, &output);
+    failures = RunTenantCrash(&output);
   } else if (opt.break_recovery) {
     failures = RunBrokenRecovery(opt, &output);
   } else {

@@ -21,12 +21,12 @@
 // Output is deterministic for fixed arguments.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/cli/flags.h"
 #include "src/driver/protection.h"
 #include "src/refmodel/diff_harness.h"
 
@@ -37,8 +37,8 @@ struct Options {
   std::uint64_t seeds = 8;
   std::uint64_t seed_base = 1;
   std::uint32_t ops = 1500;
-  std::string mode = "all";      // "all" or one mode token
-  std::string rcache = "both";   // "both" | "on" | "off"
+  std::vector<ProtectionMode> modes{kAllModes.begin(), kAllModes.end()};
+  std::vector<bool> rcaches = {true, false};
   std::uint32_t pages_per_chunk = 64;
   std::uint32_t num_cores = 4;
   std::uint32_t domains = 1;
@@ -49,115 +49,6 @@ struct Options {
   std::string replay;
   bool quiet = false;
 };
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: fsio_diff [options]\n"
-               "  --seeds N             seeds per (mode, rcache) cell (default 8)\n"
-               "  --seed-base N         first seed value (default 1)\n"
-               "  --ops N               operations per run (default 1500)\n"
-               "  --mode all|TOKEN      protection mode sweep or a single mode\n"
-               "                        (off strict deferred strict-preserve\n"
-               "                         strict-contig fast-safe hugepage-persistent\n"
-               "                         capability)\n"
-               "  --rcache both|on|off  IOVA allocator cache configurations\n"
-               "  --pages-per-chunk N   Rx descriptor size in pages (default 64)\n"
-               "  --num-cores N         driver cores (default 4)\n"
-               "  --domains N           protection domains sharing the IOMMU (default 1;\n"
-               "                        >=2 checks per-tenant semantics + isolation)\n"
-               "  --bug TOKEN           inject a driver/hardware bug (none use-after-unmap\n"
-               "                        skip-invalidation early-reclaim untagged-iotlb\n"
-               "                        skip-capability-check)\n"
-               "  --expect-divergence   require every run to diverge (oracle self-test)\n"
-               "  --max-repro-ops N     shrunken repro size budget (default 20)\n"
-               "  --repro-out FILE      write the shrunken repro here on divergence\n"
-               "  --replay FILE         replay a repro file instead of sweeping\n"
-               "  --quiet               only print the final summary line\n");
-}
-
-bool ParseArgs(int argc, char** argv, Options* opt) {
-  auto need = [&](int i) { return i + 1 < argc; };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--seeds" && need(i)) {
-      opt->seeds = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--seed-base" && need(i)) {
-      opt->seed_base = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--ops" && need(i)) {
-      opt->ops = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--mode" && need(i)) {
-      opt->mode = argv[++i];
-    } else if (a == "--rcache" && need(i)) {
-      opt->rcache = argv[++i];
-    } else if (a == "--pages-per-chunk" && need(i)) {
-      opt->pages_per_chunk = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--num-cores" && need(i)) {
-      opt->num_cores = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--domains" && need(i)) {
-      opt->domains = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (opt->domains == 0) {
-        std::fprintf(stderr, "fsio_diff: --domains must be positive\n");
-        return false;
-      }
-    } else if (a == "--bug" && need(i)) {
-      if (!ParseBugToken(argv[++i], &opt->bug)) {
-        std::fprintf(stderr, "fsio_diff: unknown bug token '%s'\n", argv[i]);
-        return false;
-      }
-    } else if (a == "--expect-divergence") {
-      opt->expect_divergence = true;
-    } else if (a == "--max-repro-ops" && need(i)) {
-      opt->max_repro_ops = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--repro-out" && need(i)) {
-      opt->repro_out = argv[++i];
-    } else if (a == "--replay" && need(i)) {
-      opt->replay = argv[++i];
-    } else if (a == "--quiet") {
-      opt->quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "fsio_diff: unknown argument '%s'\n", a.c_str());
-      Usage();
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<ProtectionMode> ModesFor(const Options& opt, bool* ok) {
-  *ok = true;
-  if (opt.mode == "all") {
-    return {ProtectionMode::kOff,           ProtectionMode::kStrict,
-            ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
-            ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
-            ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability};
-  }
-  ProtectionMode m;
-  if (!ParseModeToken(opt.mode, &m)) {
-    std::fprintf(stderr, "fsio_diff: unknown mode token '%s'\n", opt.mode.c_str());
-    *ok = false;
-    return {};
-  }
-  return {m};
-}
-
-std::vector<bool> RcachesFor(const Options& opt, bool* ok) {
-  *ok = true;
-  if (opt.rcache == "both") {
-    return {true, false};
-  }
-  if (opt.rcache == "on") {
-    return {true};
-  }
-  if (opt.rcache == "off") {
-    return {false};
-  }
-  std::fprintf(stderr, "fsio_diff: --rcache must be both|on|off\n");
-  *ok = false;
-  return {};
-}
 
 // Shrinks, prints, and (optionally) writes the repro. Returns the shrink
 // outcome so callers can validate size and replayability.
@@ -229,20 +120,38 @@ int Replay(const Options& opt) {
 
 int Main(int argc, char** argv) {
   Options opt;
-  if (!ParseArgs(argc, argv, &opt)) {
-    return 2;
-  }
+  cli::Parse(
+      argc, argv, "fsio_diff",
+      "Differential fuzzer: the real IOMMU/page-table/IOVA/DMA-API stack against\n"
+      "the RefModel in lockstep, over seeds, modes and IOVA allocator caches.",
+      {
+          cli::Unsigned("seeds", &opt.seeds, "seeds per (mode, rcache) cell"),
+          cli::Unsigned("seed-base", &opt.seed_base, "first seed value"),
+          cli::Unsigned("ops", &opt.ops, "operations per run"),
+          cli::OneOf("mode", &opt.modes, ModeSweepChoices(), "MODE",
+                     "protection mode sweep (all) or a single mode"),
+          cli::OneOf("rcache", &opt.rcaches,
+                     cli::Choices<std::vector<bool>>{
+                         {"both", {true, false}}, {"on", {true}}, {"off", {false}}},
+                     "R", "IOVA allocator cache configurations"),
+          cli::Unsigned("pages-per-chunk", &opt.pages_per_chunk, "Rx descriptor size in pages",
+                        1),
+          cli::Unsigned("num-cores", &opt.num_cores, "driver cores", 1),
+          cli::Unsigned("domains", &opt.domains,
+                        "protection domains sharing the IOMMU;\n"
+                        ">=2 checks per-tenant semantics + isolation",
+                        1),
+          cli::OneOf("bug", &opt.bug, BugChoices(), "BUG", "inject a driver/hardware bug"),
+          cli::Switch("expect-divergence", &opt.expect_divergence,
+                      "require every run to diverge (oracle self-test)"),
+          cli::Unsigned("max-repro-ops", &opt.max_repro_ops, "shrunken repro size budget"),
+          cli::String("repro-out", &opt.repro_out, "FILE",
+                      "write the shrunken repro here on divergence"),
+          cli::String("replay", &opt.replay, "FILE", "replay a repro file instead of sweeping"),
+          cli::Switch("quiet", &opt.quiet, "only print the final summary line"),
+      });
   if (!opt.replay.empty()) {
     return Replay(opt);
-  }
-  bool ok = true;
-  const std::vector<ProtectionMode> modes = ModesFor(opt, &ok);
-  if (!ok) {
-    return 2;
-  }
-  const std::vector<bool> rcaches = RcachesFor(opt, &ok);
-  if (!ok) {
-    return 2;
   }
   if (opt.expect_divergence && opt.bug == InjectedBug::kNone) {
     std::fprintf(stderr, "fsio_diff: --expect-divergence requires --bug\n");
@@ -258,8 +167,8 @@ int Main(int argc, char** argv) {
   bool self_test_ok = true;
   bool first_divergence_handled = false;
 
-  for (ProtectionMode mode : modes) {
-    for (bool rcache : rcaches) {
+  for (ProtectionMode mode : opt.modes) {
+    for (bool rcache : opt.rcaches) {
       for (std::uint64_t s = 0; s < opt.seeds; ++s) {
         DiffConfig config;
         config.mode = mode;

@@ -1,7 +1,7 @@
 // fsio_lint: repo-specific static checks the compiler cannot express.
 //
 // Usage:
-//   fsio_lint [--rules=r1,r2] [--scope=src|tests|tools|bench|examples] \
+//   fsio_lint [--rules=r1,r2] [--scope=src|tests|tools|bench|examples]
 //             [--list-rules] PATH...
 //
 // PATHs are files or directories (searched recursively for C++ sources),
@@ -29,7 +29,8 @@
 //
 // Diagnostics are `file:line: rule-id: message`, one per line; the exit code
 // is non-zero iff any violation was reported. Like fsio_trace, the tool is
-// self-contained: no dependency on the simulator libraries.
+// self-contained: it links the flag parser (src/cli/) and no simulator
+// library.
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -41,6 +42,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "src/cli/flags.h"
 
 namespace {
 
@@ -897,12 +900,11 @@ void CheckUncheckedDescriptorEnqueue(const SourceFile& file, std::vector<Diagnos
 // Rule: stale-mode-count — no hardcoded protection-mode counts. Prose like
 // "sweeps all N modes" or "the N IOMMU modes" (N a literal number) in
 // comments, help strings, or code goes stale the day a mode is added or
-// removed, and nothing ever fails: the sweep silently under-covers. The
-// canonical tables are ProtectionMode/kProtectionModeCount in
-// src/driver/protection.h and kAllModes in tests/test_util.h; reference
-// those (or spell the modes out) instead of a literal count. Scans RAW
-// lines: stale counts hide in comments and usage strings, exactly the text
-// the code view blanks.
+// removed, and nothing ever fails: the sweep silently under-covers. The one
+// canonical table is kProtectionModes (with kAllModes derived from it) in
+// src/driver/protection.h; reference it (or spell the modes out) instead of
+// a literal count. Scans RAW lines: stale counts hide in comments and usage
+// strings, exactly the text the code view blanks.
 
 // Case-insensitively matches `word` at `*pos` in `line` (identifier-boundary
 // end); on success advances `*pos` past the word and any following spaces.
@@ -929,8 +931,8 @@ bool SkipWordCI(const std::string& line, std::size_t* pos, const char* word) {
 }
 
 void CheckStaleModeCount(const SourceFile& file, std::vector<Diagnostic>* diags) {
-  if (file.path == "src/driver/protection.h" || file.path == "tests/test_util.h") {
-    return;  // the canonical mode tables themselves
+  if (file.path == "src/driver/protection.h") {
+    return;  // the canonical mode table itself
   }
   for (std::size_t li = 0; li < file.raw.size(); ++li) {
     const std::string& line = file.raw[li];
@@ -963,9 +965,8 @@ void CheckStaleModeCount(const SourceFile& file, std::vector<Diagnostic>* diags)
       if (!Suppressed(file, li + 1, "stale-mode-count")) {
         diags->push_back({file.path, li + 1, "stale-mode-count",
                           "hardcoded protection-mode count; reference the "
-                          "canonical mode table (ProtectionMode in "
-                          "src/driver/protection.h, kAllModes in "
-                          "tests/test_util.h) or spell the modes out"});
+                          "mode table (kProtectionModes / kAllModes in "
+                          "src/driver/protection.h) or spell the modes out"});
       }
       break;  // one diagnostic per line is enough
     }
@@ -1037,58 +1038,40 @@ std::string RelPath(const fs::path& path) {
   return rel.generic_string();
 }
 
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--rules=r1,r2] [--scope=SCOPE] [--list-rules] PATH...\n"
-               "Run from the repo root; see DESIGN.md section 9.\n",
-               argv0);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::set<std::string> enabled;
+  namespace cli = fsio::cli;
+  cli::Choices<std::string> rule_ids;
+  std::vector<std::string> rules;  // default: every rule
   for (const RuleInfo& rule : kRules) {
-    enabled.insert(rule.id);
+    rule_ids.emplace_back(rule.id, rule.id);
+    rules.push_back(rule.id);
   }
   std::string forced_scope;
+  bool list_rules = false;
   std::vector<std::string> inputs;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list-rules") {
-      for (const RuleInfo& rule : kRules) {
-        std::printf("%-16s %s\n", rule.id, rule.summary);
-      }
-      return 0;
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      enabled.clear();
-      std::stringstream ss(arg.substr(std::strlen("--rules=")));
-      std::string rule;
-      while (std::getline(ss, rule, ',')) {
-        const bool known = std::any_of(std::begin(kRules), std::end(kRules),
-                                       [&](const RuleInfo& r) { return rule == r.id; });
-        if (!known) {
-          std::fprintf(stderr, "fsio_lint: unknown rule '%s' (try --list-rules)\n",
-                       rule.c_str());
-          return 2;
-        }
-        enabled.insert(rule);
-      }
-    } else if (arg.rfind("--scope=", 0) == 0) {
-      forced_scope = arg.substr(std::strlen("--scope="));
-    } else if (arg == "--help" || arg == "-h") {
-      return Usage(argv[0]);
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "fsio_lint: unknown flag '%s'\n", arg.c_str());
-      return Usage(argv[0]);
-    } else {
-      inputs.push_back(arg);
+  cli::Parse(argc, argv, "fsio_lint",
+             "Repo-specific static checks; run from the repo root (DESIGN.md section 9).",
+             {
+                 cli::Positionals("PATH...", &inputs, "files or directories to lint"),
+                 cli::OneOfList("rules", &rules, rule_ids, "rules to run (default: all)"),
+                 cli::String("scope", &forced_scope, "SCOPE",
+                             "rule scope for every file: src, tests, tools, bench or examples\n"
+                             "(default: the path's top-level directory)"),
+                 cli::Switch("list-rules", &list_rules, "list the rules and exit"),
+             });
+  if (list_rules) {
+    for (const RuleInfo& rule : kRules) {
+      std::printf("%-16s %s\n", rule.id, rule.summary);
     }
+    return 0;
   }
   if (inputs.empty()) {
-    return Usage(argv[0]);
+    std::fprintf(stderr, "fsio_lint: no PATH given (see --help)\n");
+    return 2;
   }
+  const std::set<std::string> enabled(rules.begin(), rules.end());
 
   // Expand inputs into the file list (explicit files always included).
   std::vector<std::string> files;

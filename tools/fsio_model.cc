@@ -22,13 +22,13 @@
 // Output is deterministic for fixed arguments.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/check/checker.h"
+#include "src/cli/flags.h"
 #include "src/check/model.h"
 #include "src/driver/protection.h"
 #include "src/refmodel/diff_harness.h"
@@ -45,7 +45,7 @@ using check::ReplayOutcome;
 using check::ShrunkTrace;
 
 struct Options {
-  std::string mode = "all";  // "all" or one mode token
+  std::vector<ProtectionMode> modes{kAllModes.begin(), kAllModes.end()};
   std::uint32_t depth = 12;
   std::uint32_t domains = 1;
   std::uint32_t pages = 2;
@@ -54,99 +54,9 @@ struct Options {
   std::size_t max_trace_steps = 10;
   std::string trace_out;
   std::string replay;
-  bool por = true;
+  bool no_por = false;
   bool quiet = false;
 };
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: fsio_model [options]\n"
-               "  --mode all|TOKEN      protection mode sweep or a single mode\n"
-               "                        (off strict deferred strict-preserve\n"
-               "                         strict-contig fast-safe hugepage-persistent\n"
-               "                         capability)\n"
-               "  --depth N             interleaving bound in micro-steps (default 12)\n"
-               "  --domains N           protection domains, 1..%u (default 1;\n"
-               "                        >=2 adds cross-domain isolation checking)\n"
-               "  --pages N             pages per domain, 1..%u (default 2)\n"
-               "  --bug TOKEN           inject a protocol bug (none use-after-unmap\n"
-               "                        skip-invalidation early-reclaim untagged-iotlb\n"
-               "                        skip-capability-check)\n"
-               "  --expect-violation    require every applicable mode to violate\n"
-               "                        (checker power test)\n"
-               "  --max-trace-steps N   shrunk counterexample size budget (default 10)\n"
-               "  --trace-out FILE      write the shrunk counterexample trace here\n"
-               "  --replay FILE         replay a trace file instead of exploring\n"
-               "  --no-por              disable the partial-order reduction\n"
-               "  --quiet               only print the final summary line\n",
-               check::kMaxDomains, check::kMaxPages);
-}
-
-bool ParseArgs(int argc, char** argv, Options* opt) {
-  auto need = [&](int i) { return i + 1 < argc; };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--mode" && need(i)) {
-      opt->mode = argv[++i];
-    } else if (a == "--depth" && need(i)) {
-      opt->depth = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--domains" && need(i)) {
-      opt->domains = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (opt->domains == 0 || opt->domains > check::kMaxDomains) {
-        std::fprintf(stderr, "fsio_model: --domains must be 1..%u\n", check::kMaxDomains);
-        return false;
-      }
-    } else if (a == "--pages" && need(i)) {
-      opt->pages = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (opt->pages == 0 || opt->pages > check::kMaxPages) {
-        std::fprintf(stderr, "fsio_model: --pages must be 1..%u\n", check::kMaxPages);
-        return false;
-      }
-    } else if (a == "--bug" && need(i)) {
-      if (!ParseBugToken(argv[++i], &opt->bug)) {
-        std::fprintf(stderr, "fsio_model: unknown bug token '%s'\n", argv[i]);
-        return false;
-      }
-    } else if (a == "--expect-violation") {
-      opt->expect_violation = true;
-    } else if (a == "--max-trace-steps" && need(i)) {
-      opt->max_trace_steps = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--trace-out" && need(i)) {
-      opt->trace_out = argv[++i];
-    } else if (a == "--replay" && need(i)) {
-      opt->replay = argv[++i];
-    } else if (a == "--no-por") {
-      opt->por = false;
-    } else if (a == "--quiet") {
-      opt->quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "fsio_model: unknown argument '%s'\n", a.c_str());
-      Usage();
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<ProtectionMode> ModesFor(const Options& opt, bool* ok) {
-  *ok = true;
-  if (opt.mode == "all") {
-    return {ProtectionMode::kOff,           ProtectionMode::kStrict,
-            ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
-            ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
-            ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability};
-  }
-  ProtectionMode m;
-  if (!ParseModeToken(opt.mode, &m)) {
-    std::fprintf(stderr, "fsio_model: unknown mode token '%s'\n", opt.mode.c_str());
-    *ok = false;
-    return {};
-  }
-  return {m};
-}
 
 // A bug only has power where its protocol machinery exists: the IOTLB bugs
 // need the IOMMU datapath, the capability bug needs the capability check.
@@ -257,16 +167,31 @@ int Replay(const Options& opt) {
 
 int Main(int argc, char** argv) {
   Options opt;
-  if (!ParseArgs(argc, argv, &opt)) {
-    return 2;
-  }
+  cli::Parse(
+      argc, argv, "fsio_model",
+      "Protocol model checker: explores every interleaving of a small abstract\n"
+      "protection-protocol configuration and checks the SafetyOracle invariants.",
+      {
+          cli::OneOf("mode", &opt.modes, ModeSweepChoices(), "MODE",
+                     "protection mode sweep (all) or a single mode"),
+          cli::Unsigned("depth", &opt.depth, "interleaving bound in micro-steps"),
+          cli::Unsigned("domains", &opt.domains,
+                        "protection domains; >=2 adds cross-domain isolation checking", 1,
+                        check::kMaxDomains),
+          cli::Unsigned("pages", &opt.pages, "pages per domain", 1, check::kMaxPages),
+          cli::OneOf("bug", &opt.bug, BugChoices(), "BUG", "inject a protocol bug"),
+          cli::Switch("expect-violation", &opt.expect_violation,
+                      "require every applicable mode to violate\n(checker power test)"),
+          cli::Unsigned("max-trace-steps", &opt.max_trace_steps,
+                        "shrunk counterexample size budget"),
+          cli::String("trace-out", &opt.trace_out, "FILE",
+                      "write the shrunk counterexample trace here"),
+          cli::String("replay", &opt.replay, "FILE", "replay a trace file instead of exploring"),
+          cli::Switch("no-por", &opt.no_por, "disable the partial-order reduction"),
+          cli::Switch("quiet", &opt.quiet, "only print the final summary line"),
+      });
   if (!opt.replay.empty()) {
     return Replay(opt);
-  }
-  bool ok = true;
-  const std::vector<ProtectionMode> modes = ModesFor(opt, &ok);
-  if (!ok) {
-    return 2;
   }
   if (opt.expect_violation && opt.bug == InjectedBug::kNone) {
     std::fprintf(stderr, "fsio_model: --expect-violation requires --bug\n");
@@ -280,14 +205,14 @@ int Main(int argc, char** argv) {
   bool power_test_ok = true;
   bool any_unexpected = false;
 
-  for (ProtectionMode mode : modes) {
+  for (ProtectionMode mode : opt.modes) {
     CheckConfig config;
     config.model.mode = mode;
     config.model.bug = opt.bug;
     config.model.domains = opt.domains;
     config.model.pages = opt.pages;
     config.depth = opt.depth;
-    config.por = opt.por;
+    config.por = !opt.no_por;
     const bool applicable = BugApplies(opt.bug, mode);
     const CheckOutcome outcome = check::RunModelCheck(config);
     ++explored_modes;

@@ -25,10 +25,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/cli/flags.h"
 #include "src/iommu/iommu.h"
 #include "src/mem/memory_system.h"
 #include "src/pagetable/io_page_table.h"
@@ -46,43 +46,6 @@ struct Options {
   std::string partition = "both";  // "none" | "per_domain" | "both"
   bool expect_defense = false;
 };
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: fsio_sidechan [options]\n"
-               "  --trials N           prime+probe trials per configuration (default 256)\n"
-               "  --victim-pages N     victim working set per active trial (default 32)\n"
-               "  --seed N             secret-bit RNG seed (default 1)\n"
-               "  --partition MODE     none | per_domain | both (default both)\n"
-               "  --expect-defense     exit 1 unless leakage(none) > 0.5 bits and\n"
-               "                       leakage(per_domain) < 0.05 bits\n");
-}
-
-bool ParseArgs(int argc, char** argv, Options* opt) {
-  auto need = [&](int i) { return i + 1 < argc; };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--trials" && need(i)) {
-      opt->trials = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--victim-pages" && need(i)) {
-      opt->victim_pages = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (a == "--seed" && need(i)) {
-      opt->seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--partition" && need(i)) {
-      opt->partition = argv[++i];
-    } else if (a == "--expect-defense") {
-      opt->expect_defense = true;
-    } else if (a == "--help" || a == "-h") {
-      Usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "fsio_sidechan: unknown argument '%s'\n", a.c_str());
-      Usage();
-      return false;
-    }
-  }
-  return true;
-}
 
 struct ChannelResult {
   double leakage_bits = 0.0;
@@ -224,15 +187,24 @@ ChannelResult RunChannel(const Options& opt, bool partitioned) {
 
 int Main(int argc, char** argv) {
   Options opt;
-  if (!ParseArgs(argc, argv, &opt)) {
-    return 2;
-  }
+  cli::Parse(argc, argv, "fsio_sidechan",
+             "IOTLB eviction-timing side channel: estimates leakage in bits per\n"
+             "prime+probe trial, with and without per-domain IOTLB partitioning.",
+             {
+                 cli::Unsigned("trials", &opt.trials, "trials per configuration", 1, 1u << 24),
+                 cli::Unsigned("victim-pages", &opt.victim_pages,
+                               "victim working set per active trial", 1, 1u << 20),
+                 cli::Unsigned("seed", &opt.seed, "secret-bit RNG seed"),
+                 cli::OneOf("partition", &opt.partition,
+                            cli::Choices<std::string>{
+                                {"none", "none"}, {"per_domain", "per_domain"}, {"both", "both"}},
+                            "P", "IOTLB partition policy to measure"),
+                 cli::Switch("expect-defense", &opt.expect_defense,
+                             "exit 1 unless leakage(none) > 0.5 bits and\n"
+                             "leakage(per_domain) < 0.05 bits"),
+             });
   const bool run_none = opt.partition == "both" || opt.partition == "none";
   const bool run_part = opt.partition == "both" || opt.partition == "per_domain";
-  if (!run_none && !run_part) {
-    std::fprintf(stderr, "fsio_sidechan: --partition must be none|per_domain|both\n");
-    return 2;
-  }
 
   std::printf("iotlb_partition,trials,avg_miss_active,avg_miss_idle,leakage_bits\n");
   ChannelResult none_result;

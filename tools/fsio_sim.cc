@@ -16,8 +16,6 @@
 //   fsio_sim --mode=fastsafe --hosts=4 --switches=2 --sweep-flows=1,5,10 --jobs=4
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -25,6 +23,7 @@
 #include <vector>
 
 #include "src/apps/incast.h"
+#include "src/cli/flags.h"
 #include "src/core/cluster.h"
 #include "src/core/sweep_runner.h"
 #include "src/stats/table.h"
@@ -32,9 +31,11 @@
 #include "src/trace/chrome_trace.h"
 #include "src/trace/time_series.h"
 #include "src/trace/tracer.h"
+#include "src/transport/packet.h"
 
 namespace {
 
+// Field meanings: see the flag table in Parse().
 struct Options {
   fsio::ProtectionMode mode = fsio::ProtectionMode::kFastSafe;
   std::uint32_t flows = 5;
@@ -48,215 +49,72 @@ struct Options {
   std::uint64_t window_ms = 40;
   bool csv = false;
   bool dump_counters = false;
-  // Topology (defaults reproduce the historical two-host testbed).
-  std::uint32_t hosts = 2;
+  std::uint32_t hosts = 2;  // defaults reproduce the historical two-host testbed
   std::uint32_t switches = 1;
-  bool incast = false;     // hosts 1..N-1 -> host 0; measure host 0
-  bool per_host = false;   // one row per host instead of the measured host
+  bool incast = false;
+  bool per_host = false;
   std::vector<std::uint32_t> sweep_flows;  // empty: single run at --flows
-  std::uint32_t jobs = 0;  // sweep threads; 0 = FSIO_SWEEP_THREADS/hardware
-  // Multi-tenant mode (--tenants >= 1): run N protection domains on one
-  // shared IOMMU instead of the cluster workload. Tenant 0 is the
-  // latency-critical RPC domain; the rest are noisy neighbors.
+  std::uint32_t jobs = 0;
   std::uint32_t tenants = 0;
-  std::vector<fsio::ProtectionMode> tenant_modes;  // per-tenant; padded with --mode
-  std::string iotlb_partition = "none";            // none | per_domain
+  std::vector<fsio::ProtectionMode> tenant_modes;
+  std::string iotlb_partition = "none";
   std::uint64_t tenant_rounds = 2000;
-  // Observability.
-  std::string trace_path;           // --trace=FILE: Chrome trace-event JSON
-  std::string trace_filter;         // --trace-filter=PREFIX: category prefix
-  std::string metrics_path;         // --metrics=FILE: time-series CSV
-  std::uint64_t metrics_interval_us = 1000;  // --metrics-interval=US
+  std::string trace_path;
+  std::string trace_filter;
+  std::string metrics_path;
+  std::uint64_t metrics_interval_us = 1000;
 };
 
-fsio::ProtectionMode ParseMode(const std::string& name) {
-  using fsio::ProtectionMode;
-  if (name == "off") {
-    return ProtectionMode::kOff;
-  }
-  if (name == "strict") {
-    return ProtectionMode::kStrict;
-  }
-  if (name == "deferred") {
-    return ProtectionMode::kDeferred;
-  }
-  if (name == "preserve" || name == "linux+a") {
-    return ProtectionMode::kStrictPreserve;
-  }
-  if (name == "contig" || name == "linux+b") {
-    return ProtectionMode::kStrictContig;
-  }
-  if (name == "fastsafe" || name == "fs") {
-    return ProtectionMode::kFastSafe;
-  }
-  if (name == "hugepersist") {
-    return ProtectionMode::kHugepagePersistent;
-  }
-  if (name == "capability" || name == "cap") {
-    return ProtectionMode::kCapability;
-  }
-  std::fprintf(stderr, "unknown mode '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-void PrintUsage() {
-  std::puts(
-      "usage: fsio_sim [options]\n"
-      "  --mode=off|strict|deferred|preserve|contig|fastsafe|hugepersist|capability\n"
-      "  --flows=N            iperf flows (default 5); with --incast, flows per sender\n"
-      "  --cores=N            cores per host (default 5)\n"
-      "  --ring=N             Rx ring size in MTU packets (default 256)\n"
-      "  --mtu=N              wire MTU bytes (default 4096)\n"
-      "  --hugepages          2 MB-backed Rx descriptors\n"
-      "  --walkers=N          IOMMU walk contexts (default 1)\n"
-      "  --iotlb-entries=N    IOTLB capacity, 4 x a power of two (default 64)\n"
-      "  --warmup-ms=N        warmup before measuring (default 20)\n"
-      "  --window-ms=N        measurement window (default 40)\n"
-      "\ntopology:\n"
-      "  --hosts=N            cluster size (default 2)\n"
-      "  --switches=N         leaf switches; host h attaches to switch h%N (default 1)\n"
-      "  --incast             N-1 -> 1 fan-in into host 0 (default: host 0 -> host 1 iperf)\n"
-      "  --per-host           report a row for every host, not just the measured one\n"
-      "\nmulti-tenant (replaces the cluster workload):\n"
-      "  --tenants=N          N protection domains sharing one IOMMU; tenant 0 is\n"
-      "                       latency-critical, tenants 1..N-1 are churn neighbors.\n"
-      "                       Reports one row per tenant (per-domain tail latency).\n"
-      "  --tenant-modes=LIST  comma-separated per-tenant modes (same tokens as\n"
-      "                       --mode); shorter lists are padded with --mode\n"
-      "  --iotlb-partition=none|per_domain\n"
-      "                       per_domain confines IOTLB insertion victims to the\n"
-      "                       inserting domain's ways (IOTLB-SC defense)\n"
-      "  --tenant-rounds=N    arbitration rounds to run (default 2000)\n"
-      "\nsweeps:\n"
-      "  --sweep-flows=LIST   comma-separated flow counts; one sweep point each\n"
-      "  --jobs=N             sweep worker threads. An explicit --jobs overrides the\n"
-      "                       FSIO_SWEEP_THREADS env var; with --jobs unset (or =0) the\n"
-      "                       env var applies, else the hardware core count. Output is\n"
-      "                       byte-identical regardless of the thread count.\n"
-      "\nobservability:\n"
-      "  --trace=FILE         write a Chrome trace-event JSON (Perfetto/chrome://tracing);\n"
-      "                       sweep points merge into one file, labeled flows=N/hostH\n"
-      "  --trace-filter=PFX   keep only categories starting with PFX\n"
-      "                       (iommu, pcie, nic, driver, transport, host)\n"
-      "  --metrics=FILE       write per-interval counter-delta CSV (time series)\n"
-      "  --metrics-interval=US  sampling interval in simulated us (default 1000)\n"
-      "\noutput:\n"
-      "  --csv                CSV output\n"
-      "  --counters           dump all raw measured-host counters\n"
-      "  --help");
-}
-
-bool ParseU32(const char* arg, const char* prefix, std::uint32_t* out) {
-  const std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) {
-    return false;
-  }
-  *out = static_cast<std::uint32_t>(std::strtoul(arg + n, nullptr, 10));
-  return true;
-}
-
-bool ParseU64(const char* arg, const char* prefix, std::uint64_t* out) {
-  const std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) {
-    return false;
-  }
-  *out = std::strtoull(arg + n, nullptr, 10);
-  return true;
-}
-
-bool ParseString(const char* arg, const char* prefix, std::string* out) {
-  const std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) {
-    return false;
-  }
-  *out = arg + n;
-  return true;
-}
-
-bool ParseU32List(const char* arg, const char* prefix, std::vector<std::uint32_t>* out) {
-  const std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) {
-    return false;
-  }
-  out->clear();
-  for (const char* p = arg + n; *p != '\0';) {
-    char* end = nullptr;
-    out->push_back(static_cast<std::uint32_t>(std::strtoul(p, &end, 10)));
-    p = (end != nullptr && *end == ',') ? end + 1 : end;
-    if (p == nullptr) {
-      break;
-    }
-  }
-  return true;
-}
-
-std::vector<fsio::ProtectionMode> ParseModeList(const char* list) {
-  std::vector<fsio::ProtectionMode> modes;
-  std::string token;
-  for (const char* p = list;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!token.empty()) {
-        modes.push_back(ParseMode(token));
-      }
-      token.clear();
-      if (*p == '\0') {
-        break;
-      }
-    } else {
-      token.push_back(*p);
-    }
-  }
-  return modes;
-}
+// Longest warmup or window whose sum still fits in simulated nanoseconds.
+constexpr std::uint64_t kMaxMs = UINT64_MAX / fsio::kNsPerMs / 2;
 
 Options Parse(int argc, char** argv) {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--mode=", 7) == 0) {
-      options.mode = ParseMode(arg + 7);
-    } else if (std::strncmp(arg, "--tenant-modes=", 15) == 0) {
-      options.tenant_modes = ParseModeList(arg + 15);
-    } else if (ParseU32(arg, "--flows=", &options.flows) ||
-               ParseU32(arg, "--cores=", &options.cores) ||
-               ParseU32(arg, "--ring=", &options.ring) ||
-               ParseU32(arg, "--mtu=", &options.mtu) ||
-               ParseU32(arg, "--walkers=", &options.walkers) ||
-               ParseU32(arg, "--iotlb-entries=", &options.iotlb_entries) ||
-               ParseU32(arg, "--hosts=", &options.hosts) ||
-               ParseU32(arg, "--switches=", &options.switches) ||
-               ParseU32(arg, "--jobs=", &options.jobs) ||
-               ParseU32(arg, "--tenants=", &options.tenants) ||
-               ParseU64(arg, "--tenant-rounds=", &options.tenant_rounds) ||
-               ParseString(arg, "--iotlb-partition=", &options.iotlb_partition) ||
-               ParseU64(arg, "--warmup-ms=", &options.warmup_ms) ||
-               ParseU64(arg, "--window-ms=", &options.window_ms) ||
-               ParseU64(arg, "--metrics-interval=", &options.metrics_interval_us) ||
-               ParseString(arg, "--trace-filter=", &options.trace_filter) ||
-               ParseString(arg, "--trace=", &options.trace_path) ||
-               ParseString(arg, "--metrics=", &options.metrics_path) ||
-               ParseU32List(arg, "--sweep-flows=", &options.sweep_flows)) {
-      // parsed
-    } else if (std::strcmp(arg, "--hugepages") == 0) {
-      options.hugepages = true;
-    } else if (std::strcmp(arg, "--incast") == 0) {
-      options.incast = true;
-    } else if (std::strcmp(arg, "--per-host") == 0) {
-      options.per_host = true;
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      options.csv = true;
-    } else if (std::strcmp(arg, "--counters") == 0) {
-      options.dump_counters = true;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      PrintUsage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg);
-      PrintUsage();
-      std::exit(2);
-    }
-  }
-  return options;
+  namespace cli = fsio::cli;
+  Options o;
+  cli::Parse(
+      argc, argv, "fsio_sim",
+      "Runs an iperf or N->1 incast workload on a simulated cluster, or with\n"
+      "--tenants N protection domains on one IOMMU, and prints per-page metrics.",
+      {
+          cli::OneOf("mode", &o.mode, fsio::ModeTokenChoices(), "MODE", "protection mode"),
+          cli::Unsigned("flows", &o.flows, "iperf flows; with --incast, flows per sender", 1),
+          cli::Unsigned("cores", &o.cores, "cores per host", 1),
+          cli::Unsigned("ring", &o.ring, "Rx ring size in MTU packets", 1),
+          cli::Unsigned("mtu", &o.mtu, "wire MTU bytes", fsio::kHeaderBytes + 1, 65535),
+          cli::Switch("hugepages", &o.hugepages, "2 MB-backed Rx descriptors"),
+          cli::Unsigned("walkers", &o.walkers, "IOMMU walk contexts", 1),
+          cli::Unsigned("iotlb-entries", &o.iotlb_entries, "IOTLB capacity, 4 x a power of two"),
+          cli::Unsigned("warmup-ms", &o.warmup_ms, "warmup before measuring", 0, kMaxMs),
+          cli::Unsigned("window-ms", &o.window_ms, "measurement window", 1, kMaxMs),
+          cli::Unsigned("hosts", &o.hosts, "cluster size"),
+          cli::Unsigned("switches", &o.switches, "leaf switches; host h attaches to switch h%N"),
+          cli::Switch("incast", &o.incast, "N-1 -> 1 fan-in into host 0 (default: 0 -> 1 iperf)"),
+          cli::Switch("per-host", &o.per_host, "a row for every host, not just the measured one"),
+          cli::Unsigned("tenants", &o.tenants,
+                        "protection domains on one IOMMU, replacing the cluster workload;\n"
+                        "tenant 0 is latency-critical, the rest churn (one row each)"),
+          cli::OneOfList("tenant-modes", &o.tenant_modes, fsio::ModeTokenChoices(),
+                         "per-tenant modes, padded with --mode"),
+          cli::OneOf("iotlb-partition", &o.iotlb_partition,
+                     cli::Choices<std::string>{{"none", "none"}, {"per_domain", "per_domain"}},
+                     "P", "per_domain confines IOTLB victims to the inserting domain"),
+          cli::Unsigned("tenant-rounds", &o.tenant_rounds, "arbitration rounds to run"),
+          cli::UnsignedList("sweep-flows", &o.sweep_flows, "flow counts, one sweep point each",
+                            1),
+          cli::Unsigned("jobs", &o.jobs,
+                        "sweep threads; 0: FSIO_SWEEP_THREADS, else all cores (same output)"),
+          cli::String("trace", &o.trace_path, "FILE",
+                      "write Chrome trace-event JSON; sweep points labeled flows=N/hostH"),
+          cli::String("trace-filter", &o.trace_filter, "PFX",
+                      "keep categories starting with PFX (iommu, pcie, nic, driver, ...)"),
+          cli::String("metrics", &o.metrics_path, "FILE",
+                      "write per-interval counter-delta CSV (time series)"),
+          cli::Unsigned("metrics-interval", &o.metrics_interval_us,
+                        "sampling interval in simulated us", 1, UINT64_MAX / fsio::kNsPerUs),
+          cli::Switch("csv", &o.csv, "CSV output"),
+          cli::Switch("counters", &o.dump_counters, "dump all raw measured-host counters"),
+      });
+  return o;
 }
 
 // IOTLB set count for `entries` at 4 ways, or 0 when `entries` is not 4 x a
@@ -353,10 +211,6 @@ void AddResultRow(fsio::Table* table, const Options& options, std::uint32_t flow
 // tenant with per-domain tail latency and oracle verdicts. Replaces the
 // cluster workload entirely — topology/flow flags are ignored.
 int RunTenants(const Options& options) {
-  if (options.iotlb_partition != "none" && options.iotlb_partition != "per_domain") {
-    std::fprintf(stderr, "--iotlb-partition must be none|per_domain\n");
-    return 2;
-  }
   if (options.tenant_modes.size() > options.tenants) {
     std::fprintf(stderr, "--tenant-modes lists %zu modes for %u tenants\n",
                  options.tenant_modes.size(), options.tenants);
@@ -427,14 +281,6 @@ int main(int argc, char** argv) {
   }
   if (options.hosts < 2 || options.switches < 1 || options.switches > options.hosts) {
     std::fprintf(stderr, "need --hosts>=2 and 1 <= --switches <= --hosts\n");
-    return 2;
-  }
-  if (options.cores == 0) {
-    std::fprintf(stderr, "--cores must be at least 1\n");
-    return 2;
-  }
-  if (options.ring == 0) {
-    std::fprintf(stderr, "--ring must be at least 1\n");
     return 2;
   }
 

@@ -15,13 +15,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "src/cli/flags.h"
 
 namespace {
 
@@ -648,49 +650,34 @@ int CmdFilter(const std::string& path, const std::string& prefix) {
   return 0;
 }
 
-void PrintUsage() {
-  std::puts(
-      "usage: fsio_trace <command> <file> [options]\n"
-      "  validate FILE        check Chrome trace-event structure; exit 1 if invalid\n"
-      "  summary FILE         per-category span/instant/counter statistics\n"
-      "  top FILE [--n=N] [--cat=P]   N longest spans (default 10)\n"
-      "  hist FILE [--cat=P]  per-category span-duration histograms (log2 ns)\n"
-      "  filter FILE --cat=P  re-emit only events whose category starts with P\n"
-      "  --validate FILE      alias for 'validate'");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) {
-    PrintUsage();
-    return argc == 2 && std::strcmp(argv[1], "--help") == 0 ? 0 : 2;
-  }
-  const std::string command = argv[1];
-  // Options and the trace path may appear in any order after the command.
-  std::string path;
+  namespace cli = fsio::cli;
+  std::vector<std::string> args;
   std::size_t top_n = 10;
   std::string cat_prefix;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--n=", 4) == 0) {
-      top_n = std::strtoull(argv[i] + 4, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--cat=", 6) == 0) {
-      cat_prefix = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-      return 2;
-    } else if (path.empty()) {
-      path = argv[i];
-    } else {
-      std::fprintf(stderr, "unexpected argument '%s'\n", argv[i]);
-      return 2;
-    }
+  std::string validate_path;
+  cli::Parse(argc, argv, "fsio_trace",
+             "Inspects Chrome trace-event JSON written by fsio_sim --trace.\n"
+             "COMMAND: validate, summary, top, hist (log2 ns span histograms) or filter.",
+             {
+                 cli::Positionals("COMMAND FILE", &args, "the command, then the trace file"),
+                 cli::Unsigned("n", &top_n, "spans listed by 'top'", 1),
+                 cli::String("cat", &cat_prefix, "P",
+                             "category prefix for 'top', 'hist' and 'filter'"),
+                 cli::String("validate", &validate_path, "FILE", "same as 'validate FILE'"),
+             });
+  if (!validate_path.empty()) {
+    args.insert(args.begin(), {"validate", validate_path});
   }
-  if (path.empty()) {
-    PrintUsage();
+  if (args.size() != 2) {
+    std::fprintf(stderr, "fsio_trace: want COMMAND FILE (see --help)\n");
     return 2;
   }
-  if (command == "validate" || command == "--validate") {
+  const std::string& command = args[0];
+  const std::string& path = args[1];
+  if (command == "validate") {
     return CmdValidate(path);
   }
   if (command == "summary") {
@@ -705,7 +692,6 @@ int main(int argc, char** argv) {
   if (command == "filter") {
     return CmdFilter(path, cat_prefix);
   }
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  PrintUsage();
+  std::fprintf(stderr, "fsio_trace: unknown command '%s' (see --help)\n", command.c_str());
   return 2;
 }

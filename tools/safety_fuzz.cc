@@ -28,7 +28,6 @@
 // by --selftest-determinism, which runs the suite twice in-process).
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -36,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cli/flags.h"
 #include "src/driver/dma_api.h"
 #include "src/driver/protection.h"
 #include "src/faults/fault_injector.h"
@@ -176,34 +176,6 @@ std::vector<FaultPlan> BuildPlans(std::uint64_t seed) {
   plans.push_back(uar);
 
   return plans;
-}
-
-constexpr ProtectionMode kAllModes[] = {
-    ProtectionMode::kOff,           ProtectionMode::kStrict,
-    ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
-    ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
-    ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability,
-};
-
-// Appends at most `limit` lines of `trace`, with a deterministic elision
-// marker for the rest, keeping reports readable under failure storms.
-void AppendTrace(std::ostringstream* os, const std::string& trace, std::size_t limit) {
-  std::size_t lines = 0;
-  std::size_t pos = 0;
-  while (pos < trace.size() && lines < limit) {
-    const std::size_t nl = trace.find('\n', pos);
-    const std::size_t end = nl == std::string::npos ? trace.size() : nl + 1;
-    os->write(trace.data() + pos, static_cast<std::streamsize>(end - pos));
-    pos = end;
-    ++lines;
-  }
-  if (pos < trace.size()) {
-    std::size_t rest = 0;
-    for (std::size_t i = pos; i < trace.size(); ++i) {
-      rest += trace[i] == '\n' ? 1 : 0;
-    }
-    *os << "  ... (" << rest << " more)\n";
-  }
 }
 
 RunResult RunOne(ProtectionMode mode, const FaultPlan& plan, const FuzzOptions& opt) {
@@ -426,10 +398,10 @@ RunResult RunOne(ProtectionMode mode, const FaultPlan& plan, const FuzzOptions& 
   }
   os << "\n";
   if (opt.verbose || out.violations != 0) {
-    AppendTrace(&os, oracle.TraceString(), 40);
+    os << ElideTrace(oracle.TraceString(), 40);
   }
   if (opt.verbose || out.check_failures != 0) {
-    AppendTrace(&os, invariants.TraceString(), 40);
+    os << ElideTrace(invariants.TraceString(), 40);
   }
   out.report = os.str();
   return out;
@@ -494,23 +466,17 @@ int RunSuite(const FuzzOptions& opt, std::string* output) {
 int Main(int argc, char** argv) {
   FuzzOptions opt;
   bool selftest = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-      opt.ops = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
-      opt.verbose = true;
-    } else if (std::strcmp(argv[i], "--selftest-determinism") == 0) {
-      selftest = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--ops N] [--seed S] [--verbose] "
-                   "[--selftest-determinism]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  cli::Parse(argc, argv, "safety_fuzz",
+             "DMA-safety fuzzer: every protection mode x every fault plan; exits 0\n"
+             "only when the per-mode expected-violation matrix holds.",
+             {
+                 cli::Unsigned("ops", &opt.ops, "operations per (mode, plan) run"),
+                 cli::Unsigned("seed", &opt.seed, "seed"),
+                 cli::Switch("verbose", &opt.verbose,
+                             "print violation and invariant-failure traces"),
+                 cli::Switch("selftest-determinism", &selftest,
+                             "run the suite twice in-process and compare the reports"),
+             });
 
   std::string output;
   int failures = RunSuite(opt, &output);
