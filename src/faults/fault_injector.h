@@ -6,7 +6,7 @@
 // FaultInjector evaluates specs with a per-kind SplitMix64 stream derived
 // from the plan seed, so the same plan + seed + workload always produces the
 // same fault sequence — a prerequisite for reproducible violation traces
-// (tools/safety_fuzz relies on byte-identical reruns).
+// and for replaying fsio_diff --fault-plan repros.
 //
 // Components never know which plan is active; they ask "does fault K fire
 // here?" at their hook point and apply the returned magnitude. A null

@@ -1,11 +1,15 @@
 #include "src/refmodel/diff_harness.h"
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <sstream>
 #include <utility>
 
+#include "src/cli/flags.h"
 #include "src/driver/dma_api.h"
+#include "src/faults/fault_injector.h"
+#include "src/faults/invariant_registry.h"
 #include "src/faults/safety_oracle.h"
 #include "src/iommu/iommu.h"
 #include "src/iova/iova_allocator.h"
@@ -26,22 +30,89 @@ struct LiveDesc {
   bool persistent_rx = false;  // came from AcquirePersistentDescriptor
 };
 
-}  // namespace
+// One choice per token of an enum's token table, in declaration order.
+template <typename E, std::size_t N>
+std::vector<std::pair<std::string, E>> TokenChoices(const char* const (&tokens)[N]) {
+  std::vector<std::pair<std::string, E>> choices;
+  for (std::size_t i = 0; i < N; ++i) {
+    choices.emplace_back(tokens[i], static_cast<E>(i));
+  }
+  return choices;
+}
 
-bool ParseBugToken(const std::string& token, InjectedBug* bug) {
-  for (const auto& [name, value] : BugChoices()) {
+template <typename E, std::size_t N>
+bool ParseToken(const char* const (&tokens)[N], const std::string& token, E* out) {
+  for (const auto& [name, value] : TokenChoices<E>(tokens)) {
     if (token == name) {
-      *bug = value;
+      *out = value;
       return true;
     }
   }
   return false;
 }
 
+// The environment faults behind each FaultPlanId: a pure function of
+// (id, seed), so a repro's seed replays the same fault sequence.
+FaultPlan BuildFaultPlan(FaultPlanId id, std::uint64_t seed) {
+  FaultPlan plan;
+  plan.name = FaultPlanName(id);
+  plan.seed = seed;
+  auto spec = [&plan](FaultKind kind, double probability, TimeNs magnitude_ns = 1000) {
+    FaultSpec s;
+    s.kind = kind;
+    s.probability = probability;
+    s.magnitude_ns = magnitude_ns;
+    plan.Add(s);
+    return &plan.specs.back();
+  };
+  switch (id) {
+    case FaultPlanId::kNone:
+      break;
+    case FaultPlanId::kInvStallDrop:
+      // The first six requests are lost outright, forcing the full retry
+      // ladder and the global-flush fallback; later ones are lost with
+      // p=0.2 or stalled past the driver's 50 us wait deadline.
+      spec(FaultKind::kInvalidationDrop, 1.0)->op_end = 6;
+      spec(FaultKind::kInvalidationDrop, 0.2)->op_start = 6;
+      spec(FaultKind::kInvalidationStall, 0.3, 120'000);
+      break;
+    case FaultPlanId::kWalkerSpike:
+      spec(FaultKind::kWalkerLatencySpike, 0.2, 3'000);
+      break;
+    case FaultPlanId::kAllocPressure:
+      // Transient failures early in the run; the driver's IOVA retries and
+      // the harness's frame retries must mask them.
+      spec(FaultKind::kIovaExhaustion, 0.4)->op_end = 400;
+      spec(FaultKind::kFrameAllocFailure, 0.3)->op_end = 400;
+      break;
+    case FaultPlanId::kCompletionChaos:
+      spec(FaultKind::kDescCompletionDuplicate, 0.25);
+      spec(FaultKind::kDescCompletionReorder, 0.25, 2'000);
+      break;
+    case FaultPlanId::kDelayedFlush:
+      spec(FaultKind::kDeferredFlushDelay, 1.0)->max_fires = 3;
+      break;
+  }
+  return plan;
+}
+
+}  // namespace
+
+bool ParseBugToken(const std::string& token, InjectedBug* bug) {
+  return ParseToken(kBugTokens, token, bug);
+}
+
 std::vector<std::pair<std::string, InjectedBug>> BugChoices() {
-  std::vector<std::pair<std::string, InjectedBug>> choices;
-  for (std::size_t i = 0; i < std::size(kBugTokens); ++i) {
-    choices.emplace_back(kBugTokens[i], static_cast<InjectedBug>(i));
+  return TokenChoices<InjectedBug>(kBugTokens);
+}
+
+std::vector<std::pair<std::string, std::vector<FaultPlanId>>> FaultPlanChoices() {
+  std::vector<std::pair<std::string, std::vector<FaultPlanId>>> choices = {{"all", {}}};
+  for (auto& [token, plan] : TokenChoices<FaultPlanId>(kFaultPlanTokens)) {
+    if (plan != FaultPlanId::kNone) {
+      choices[0].second.push_back(plan);
+    }
+    choices.push_back({std::move(token), {plan}});
   }
   return choices;
 }
@@ -87,7 +158,11 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   const std::uint32_t num_domains = config.num_domains == 0 ? 1 : config.num_domains;
   const bool multi = num_domains > 1;
   StatsRegistry stats;
+  const FaultPlan plan = BuildFaultPlan(config.fault_plan, config.seed);
+  FaultInjector injector(plan, &stats);
+  InvariantRegistry invariants;
   FrameAllocator frame_alloc;
+  frame_alloc.SetFaultInjector(&injector);
   MemorySystem mem(MemoryConfig{}, &stats);
 
   // One stack per protection domain: the real driver objects plus the model
@@ -119,13 +194,16 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   IommuConfig iommu_config;
   iommu_config.inject_untagged_iotlb = config.bug == InjectedBug::kUntaggedIotlb;
   Iommu iommu(iommu_config, &mem, multi ? host_pt.get() : stacks[0].pt.get(), &stats);
+  iommu.SetFaultInjector(&injector);
 
-  for (DomainStack& s : stacks) {
+  for (std::size_t di = 0; di < stacks.size(); ++di) {
+    DomainStack& s = stacks[di];
     s.id = multi ? iommu.AddDomain(s.pt.get()) : kHostDomain;
     IovaAllocatorConfig iova_config;
     iova_config.num_cores = config.num_cores;
     iova_config.enable_rcache = config.enable_rcache;
     s.iova = std::make_unique<IovaAllocator>(iova_config, &stats);
+    s.iova->SetFaultInjector(&injector);
     DmaApiConfig dma_config;
     dma_config.mode = config.mode;
     dma_config.pages_per_chunk = config.pages_per_chunk;
@@ -137,6 +215,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
     dma_config.inject_skip_reclaim_invalidation = config.bug == InjectedBug::kEarlyReclaim;
     dma_config.domain = s.id;
     s.dma = std::make_unique<DmaApi>(dma_config, s.iova.get(), s.pt.get(), &iommu, &stats);
+    s.dma->SetFaultInjector(&injector);
     // Tenant oracles keep private counts (no registry) so violation
     // attribution stays per-domain instead of blurring across tenants.
     s.oracle = std::make_unique<SafetyOracle>(multi ? nullptr : &stats);
@@ -147,6 +226,15 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
       iommu.SetSafetyOracle(s.oracle.get());
     }
     s.model = std::make_unique<RefModel>(config.mode);
+    s.dma->RegisterInvariants(&invariants);
+    const std::string tag = multi ? "domain " + std::to_string(di) + ": " : "";
+    invariants.Register(tag + "pagetable.consistency", [pt = s.pt.get()](std::string* detail) {
+      return pt->CheckConsistency(detail);
+    });
+    invariants.Register(tag + "oracle.no_overlap", [oracle = s.oracle.get()](std::string* d) {
+      *d = "overlapping live map observed";
+      return oracle->overlap_maps() == 0;
+    });
   }
 
   const bool off = config.mode == ProtectionMode::kOff;
@@ -154,7 +242,28 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   const bool capability = config.mode == ProtectionMode::kCapability;
   const bool real_unmaps = !off && !persistent;
 
+  // Advance past the longest possible walk, plus the plan's largest injected
+  // walker spike, so pending-walk coalescing (a latency feature, invisible
+  // to the contract) never kicks in.
+  TimeNs step = 3000;
+  for (const FaultSpec& spec : plan.specs) {
+    if (spec.kind == FaultKind::kWalkerLatencySpike) {
+      step = std::max(step, 3000 + spec.magnitude_ns);
+    }
+  }
   TimeNs t = 0;
+  std::size_t failures_checked = 0;  // invariant failures already judged
+
+  // Transient injected allocation failures are retried; every plan's
+  // failure probability is < 1, so the retries terminate.
+  auto alloc_frame = [&frame_alloc](bool huge = false) {
+    for (;;) {
+      if (const PhysAddr f = huge ? frame_alloc.AllocHugeFrame() : frame_alloc.AllocFrame();
+          f != kNullFrame) {
+        return f;
+      }
+    }
+  };
 
   auto diverge = [&](std::size_t index, const std::string& why) {
     out.diverged = true;
@@ -255,14 +364,12 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
     std::vector<LiveDesc>& live = s.live;
     std::deque<Iova>& retired = s.retired;
     ++out.ops_executed;
-    // Advance past the longest possible walk so pending-walk coalescing
-    // (a latency feature, invisible to the contract) never kicks in.
-    t += 3000;
+    t += step;
     switch (op.kind) {
       case OpKind::kMapRx: {
         if (persistent) {
           DmaApi::MapResult r = dma.AcquirePersistentDescriptor(
-              op.core, [&] { return frame_alloc.AllocHugeFrame(); });
+              op.core, [&] { return alloc_frame(/*huge=*/true); });
           t += r.cpu_ns;
           if (r.mappings.empty()) {
             break;
@@ -285,7 +392,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
         LiveDesc d;
         d.frames.reserve(config.pages_per_chunk);
         for (std::uint32_t p = 0; p < config.pages_per_chunk; ++p) {
-          d.frames.push_back(frame_alloc.AllocFrame());
+          d.frames.push_back(alloc_frame());
         }
         DmaApi::MapResult r = dma.MapPages(op.core, d.frames);
         t += r.cpu_ns;
@@ -306,7 +413,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
         break;
       }
       case OpKind::kMapTx: {
-        const PhysAddr frame = frame_alloc.AllocFrame();
+        const PhysAddr frame = alloc_frame();
         DmaApi::MapResult r = dma.MapPage(op.core, frame);
         t += r.cpu_ns;
         if (r.mappings.empty()) {
@@ -373,8 +480,26 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
           }
         } else {
           const std::size_t pending_before = dma.deferred_pending();
+          bool duplicate = false;
+          if (real_unmaps) {
+            if (const FaultDecision late = injector.Sample(FaultKind::kDescCompletionReorder, t);
+                late.fire) {
+              t += late.magnitude_ns;  // the completion shows up late
+            }
+            duplicate = injector.Sample(FaultKind::kDescCompletionDuplicate, t).fire;
+          }
           DmaApi::UnmapResultInfo r = dma.UnmapDescriptor(op.core, d.mappings, t);
           t += r.cpu_ns;
+          if (duplicate) {
+            // The device completes the descriptor a second time. The model
+            // is unchanged: the driver must detect and report the double
+            // unmap instead of tearing anything down again.
+            const std::uint64_t reported = stats.Value("dma.double_unmap");
+            t += dma.UnmapDescriptor(op.core, d.mappings, t).cpu_ns;
+            if (stats.Value("dma.double_unmap") == reported) {
+              diverge(i, "duplicate completion was not reported as a double unmap");
+            }
+          }
           if (!off) {
             for (const DmaMapping& m : d.mappings) {
               model.Unmap(PageNumber(m.iova));
@@ -425,17 +550,26 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
       check_state(i);
     }
     if (!out.diverged && (i % 128 == 127 || i + 1 == ops.size())) {
-      for (std::size_t di = 0; di < stacks.size() && !out.diverged; ++di) {
-        std::string detail;
-        if (!stacks[di].pt->CheckConsistency(&detail)) {
-          std::string tag;
-          if (multi) {
-            tag = "domain " + std::to_string(di) + ": ";
-          }
-          diverge(i, tag + "page table structurally inconsistent: " + detail);
+      // Structural invariants; the driver's double-unmap reports are the
+      // only failures allowed (the duplicate-completion check judges them).
+      invariants.CheckAll(t);
+      for (; failures_checked < invariants.failure_count() && !out.diverged;
+           ++failures_checked) {
+        const InvariantFailure& f = invariants.failures()[failures_checked];
+        if (f.name != "dma.double_unmap") {
+          diverge(i, "invariant " + f.name + " failed: " + f.detail);
         }
       }
     }
+  }
+  out.faults_injected = injector.total_fired();
+  out.duplicate_completions = injector.fired(FaultKind::kDescCompletionDuplicate);
+  out.flush_delays = stats.Value("dma.deferred_flush_delays");
+  out.inv_retries = stats.Value("dma.inv_retries");
+  out.inv_fallbacks = stats.Value("dma.inv_fallback_flushes");
+  out.double_unmaps = stats.Value("dma.double_unmap");
+  for (const DomainStack& s : stacks) {
+    out.use_after_unmap += s.oracle->count(SafetyViolationKind::kUseAfterUnmap);
   }
   return out;
 }
@@ -466,12 +600,15 @@ std::string DifferentialHarness::Serialize(const DiffConfig& config,
   os << "seed " << config.seed << "\n";
   os << "pages_per_chunk " << config.pages_per_chunk << "\n";
   os << "num_cores " << config.num_cores << "\n";
+  // Optional keys are written only when set, so repro files without them
+  // stay byte-identical to the formats that predate them.
   if (config.num_domains != 1) {
-    // Only multi-domain repros carry the key, so single-domain repro files
-    // stay byte-identical to the pre-tenant format.
     os << "num_domains " << config.num_domains << "\n";
   }
   os << "bug " << InjectedBugName(config.bug) << "\n";
+  if (config.fault_plan != FaultPlanId::kNone) {
+    os << "fault_plan " << FaultPlanName(config.fault_plan) << "\n";
+  }
   os << "ops " << ops.size() << "\n";
   for (const DiffOp& op : ops) {
     os << "op " << static_cast<int>(op.kind) << " " << op.core << " " << op.arg << "\n";
@@ -498,45 +635,53 @@ bool DifferentialHarness::Parse(const std::string& text, DiffConfig* config,
   std::uint64_t declared_ops = 0;
   bool saw_end = false;
   while (std::getline(is, line)) {
-    if (line.empty()) {
+    std::istringstream ls(line);
+    std::vector<std::string> f;
+    for (std::string field; ls >> field;) {
+      f.push_back(std::move(field));
+    }
+    if (f.empty()) {
       continue;
     }
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
+    const std::string& key = f[0];
+    // Every key but `op` and `end` takes exactly one value.
+    if (f.size() != 2 && key != "op" && key != "end") {
+      return fail("malformed " + key + " line: " + line);
+    }
+    const std::string& value = f.back();
+    std::uint32_t rcache = 0;
+    bool ok = true;
     if (key == "mode") {
-      std::string token;
-      ls >> token;
-      if (!ParseModeToken(token, &config->mode)) {
-        return fail("unknown mode token: " + token);
+      if (!ParseModeToken(value, &config->mode)) {
+        return fail("unknown mode token: " + value);
       }
     } else if (key == "rcache") {
-      int v = 0;
-      ls >> v;
-      config->enable_rcache = v != 0;
+      ok = cli::ParseUnsigned(value, &rcache) && rcache <= 1;
+      config->enable_rcache = rcache == 1;
     } else if (key == "seed") {
-      ls >> config->seed;
+      ok = cli::ParseUnsigned(value, &config->seed);
     } else if (key == "pages_per_chunk") {
-      ls >> config->pages_per_chunk;
+      ok = cli::ParseUnsigned(value, &config->pages_per_chunk);
     } else if (key == "num_cores") {
-      ls >> config->num_cores;
+      ok = cli::ParseUnsigned(value, &config->num_cores);
     } else if (key == "num_domains") {
-      ls >> config->num_domains;
+      ok = cli::ParseUnsigned(value, &config->num_domains);
     } else if (key == "bug") {
-      std::string token;
-      ls >> token;
-      if (!ParseBugToken(token, &config->bug)) {
-        return fail("unknown bug token: " + token);
+      if (!ParseBugToken(value, &config->bug)) {
+        return fail("unknown bug token: " + value);
+      }
+    } else if (key == "fault_plan") {
+      if (!ParseToken(kFaultPlanTokens, value, &config->fault_plan)) {
+        return fail("unknown fault_plan token: " + value);
       }
     } else if (key == "ops") {
-      ls >> declared_ops;
+      ok = cli::ParseUnsigned(value, &declared_ops);
     } else if (key == "op") {
-      int kind = 0;
+      std::uint32_t kind = 0;
       DiffOp op;
-      ls >> kind >> op.core >> op.arg;
-      if (ls.fail() || kind < 0 || kind > static_cast<int>(OpKind::kDmaRetired)) {
-        return fail("malformed op line: " + line);
-      }
+      ok = f.size() == 4 && cli::ParseUnsigned(f[1], &kind) &&
+           kind <= static_cast<std::uint32_t>(OpKind::kDmaRetired) &&
+           cli::ParseUnsigned(f[2], &op.core) && cli::ParseUnsigned(f[3], &op.arg);
       op.kind = static_cast<OpKind>(kind);
       ops->push_back(op);
     } else if (key == "end") {
@@ -544,6 +689,9 @@ bool DifferentialHarness::Parse(const std::string& text, DiffConfig* config,
       break;
     } else {
       return fail("unknown key: " + key);
+    }
+    if (!ok) {
+      return fail("malformed " + key + " line: " + line);
     }
   }
   if (!saw_end) {

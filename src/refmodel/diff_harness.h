@@ -30,6 +30,14 @@
 //                           revoked buffer is accessed anyway. Meaningful
 //                           only with mode == kCapability.
 //
+// Environment fault plans (FaultPlanId) run the same lockstep checks while a
+// seeded FaultInjector perturbs the stack: lost and stalled invalidations,
+// walker latency spikes, transient IOVA/frame allocation failures, reordered
+// and duplicated descriptor completions, postponed deferred flushes. None of
+// them may move the real stack off the contract; a duplicate completion must
+// leave the model unchanged and be reported by the driver as a double unmap,
+// and the driver's registered structural invariants must hold throughout.
+//
 // Multi-domain runs (num_domains >= 2) drive one shared IOMMU with a full
 // per-domain stack (page table, IOVA allocator, DmaApi, oracle, RefModel)
 // behind each domain id; each op dispatches to a domain by its arg's high
@@ -68,6 +76,28 @@ static_assert(std::size(kBugTokens) ==
 
 constexpr const char* InjectedBugName(InjectedBug bug) {
   return kBugTokens[static_cast<std::size_t>(bug)];
+}
+
+enum class FaultPlanId : int {
+  kNone = 0,
+  kInvStallDrop,     // lost invalidations (retry ladder, global flush) + stalls
+  kWalkerSpike,      // page-table walk latency spikes
+  kAllocPressure,    // transient IOVA and frame allocation failures
+  kCompletionChaos,  // reordered and duplicated descriptor completions
+  kDelayedFlush,     // deferred-mode flush-queue drain postponed
+};
+
+// Fault plan tokens for CLI flags and repro files, one per FaultPlanId in
+// declaration order.
+inline constexpr const char* kFaultPlanTokens[] = {
+    "none",           "inv-stall-drop",   "walker-spike",
+    "alloc-pressure", "completion-chaos", "delayed-flush",
+};
+static_assert(std::size(kFaultPlanTokens) ==
+              static_cast<std::size_t>(FaultPlanId::kDelayedFlush) + 1);
+
+constexpr const char* FaultPlanName(FaultPlanId plan) {
+  return kFaultPlanTokens[static_cast<std::size_t>(plan)];
 }
 
 enum class OpKind : int {
@@ -111,6 +141,8 @@ struct DiffConfig {
   // 1 = the classic single-tenant harness (host domain only). >= 2 builds a
   // per-domain stack behind each of that many tenant domains on one IOMMU.
   std::uint32_t num_domains = 1;
+  // Environment faults injected into the stack, seeded from `seed`.
+  FaultPlanId fault_plan = FaultPlanId::kNone;
 };
 
 struct DiffResult {
@@ -123,14 +155,24 @@ struct DiffResult {
   std::uint64_t dmas = 0;
   std::uint64_t faults = 0;
   std::uint64_t stale_uses = 0;
+  std::uint64_t use_after_unmap = 0;  // oracle count over domains (model-predicted)
+  // Fault-plan accounting, summed over domains (zero without a plan).
+  std::uint64_t faults_injected = 0;
+  std::uint64_t duplicate_completions = 0;  // injected duplicates replayed
+  std::uint64_t flush_delays = 0;           // deferred flushes postponed
+  std::uint64_t inv_retries = 0;
+  std::uint64_t inv_fallbacks = 0;          // global/domain flush fallbacks
+  std::uint64_t double_unmaps = 0;          // reported by the driver
 };
 
 bool ParseBugToken(const std::string& token, InjectedBug* bug);
 
-// Token -> value choices for the fsio_diff and fsio_model flags: --bug, and
-// --mode as "all" (every mode) or one mode token.
+// Token -> value choices for the fsio_diff and fsio_model flags: --bug;
+// --mode as "all" (every mode) or one mode token; --fault-plan as "all"
+// (every plan but none) or one plan token.
 std::vector<std::pair<std::string, InjectedBug>> BugChoices();
 std::vector<std::pair<std::string, std::vector<ProtectionMode>>> ModeSweepChoices();
+std::vector<std::pair<std::string, std::vector<FaultPlanId>>> FaultPlanChoices();
 
 class DifferentialHarness {
  public:

@@ -11,8 +11,11 @@
 //   * Oracle power — each injected driver bug is detected, shrinks to a
 //     replayable repro of at most 20 operations, and the serialized repro
 //     survives a Parse round-trip that still diverges.
+//   * Fault plans — every environment fault plan fires, keeps every mode in
+//     lockstep with the model, and has the effect it is named for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -230,6 +233,7 @@ void ExpectBugCaughtAndShrinkable(const DiffConfig& config) {
   ASSERT_TRUE(DifferentialHarness::Parse(text, &parsed, &parsed_ops, &error)) << error;
   EXPECT_EQ(parsed.mode, config.mode);
   EXPECT_EQ(parsed.bug, config.bug);
+  EXPECT_EQ(parsed.fault_plan, config.fault_plan);
   EXPECT_EQ(parsed_ops.size(), shrunk.ops.size());
   const DiffResult replay = DifferentialHarness::Run(parsed, parsed_ops);
   EXPECT_TRUE(replay.diverged) << "shrunken repro did not replay";
@@ -266,6 +270,30 @@ TEST(BugDetectionTest, EarlyReclaimIsCaught) {
   ExpectBugCaughtAndShrinkable(config);
 }
 
+std::vector<FaultPlanId> AllFaultPlans() {
+  std::vector<FaultPlanId> plans;
+  for (const auto& [token, value] : FaultPlanChoices()) {
+    if (token == "all") {
+      plans = value;
+    }
+  }
+  return plans;
+}
+
+TEST(BugDetectionTest, EarlyReclaimIsCaughtUnderEveryFaultPlan) {
+  for (FaultPlanId plan : AllFaultPlans()) {
+    DiffConfig config;
+    config.mode = ProtectionMode::kFastSafe;
+    config.seed = 3;
+    config.num_ops = 1200;
+    config.pages_per_chunk = 512;
+    config.bug = InjectedBug::kEarlyReclaim;
+    config.fault_plan = plan;
+    SCOPED_TRACE(FaultPlanName(plan));
+    ExpectBugCaughtAndShrinkable(config);
+  }
+}
+
 TEST(BugDetectionTest, SkipCapabilityCheckIsCaught) {
   DiffConfig config;
   config.mode = ProtectionMode::kCapability;
@@ -286,6 +314,7 @@ TEST(ReproFormatTest, RoundTripPreservesEverything) {
   config.pages_per_chunk = 32;
   config.num_cores = 2;
   config.bug = InjectedBug::kSkipInvalidation;
+  config.fault_plan = FaultPlanId::kCompletionChaos;
   std::vector<DiffOp> ops = {{OpKind::kMapRx, 0, 7}, {OpKind::kDmaLive, 1, 123456789},
                              {OpKind::kUnmap, 1, 42}, {OpKind::kDmaRetired, 0, 5}};
   const std::string text = DifferentialHarness::Serialize(config, ops);
@@ -299,6 +328,7 @@ TEST(ReproFormatTest, RoundTripPreservesEverything) {
   EXPECT_EQ(parsed.pages_per_chunk, config.pages_per_chunk);
   EXPECT_EQ(parsed.num_cores, config.num_cores);
   EXPECT_EQ(parsed.bug, config.bug);
+  EXPECT_EQ(parsed.fault_plan, config.fault_plan);
   ASSERT_EQ(parsed_ops.size(), ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     EXPECT_EQ(parsed_ops[i].kind, ops[i].kind);
@@ -321,6 +351,116 @@ TEST(ReproFormatTest, RejectsMalformedInput) {
       "fsio-diff-repro v1\nops 0\n", &config, &ops, &error));  // missing end
   EXPECT_FALSE(DifferentialHarness::Parse(
       "fsio-diff-repro v1\nop 9 0 1\nops 1\nend\n", &config, &ops, &error));
+  // Corrupt values must not replay as a different run (seed 0, rcache off,
+  // a truncated core count, another fault sequence).
+  for (const char* line : {"seed abc", "seed -1", "seed 1 2", "rcache x", "rcache 2",
+                           "num_cores 4zz", "pages_per_chunk", "num_domains 99999999999",
+                           "ops 1x", "fault_plan bogus", "op 0 0 1 junk", "op 0 -1 1"}) {
+    const std::string text = std::string("fsio-diff-repro v1\n") + line + "\nops 0\nend\n";
+    EXPECT_FALSE(DifferentialHarness::Parse(text, &config, &ops, &error)) << line;
+  }
+  ASSERT_TRUE(DifferentialHarness::Parse("fsio-diff-repro v1\nrcache 0\nops 0\nend\n", &config,
+                                         &ops, &error))
+      << error;
+  EXPECT_FALSE(config.enable_rcache);
+}
+
+// Repros without a fault plan keep the format that predates the key.
+TEST(ReproFormatTest, NoFaultPlanLineWithoutAPlan) {
+  DiffConfig config;
+  config.seed = 5;
+  const std::vector<DiffOp> ops = {{OpKind::kMapTx, 1, 9}};
+  EXPECT_EQ(DifferentialHarness::Serialize(config, ops),
+            "fsio-diff-repro v1\nmode strict\nrcache 1\nseed 5\npages_per_chunk 64\n"
+            "num_cores 4\nbug none\nops 1\nop 1 1 9\nend\n");
+  config.fault_plan = FaultPlanId::kDelayedFlush;
+  EXPECT_NE(DifferentialHarness::Serialize(config, ops).find("\nfault_plan delayed-flush\n"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Environment fault plans.
+
+DiffResult RunUnderPlan(FaultPlanId plan, ProtectionMode mode, std::uint64_t seed,
+                        std::uint32_t num_domains = 1) {
+  DiffConfig config;
+  config.mode = mode;
+  config.seed = seed;
+  config.num_ops = 600;
+  config.num_domains = num_domains;
+  config.fault_plan = plan;
+  return DifferentialHarness::Run(config, DifferentialHarness::GenerateOps(config));
+}
+
+class FaultPlanTest : public ::testing::TestWithParam<FaultPlanId> {};
+
+TEST_P(FaultPlanTest, EveryModeStaysInLockstepAndFaultsFire) {
+  std::uint64_t injected = 0;
+  for (ProtectionMode mode : kAllModes) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const DiffResult r = RunUnderPlan(GetParam(), mode, seed);
+      EXPECT_FALSE(r.diverged) << ProtectionModeName(mode) << " seed " << seed << ": "
+                               << r.message;
+      EXPECT_EQ(r.ops_executed, 600u);
+      // Only injected duplicates may surface as double unmaps.
+      if (r.duplicate_completions == 0) {
+        EXPECT_EQ(r.double_unmaps, 0u) << ProtectionModeName(mode);
+      }
+      injected += r.faults_injected;
+    }
+  }
+  EXPECT_GT(injected, 0u);
+}
+
+TEST_P(FaultPlanTest, TwoDomainCellStaysInLockstep) {
+  // Deferred-flush delays fire only in deferred mode.
+  const ProtectionMode mode = GetParam() == FaultPlanId::kDelayedFlush
+                                  ? ProtectionMode::kDeferred
+                                  : ProtectionMode::kStrict;
+  const DiffResult r = RunUnderPlan(GetParam(), mode, 1, /*num_domains=*/2);
+  EXPECT_FALSE(r.diverged) << r.message;
+  EXPECT_GT(r.faults_injected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPlans, FaultPlanTest, ::testing::ValuesIn(AllFaultPlans()),
+                         [](const ::testing::TestParamInfo<FaultPlanId>& info) {
+                           std::string name = FaultPlanName(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST(FaultPlanEffectTest, LostInvalidationsEngageRetriesAndFallback) {
+  for (ProtectionMode mode : {ProtectionMode::kStrict, ProtectionMode::kFastSafe}) {
+    const DiffResult r = RunUnderPlan(FaultPlanId::kInvStallDrop, mode, 1);
+    EXPECT_FALSE(r.diverged) << r.message;
+    EXPECT_GT(r.inv_retries, 0u) << ProtectionModeName(mode);
+    EXPECT_GT(r.inv_fallbacks, 0u) << ProtectionModeName(mode);
+  }
+}
+
+TEST(FaultPlanEffectTest, DuplicateCompletionsAreReportedAsDoubleUnmaps) {
+  for (ProtectionMode mode : kAllModes) {
+    if (mode == ProtectionMode::kOff || mode == ProtectionMode::kHugepagePersistent) {
+      continue;  // no real unmap to complete twice
+    }
+    const DiffResult r = RunUnderPlan(FaultPlanId::kCompletionChaos, mode, 1);
+    EXPECT_FALSE(r.diverged) << r.message;
+    EXPECT_GT(r.duplicate_completions, 0u) << ProtectionModeName(mode);
+    EXPECT_GE(r.double_unmaps, r.duplicate_completions) << ProtectionModeName(mode);
+  }
+}
+
+TEST(FaultPlanEffectTest, DelayedFlushKeepsDeferredUseAfterUnmapPredicted) {
+  // A retired-IOVA DMA hits a stale IOTLB entry only when the page was
+  // warmed before its unmap, so single runs often record none: sum seeds.
+  std::uint64_t use_after_unmap = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const DiffResult r = RunUnderPlan(FaultPlanId::kDelayedFlush, ProtectionMode::kDeferred, seed);
+    EXPECT_FALSE(r.diverged) << r.message;  // every use-after-unmap was predicted
+    EXPECT_GE(r.flush_delays, 1u) << "seed " << seed;
+    use_after_unmap += r.use_after_unmap;
+  }
+  EXPECT_GT(use_after_unmap, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,17 +6,17 @@
 #    unreachable IOTLB); --cores=0 (a division by zero), --ring=0 (every
 #    packet dropped), --flows=abc (0 flows), --window-ms=-1, --mtu=10 (the
 #    MSS underflows), an unknown --mode;
-#  - fsio_diff --seeds abc ("0 runs"), fsio_model --depth x (depth 0),
-#    fsio_sidechan --trials -1 (a huge allocation), fsio_chaos --window abc
-#    (a 0 window), safety_fuzz --ops x (a 0-op matrix), and the shared
+#  - fsio_diff --seeds abc ("0 runs"), an unknown fsio_diff --fault-plan,
+#    fsio_model --depth x (depth 0), fsio_sidechan --trials -1 (a huge
+#    allocation), fsio_chaos --window abc (a 0 window), and the shared
 #    parser's generic cases on fsio_trace and fsio_lint.
 # Valid runs in both flag syntaxes (--name=value and --name value) must still
 # exit 0.
 # Invoked by ctest as
 #   cmake -DSIM=<fsio_sim> -DDIFF=<fsio_diff> -DMODEL=<fsio_model>
-#         -DSIDECHAN=<fsio_sidechan> -DCHAOS=<fsio_chaos> -DFUZZ=<safety_fuzz>
+#         -DSIDECHAN=<fsio_sidechan> -DCHAOS=<fsio_chaos>
 #         -DTRACE_TOOL=<fsio_trace> -DLINT=<fsio_lint> -P run_bad_flags_check.cmake
-foreach(tool SIM DIFF MODEL SIDECHAN CHAOS FUZZ TRACE_TOOL LINT)
+foreach(tool SIM DIFF MODEL SIDECHAN CHAOS TRACE_TOOL LINT)
   if(NOT DEFINED ${tool})
     message(FATAL_ERROR "pass -D${tool}=<path to the tool>")
   endif()
@@ -50,14 +50,14 @@ list(APPEND cases
      "DIFF|--seeds abc|--seeds"
      "DIFF|--mode fastsafe --bug nope|--bug"
      "DIFF|--rcache maybe|--rcache"
+     "DIFF|--fault-plan bogus|--fault-plan"
+     "DIFF|--seed-base|--seed-base: missing value"
      "MODEL|--depth x|--depth"
      "MODEL|--domains 4|--domains must be at most"
      "SIDECHAN|--trials -1|--trials"
      "SIDECHAN|--partition bogus|--partition"
      "CHAOS|--window abc|--window"
      "CHAOS|--jobs=+2|--jobs"
-     "FUZZ|--ops x|--ops"
-     "FUZZ|--seed|--seed: missing value"
      "TRACE_TOOL|top trace.json --n=0|--n must be at least 1"
      "LINT|--rules=bogus src|--rules")
 
@@ -88,11 +88,12 @@ set(valid
     "SIM|--tenants 2 --tenant-modes=strict,fastsafe --tenant-rounds 50"
     "DIFF|--seeds 1 --ops 100 --mode fastsafe --quiet"
     "DIFF|--seeds=1 --ops=100 --mode=strict-contig --rcache=on"
+    "DIFF|--seeds 1 --ops 100 --mode strict --fault-plan inv-stall-drop --quiet"
+    "DIFF|--seeds=1 --ops=100 --mode=deferred --fault-plan=all"
     "MODEL|--mode strict --depth 4"
     "MODEL|--mode=linux+a --depth=4 --quiet"
     "SIDECHAN|--trials 32 --partition=none"
     "CHAOS|--help"
-    "FUZZ|--help"
     "TRACE_TOOL|--help"
     "LINT|--list-rules")
 foreach(case IN LISTS valid)

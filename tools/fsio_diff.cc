@@ -1,7 +1,7 @@
 // Differential fuzzer CLI: drives the real IOMMU/page-table/IOVA/DMA-API
 // stack against the deliberately-simple RefModel in lockstep (see
-// src/refmodel/) across seeds, protection modes and both IOVA allocator
-// configurations.
+// src/refmodel/) across seeds, protection modes, both IOVA allocator
+// configurations and, with --fault-plan, environment fault plans.
 //
 // Modes of operation:
 //   * default sweep          — every (seed, mode, rcache) cell must agree;
@@ -43,6 +43,7 @@ struct Options {
   std::uint32_t num_cores = 4;
   std::uint32_t domains = 1;
   InjectedBug bug = InjectedBug::kNone;
+  std::vector<FaultPlanId> fault_plans = {FaultPlanId::kNone};
   bool expect_divergence = false;
   std::size_t max_repro_ops = 20;
   std::string repro_out;
@@ -55,10 +56,10 @@ struct Options {
 DifferentialHarness::ShrinkOutcome HandleDivergence(const Options& opt, const DiffConfig& config,
                                                     const std::vector<DiffOp>& ops,
                                                     const DiffResult& result) {
-  std::printf("DIVERGENCE mode=%s rcache=%d seed=%llu bug=%s at op %zu:\n  %s\n",
+  std::printf("DIVERGENCE mode=%s rcache=%d seed=%llu bug=%s plan=%s at op %zu:\n  %s\n",
               ModeToken(config.mode), config.enable_rcache ? 1 : 0,
               static_cast<unsigned long long>(config.seed), InjectedBugName(config.bug),
-              result.fail_index, result.message.c_str());
+              FaultPlanName(config.fault_plan), result.fail_index, result.message.c_str());
   DifferentialHarness::ShrinkOutcome shrunk = DifferentialHarness::Shrink(config, ops, result);
   std::printf("shrunk to %zu ops in %u runs:\n", shrunk.ops.size(), shrunk.runs);
   for (const DiffOp& op : shrunk.ops) {
@@ -113,8 +114,9 @@ int Replay(const Options& opt) {
                 result.message.c_str());
     return 0;
   }
-  std::printf("replay: no divergence over %zu ops (mode=%s rcache=%d bug=%s)\n", ops.size(),
-              ModeToken(config.mode), config.enable_rcache ? 1 : 0, InjectedBugName(config.bug));
+  std::printf("replay: no divergence over %zu ops (mode=%s rcache=%d bug=%s plan=%s)\n",
+              ops.size(), ModeToken(config.mode), config.enable_rcache ? 1 : 0,
+              InjectedBugName(config.bug), FaultPlanName(config.fault_plan));
   return 1;
 }
 
@@ -123,9 +125,10 @@ int Main(int argc, char** argv) {
   cli::Parse(
       argc, argv, "fsio_diff",
       "Differential fuzzer: the real IOMMU/page-table/IOVA/DMA-API stack against\n"
-      "the RefModel in lockstep, over seeds, modes and IOVA allocator caches.",
+      "the RefModel in lockstep, over seeds, modes, IOVA allocator caches and\n"
+      "environment fault plans.",
       {
-          cli::Unsigned("seeds", &opt.seeds, "seeds per (mode, rcache) cell"),
+          cli::Unsigned("seeds", &opt.seeds, "seeds per (plan, mode, rcache) cell"),
           cli::Unsigned("seed-base", &opt.seed_base, "first seed value"),
           cli::Unsigned("ops", &opt.ops, "operations per run"),
           cli::OneOf("mode", &opt.modes, ModeSweepChoices(), "MODE",
@@ -142,6 +145,9 @@ int Main(int argc, char** argv) {
                         ">=2 checks per-tenant semantics + isolation",
                         1),
           cli::OneOf("bug", &opt.bug, BugChoices(), "BUG", "inject a driver/hardware bug"),
+          cli::OneOf("fault-plan", &opt.fault_plans, FaultPlanChoices(), "PLAN",
+                     "environment faults injected into the stack:\n"
+                     "every plan (all) or a single one"),
           cli::Switch("expect-divergence", &opt.expect_divergence,
                       "require every run to diverge (oracle self-test)"),
           cli::Unsigned("max-repro-ops", &opt.max_repro_ops, "shrunken repro size budget"),
@@ -164,78 +170,86 @@ int Main(int argc, char** argv) {
   std::uint64_t total_dmas = 0;
   std::uint64_t total_faults = 0;
   std::uint64_t total_stale = 0;
+  std::uint64_t total_injected = 0;
   bool self_test_ok = true;
   bool first_divergence_handled = false;
 
-  for (ProtectionMode mode : opt.modes) {
-    for (bool rcache : opt.rcaches) {
-      for (std::uint64_t s = 0; s < opt.seeds; ++s) {
-        DiffConfig config;
-        config.mode = mode;
-        config.enable_rcache = rcache;
-        config.seed = opt.seed_base + s;
-        config.num_ops = opt.ops;
-        config.pages_per_chunk = opt.pages_per_chunk;
-        config.num_cores = opt.num_cores;
-        config.num_domains = opt.domains;
-        config.bug = opt.bug;
-        const std::vector<DiffOp> ops = DifferentialHarness::GenerateOps(config);
-        const DiffResult result = DifferentialHarness::Run(config, ops);
-        ++runs;
-        total_ops += result.ops_executed;
-        total_dmas += result.dmas;
-        total_faults += result.faults;
-        total_stale += result.stale_uses;
-        if (result.diverged) {
-          ++diverged;
-          if (!opt.expect_divergence) {
-            DifferentialHarness::ShrinkOutcome shrunk =
-                HandleDivergence(opt, config, ops, result);
-            ReproRoundTrips(config, shrunk.ops);
-            return 1;
-          }
-          if (!first_divergence_handled) {
-            first_divergence_handled = true;
-            DifferentialHarness::ShrinkOutcome shrunk =
-                HandleDivergence(opt, config, ops, result);
-            if (shrunk.ops.size() > opt.max_repro_ops) {
-              std::printf("self-test FAILED: repro has %zu ops, budget is %zu\n",
-                          shrunk.ops.size(), opt.max_repro_ops);
-              self_test_ok = false;
+  for (FaultPlanId plan : opt.fault_plans) {
+    for (ProtectionMode mode : opt.modes) {
+      for (bool rcache : opt.rcaches) {
+        for (std::uint64_t s = 0; s < opt.seeds; ++s) {
+          DiffConfig config;
+          config.mode = mode;
+          config.enable_rcache = rcache;
+          config.seed = opt.seed_base + s;
+          config.num_ops = opt.ops;
+          config.pages_per_chunk = opt.pages_per_chunk;
+          config.num_cores = opt.num_cores;
+          config.num_domains = opt.domains;
+          config.bug = opt.bug;
+          config.fault_plan = plan;
+          const std::vector<DiffOp> ops = DifferentialHarness::GenerateOps(config);
+          const DiffResult result = DifferentialHarness::Run(config, ops);
+          ++runs;
+          total_ops += result.ops_executed;
+          total_dmas += result.dmas;
+          total_faults += result.faults;
+          total_stale += result.stale_uses;
+          total_injected += result.faults_injected;
+          if (result.diverged) {
+            ++diverged;
+            if (!opt.expect_divergence) {
+              DifferentialHarness::ShrinkOutcome shrunk =
+                  HandleDivergence(opt, config, ops, result);
+              ReproRoundTrips(config, shrunk.ops);
+              return 1;
             }
-            if (!ReproRoundTrips(config, shrunk.ops)) {
-              self_test_ok = false;
+            if (!first_divergence_handled) {
+              first_divergence_handled = true;
+              DifferentialHarness::ShrinkOutcome shrunk =
+                  HandleDivergence(opt, config, ops, result);
+              if (shrunk.ops.size() > opt.max_repro_ops) {
+                std::printf("self-test FAILED: repro has %zu ops, budget is %zu\n",
+                            shrunk.ops.size(), opt.max_repro_ops);
+                self_test_ok = false;
+              }
+              if (!ReproRoundTrips(config, shrunk.ops)) {
+                self_test_ok = false;
+              }
             }
+          } else if (opt.expect_divergence) {
+            std::printf("self-test FAILED: bug=%s NOT detected (mode=%s rcache=%d seed=%llu "
+                        "plan=%s)\n",
+                        InjectedBugName(opt.bug), ModeToken(mode), rcache ? 1 : 0,
+                        static_cast<unsigned long long>(config.seed), FaultPlanName(plan));
+            self_test_ok = false;
           }
-        } else if (opt.expect_divergence) {
-          std::printf("self-test FAILED: bug=%s NOT detected (mode=%s rcache=%d seed=%llu)\n",
-                      InjectedBugName(opt.bug), ModeToken(mode), rcache ? 1 : 0,
-                      static_cast<unsigned long long>(config.seed));
-          self_test_ok = false;
-        }
-        if (!opt.quiet && !result.diverged) {
-          std::printf("ok mode=%s rcache=%d seed=%llu ops=%llu maps=%llu unmaps=%llu "
-                      "dmas=%llu faults=%llu stale=%llu\n",
-                      ModeToken(mode), rcache ? 1 : 0,
-                      static_cast<unsigned long long>(config.seed),
-                      static_cast<unsigned long long>(result.ops_executed),
-                      static_cast<unsigned long long>(result.maps),
-                      static_cast<unsigned long long>(result.unmaps),
-                      static_cast<unsigned long long>(result.dmas),
-                      static_cast<unsigned long long>(result.faults),
-                      static_cast<unsigned long long>(result.stale_uses));
+          if (!opt.quiet && !result.diverged) {
+            std::printf("ok mode=%s rcache=%d seed=%llu plan=%s ops=%llu maps=%llu unmaps=%llu "
+                        "dmas=%llu faults=%llu stale=%llu injected=%llu\n",
+                        ModeToken(mode), rcache ? 1 : 0,
+                        static_cast<unsigned long long>(config.seed), FaultPlanName(plan),
+                        static_cast<unsigned long long>(result.ops_executed),
+                        static_cast<unsigned long long>(result.maps),
+                        static_cast<unsigned long long>(result.unmaps),
+                        static_cast<unsigned long long>(result.dmas),
+                        static_cast<unsigned long long>(result.faults),
+                        static_cast<unsigned long long>(result.stale_uses),
+                        static_cast<unsigned long long>(result.faults_injected));
+          }
         }
       }
     }
   }
 
   std::printf("fsio_diff: %llu runs, %llu diverged, %llu ops, %llu dmas "
-              "(%llu faults, %llu stale uses)\n",
+              "(%llu faults, %llu stale uses), %llu faults injected\n",
               static_cast<unsigned long long>(runs), static_cast<unsigned long long>(diverged),
               static_cast<unsigned long long>(total_ops),
               static_cast<unsigned long long>(total_dmas),
               static_cast<unsigned long long>(total_faults),
-              static_cast<unsigned long long>(total_stale));
+              static_cast<unsigned long long>(total_stale),
+              static_cast<unsigned long long>(total_injected));
   if (opt.expect_divergence) {
     if (diverged == runs && self_test_ok) {
       std::printf("self-test PASSED: bug=%s detected in all %llu runs\n",
