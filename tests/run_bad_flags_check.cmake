@@ -11,7 +11,10 @@
 #    allocation), fsio_chaos --window abc (a 0 window), and the shared
 #    parser's generic cases on fsio_trace and fsio_lint.
 # Valid runs in both flag syntaxes (--name=value and --name value) must still
-# exit 0.
+# exit 0, and so must the topology, multi-tenant and capability paths of
+# fsio_sim end to end (the --jobs=4 sweep is why this test is also labelled
+# threaded). The capability run must do its checks on the NIC and leave the
+# IOMMU idle: nonzero capability.checks, no iommu.* counter at all.
 # Invoked by ctest as
 #   cmake -DSIM=<fsio_sim> -DDIFF=<fsio_diff> -DMODEL=<fsio_model>
 #         -DSIDECHAN=<fsio_sidechan> -DCHAOS=<fsio_chaos>
@@ -81,11 +84,16 @@ foreach(case IN LISTS cases)
   endif()
 endforeach()
 
-# Valid runs, in both syntaxes and through mode aliases.
+# Valid runs, in both syntaxes and through mode aliases. Optional third and
+# fourth fields: a regex stdout must match, and one it must not match.
 set(valid
     "SIM|--flows=1 --iotlb-entries=32 --warmup-ms=1 --window-ms=1"
     "SIM|--flows 1 --mode strict --warmup-ms 1 --window-ms 1"
     "SIM|--tenants 2 --tenant-modes=strict,fastsafe --tenant-rounds 50"
+    "SIM|--mode=strict --hosts=9 --incast --per-host --warmup-ms=2 --window-ms=3"
+    "SIM|--mode=fastsafe --hosts=4 --switches=2 --sweep-flows=1,5,10 --jobs=4 --warmup-ms=2 --window-ms=3"
+    "SIM|--tenants=3 --tenant-modes=strict,fastsafe --iotlb-partition=per_domain --tenant-rounds=500"
+    "SIM|--mode=capability --flows=5 --warmup-ms=2 --window-ms=3 --counters|capability\\.checks +[1-9]|iommu\\."
     "DIFF|--seeds 1 --ops 100 --mode fastsafe --quiet"
     "DIFF|--seeds=1 --ops=100 --mode=strict-contig --rcache=on"
     "DIFF|--seeds 1 --ops 100 --mode strict --fault-plan inv-stall-drop --quiet"
@@ -105,5 +113,13 @@ foreach(case IN LISTS valid)
                   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${tool} ${args} failed with exit ${rc}:\n${out}${err}")
+  endif()
+  list(LENGTH fields nfields)
+  if(nfields GREATER 2)
+    list(GET fields 2 want)
+    list(GET fields 3 unwanted)
+    if(NOT out MATCHES "${want}" OR out MATCHES "${unwanted}")
+      message(FATAL_ERROR "${tool} ${args}: want /${want}/ and no /${unwanted}/ in:\n${out}")
+    endif()
   endif()
 endforeach()

@@ -1,6 +1,7 @@
 # Oracle power, cluster scale: a recovery path that skips the global IOTLB
 # invalidation must be caught by the cross-host safety oracle, shrink to a
-# minimal fault-event list, and the written repro must replay the violation.
+# fault-event list shorter than the input, and the written repro (holding
+# exactly those events) must replay the violation.
 # A repro with a corrupted number must be refused as unreadable instead of
 # replaying zeros.
 # Invoked by ctest as
@@ -19,6 +20,20 @@ if(NOT rc_break EQUAL 0)
 endif()
 if(NOT EXISTS ${repro})
   message(FATAL_ERROR "shrunken repro was not written to ${repro}")
+endif()
+
+if(NOT out_break MATCHES "minimal repro \\(([0-9]+) of ([0-9]+) events")
+  message(FATAL_ERROR "no minimal-repro summary in the output:\n${out_break}")
+endif()
+set(kept ${CMAKE_MATCH_1})
+set(input ${CMAKE_MATCH_2})
+if(NOT kept LESS input)
+  message(FATAL_ERROR "shrinking removed nothing (${kept} of ${input} events):\n${out_break}")
+endif()
+file(STRINGS ${repro} repro_events REGEX "^event ")
+list(LENGTH repro_events repro_count)
+if(NOT repro_count EQUAL kept)
+  message(FATAL_ERROR "repro holds ${repro_count} events, the shrinker kept ${kept}")
 endif()
 
 execute_process(COMMAND ${CHAOS} --replay ${repro}

@@ -1,8 +1,9 @@
 # Generates a trace with fsio_sim and validates it with fsio_trace: the file
 # must parse as Chrome trace-event format (fsio_trace validate exits 0) and
 # must contain events from every major category — iommu, pcie, nic, driver —
-# proving the instrumentation covers the full datapath. Also checks that
-# --trace-filter restricts the output to the requested category.
+# proving the instrumentation covers the full datapath; fsio_trace summary
+# must count its iommu spans. Also checks that --trace-filter restricts the
+# output to the requested category.
 # Invoked by ctest as
 #   cmake -DSIM=<fsio_sim> -DTRACE_TOOL=<fsio_trace> [-DWORKDIR=<dir>]
 #         -P run_trace_validate_check.cmake
@@ -34,6 +35,12 @@ foreach(cat iommu pcie nic driver)
     message(FATAL_ERROR "trace is missing '${cat}' events:\n${validate_out}")
   endif()
 endforeach()
+
+execute_process(COMMAND ${TRACE_TOOL} summary ${trace_file}
+                OUTPUT_VARIABLE summary_out RESULT_VARIABLE rc_summary)
+if(NOT rc_summary EQUAL 0 OR NOT summary_out MATCHES "iommu +[1-9]")
+  message(FATAL_ERROR "fsio_trace summary failed (exit ${rc_summary}):\n${summary_out}")
+endif()
 
 # Category filtering: a filtered run must keep iommu and drop pcie/nic.
 set(filtered_file ${WORKDIR}/trace_validate.filtered.json)

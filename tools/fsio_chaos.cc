@@ -24,9 +24,9 @@
 // --break-recovery runs a single deliberately broken cell (recovery skips
 // the global IOTLB invalidation) and demonstrates the cross-host oracle
 // catching it; with --expect-violation the harness then SHRINKS the fault
-// event list to a minimal still-failing repro (greedy one-event-at-a-time
-// removal) and, with --repro-out, writes a replayable text repro that
-// --replay re-executes byte-deterministically.
+// event list to a minimal still-failing repro (the shared ShrinkSequence of
+// src/refmodel/shrink.h) and, with --repro-out, writes a replayable text
+// repro that --replay re-executes byte-deterministically.
 //
 // All randomness flows from --seed; cells are independent simulations run on
 // the SweepRunner pool with slot-per-cell reports emitted in cell order, so
@@ -48,6 +48,7 @@
 #include "src/faults/fault_injector.h"
 #include "src/faults/invariant_registry.h"
 #include "src/faults/safety_oracle.h"
+#include "src/refmodel/shrink.h"
 #include "src/simcore/time.h"
 #include "src/tenant/domain.h"
 #include "src/tenant/tenant_system.h"
@@ -664,34 +665,10 @@ CellResult RunBrokenCell(const std::vector<ClusterFaultEvent>& events, Protectio
   return RunCell(mode, s, opt, opt.break_recovery, kNeverCancelled);
 }
 
-// Greedy event-list shrink: repeatedly drop any single event whose removal
-// keeps the oracle violating, until no event can be removed. Deterministic
-// (fixed scan order) and quadratic in the (small) event count.
-std::vector<ClusterFaultEvent> ShrinkEvents(std::vector<ClusterFaultEvent> events,
-                                            ProtectionMode mode, const ChaosOptions& opt,
-                                            std::ostringstream* log) {
-  bool shrunk = true;
-  while (shrunk && events.size() > 1) {
-    shrunk = false;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      std::vector<ClusterFaultEvent> candidate = events;
-      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-      const CellResult r = RunBrokenCell(candidate, mode, opt);
-      if (r.violations > 0) {
-        *log << "shrink: dropped [" << events[i].ToString() << "] — still violates ("
-             << r.violations << ")\n";
-        events = std::move(candidate);
-        shrunk = true;
-        break;
-      }
-      *log << "shrink: kept [" << events[i].ToString() << "] — needed for repro\n";
-    }
-  }
-  return events;
-}
-
 // The --break-recovery entry point: crash host 0 with recovery that skips
-// the global invalidation, plus two noise events the shrinker must discard.
+// the global invalidation, plus a link flap and a loss burst. The shrinker
+// drops the loss burst; the flap stays in the minimal repro (2 of 3 events)
+// because without it the broken recovery is no longer caught.
 int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
   const TimeNs w = opt.window;
   const ProtectionMode mode = ProtectionMode::kFastSafe;
@@ -704,13 +681,13 @@ int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
     crash.duration_ns = w / 6;
     crash.host = 0;
     events.push_back(crash);
-    ClusterFaultEvent noise_flap;  // irrelevant to the bug; shrink removes it
-    noise_flap.kind = FaultKind::kLinkFlap;
-    noise_flap.at = w / 8;
-    noise_flap.duration_ns = w / 16;
-    noise_flap.host = 2;
-    events.push_back(noise_flap);
-    ClusterFaultEvent noise_loss;  // likewise
+    ClusterFaultEvent flap;  // kept by the shrinker: the repro needs it
+    flap.kind = FaultKind::kLinkFlap;
+    flap.at = w / 8;
+    flap.duration_ns = w / 16;
+    flap.host = 2;
+    events.push_back(flap);
+    ClusterFaultEvent noise_loss;  // irrelevant to the bug; shrink removes it
     noise_loss.kind = FaultKind::kPacketLossBurst;
     noise_loss.at = w / 2;
     noise_loss.duration_ns = w / 8;
@@ -729,16 +706,19 @@ int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
       all << "EXPECTATION FAILED: broken recovery must be caught by the oracle\n";
       ++failures;
     } else {
-      const std::vector<ClusterFaultEvent> minimal = ShrinkEvents(events, mode, opt, &all);
+      // Fault events are independent, so every subset is a runnable cell.
+      const auto shrunk = ShrinkSequence(
+          events, events.size() - 1, full,
+          [&](const std::vector<ClusterFaultEvent>& candidate) {
+            return RunBrokenCell(candidate, mode, opt);
+          },
+          [](const CellResult& r) { return r.violations > 0; });
+      const std::vector<ClusterFaultEvent>& minimal = shrunk.ops;
       all << "minimal repro (" << minimal.size() << " of " << events.size()
-          << " events):\n";
+          << " events, " << shrunk.runs << " shrink runs, " << shrunk.result.violations
+          << " violations):\n";
       for (const ClusterFaultEvent& e : minimal) {
         all << "  event " << e.ToString() << "\n";
-      }
-      const CellResult check = RunBrokenCell(minimal, mode, opt);
-      if (check.violations == 0) {
-        all << "EXPECTATION FAILED: shrunken repro no longer violates\n";
-        ++failures;
       }
       if (!opt.repro_out.empty()) {
         std::ofstream out(opt.repro_out);
