@@ -174,6 +174,30 @@ void BM_IommuTranslateWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_IommuTranslateWarm);
 
+// The strict-mode page cycle: a fresh IOTLB miss whose walk hits
+// PTcache-L3 (all 512 pages share one PT-L4 page), then a leaf-only
+// invalidation of that page.
+void BM_IommuTranslateMiss(benchmark::State& state) {
+  StatsRegistry stats;
+  MemorySystem memory(MemoryConfig{}, &stats);
+  IoPageTable pt;
+  Iommu iommu(IommuConfig{}, &memory, &pt, &stats);
+  constexpr std::uint64_t kPages = 512;
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    pt.Map(0x1000000 + i * kPageSize, 0x1000);
+  }
+  TimeNs t = 0;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const Iova iova = 0x1000000 + (i++ % kPages) * kPageSize;
+    t = iommu.Translate(iova, t).done;
+    t = iommu.InvalidateRange(iova, kPageSize, /*leaf_only=*/true, t);
+  }
+  benchmark::DoNotOptimize(t);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IommuTranslateMiss);
+
 // The Rx commit pattern on the default 8 banks: a 256 B posted write every
 // 16 ns, and every fourth one a 64 B walk read issued behind them.
 void BM_MemorySystemGrant(benchmark::State& state) {

@@ -89,13 +89,6 @@ std::optional<std::uint64_t> SetAssocCache::Lookup(std::uint64_t tag, HitHandle*
   return RepeatHit(slot);
 }
 
-std::uint64_t SetAssocCache::RepeatHit(HitHandle handle) {
-  Entry& e = entries_[handle];
-  ++hits_;
-  e.lru = ++tick_;
-  return e.payload;
-}
-
 std::optional<std::uint64_t> SetAssocCache::Peek(std::uint64_t tag) const {
   const std::uint32_t slot = index_[Probe(tag)].slot;
   if (slot == kNoSlot) {

@@ -42,7 +42,22 @@ class SetAssocCache {
   // Replays the exact effects of re-looking-up a previously hit entry
   // (hit counter + LRU refresh) without the tag search. Caller must have
   // checked mutation_version() is unchanged since the handle was obtained.
-  std::uint64_t RepeatHit(HitHandle handle);
+  std::uint64_t RepeatHit(HitHandle handle) {
+    Entry& e = entries_[handle];
+    ++hits_;
+    e.lru = ++tick_;
+    return e.payload;
+  }
+
+  // Replays Insert(tag, payload) for the tag of a previously hit entry (new
+  // payload, LRU refresh, mutation-version bump) without the tag search.
+  // Same validity contract as RepeatHit.
+  void Refresh(HitHandle handle, std::uint64_t payload) {
+    ++mut_version_;
+    Entry& e = entries_[handle];
+    e.payload = payload;
+    e.lru = ++tick_;
+  }
 
   // Replays the effects of a Lookup miss (miss counter only).
   void NoteRepeatMiss() { ++misses_; }

@@ -4,6 +4,100 @@
 
 namespace fsio {
 
+namespace {
+// WalkAndFill prunes completed walks once the pending-walk table holds more
+// keys than this.
+constexpr std::size_t kPendingWalkPruneAbove = 8192;
+}  // namespace
+
+Iommu::PendingWalkTable::PendingWalkTable(std::size_t buckets) : buckets_(buckets) {}
+
+std::size_t Iommu::PendingWalkTable::HomeOf(std::uint64_t key) const {
+  // Fibonacci hashing spreads runs of consecutive pages; the multiply-shift
+  // maps the hash onto [0, buckets) for any bucket count.
+  const std::uint64_t h = key * 0x9E3779B97F4A7C15ULL;
+  return static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(h) * buckets_.size()) >> 64);
+}
+
+std::size_t Iommu::PendingWalkTable::Probe(std::uint64_t key) const {
+  std::size_t i = HomeOf(key);
+  while (buckets_[i].key != kEmpty && buckets_[i].key != key) {
+    i = Next(i);
+  }
+  return i;
+}
+
+const Iommu::PendingWalk* Iommu::PendingWalkTable::Find(std::uint64_t key) const {
+  const Bucket& b = buckets_[Probe(key)];
+  return b.key == kEmpty ? nullptr : &b.walk;
+}
+
+void Iommu::PendingWalkTable::Put(std::uint64_t key, const PendingWalk& walk) {
+  std::size_t i = Probe(key);
+  if (buckets_[i].key == kEmpty) {
+    if (2 * (size_ + 1) > buckets_.size()) {
+      Rehash(2 * buckets_.size());
+      i = Probe(key);
+    }
+    ++size_;
+  }
+  buckets_[i] = Bucket{key, walk};
+}
+
+void Iommu::PendingWalkTable::Erase(std::uint64_t key) {
+  const std::size_t i = Probe(key);
+  if (buckets_[i].key != kEmpty) {
+    EraseBucket(i);
+  }
+}
+
+void Iommu::PendingWalkTable::EraseBucket(std::size_t hole) {
+  const std::size_t n = buckets_.size();
+  // Cyclic distance from bucket a forward to bucket b.
+  const auto dist = [n](std::size_t a, std::size_t b) { return b >= a ? b - a : b + n - a; };
+  for (std::size_t j = Next(hole); buckets_[j].key != kEmpty; j = Next(j)) {
+    // j's key may fill the hole iff the hole lies cyclically in [home, j).
+    if (dist(HomeOf(buckets_[j].key), j) >= dist(hole, j)) {
+      buckets_[hole] = buckets_[j];
+      hole = j;
+    }
+  }
+  buckets_[hole].key = kEmpty;
+  --size_;
+}
+
+template <typename Pred>
+void Iommu::PendingWalkTable::EraseIf(Pred pred) {
+  // A backward shift moves unscanned keys only into the current bucket or
+  // later ones (scanned keys may wrap round to the end and are re-tested),
+  // so re-examining the current bucket after an erase visits every key.
+  for (std::size_t i = 0; i < buckets_.size() && size_ > 0;) {
+    if (buckets_[i].key != kEmpty && pred(buckets_[i].key, buckets_[i].walk)) {
+      EraseBucket(i);
+    } else {
+      ++i;
+    }
+  }
+}
+
+void Iommu::PendingWalkTable::Clear() {
+  for (Bucket& b : buckets_) {
+    b.key = kEmpty;
+  }
+  size_ = 0;
+}
+
+void Iommu::PendingWalkTable::Rehash(std::size_t buckets) {
+  std::vector<Bucket> old(buckets);
+  old.swap(buckets_);
+  for (const Bucket& b : old) {
+    if (b.key != kEmpty) {
+      buckets_[Probe(b.key)] = b;
+    }
+  }
+}
+
 Iommu::Iommu(const IommuConfig& config, MemorySystem* memory, IoPageTable* page_table,
              StatsRegistry* stats)
     : config_(config),
@@ -15,6 +109,7 @@ Iommu::Iommu(const IommuConfig& config, MemorySystem* memory, IoPageTable* page_
       ptcache_l2_(1, config.ptcache_l2_entries),
       ptcache_l3_(1, config.ptcache_l3_entries),
       walker_free_(config.num_walkers == 0 ? 1 : config.num_walkers, 0),
+      pending_walks_(2 * (kPendingWalkPruneAbove + 1)),
       translations_(stats->Get("iommu.translations")),
       iotlb_miss_(stats->Get("iommu.iotlb_miss")),
       l1_miss_(stats->Get("iommu.ptcache_l1_miss")),
@@ -39,30 +134,26 @@ Iommu::Iommu(const IommuConfig& config, MemorySystem* memory, IoPageTable* page_
 DomainId Iommu::AddDomain(IoPageTable* page_table) {
   const DomainId id = domains_.Add(page_table);
   EnsureDomainCounters();
+  ForgetRepeat();
   return id;
 }
 
 void Iommu::RetireDomain(DomainId domain) {
   domains_.Retire(domain);
-  if (repeat_.domain == domain) {
-    repeat_.page = kNoMemoPage;
-  }
+  ForgetRepeat();
 }
 
 void Iommu::SetDomainPageTable(DomainId domain, IoPageTable* page_table) {
-  DomainTable::Entry* e = domains_.Find(domain);
-  if (e == nullptr) {
-    return;
-  }
-  e->page_table = page_table;
-  if (repeat_.domain == domain) {
-    repeat_.page = kNoMemoPage;
+  if (DomainTable::Entry* e = domains_.Find(domain); e != nullptr) {
+    e->page_table = page_table;
+    ForgetRepeat();
   }
 }
 
 void Iommu::SetDomainOracle(DomainId domain, SafetyOracle* oracle) {
   if (DomainTable::Entry* e = domains_.Find(domain); e != nullptr) {
     e->oracle = oracle;
+    ForgetRepeat();
   }
 }
 
@@ -104,10 +195,9 @@ void Iommu::NoteIotlbInsert(std::uint64_t tag, DomainId domain,
   }
 }
 
-void Iommu::NotifyOracle(DomainId domain, Iova iova, TimeNs now,
+void Iommu::NotifyOracle(SafetyOracle* oracle, Iova iova, TimeNs now,
                          const TranslationResult& result) {
-  const DomainTable::Entry* dom = domains_.Find(domain);
-  if (dom == nullptr || dom->oracle == nullptr) {
+  if (oracle == nullptr) {
     return;
   }
   DeviceAccess access;
@@ -119,10 +209,40 @@ void Iommu::NotifyOracle(DomainId domain, Iova iova, TimeNs now,
   access.cross_domain = result.cross_domain;
   access.phys = result.phys;
   access.phys_valid = !result.fault;
-  dom->oracle->OnDeviceAccess(iova, now, access);
+  oracle->OnDeviceAccess(iova, now, access);
 }
 
-TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
+TranslationResult Iommu::ReplayRepeat(DomainId domain, Iova iova, TimeNs start) {
+  translations_->Add();
+  const bool multi = domains_.multi_domain();
+  if (multi) {
+    CountersFor(domain).translations->Add();
+  }
+  TranslationResult out;
+  out.iotlb_hit = true;
+  out.phys = repeat_.base + (iova & repeat_.offset_mask);
+  out.done = start;
+  if (repeat_.huge) {
+    iotlb_.NoteRepeatMiss();  // the 4 KB-granularity probe misses again
+  }
+  iotlb_.RepeatHit(repeat_.entry);
+  if (multi) {
+    CountersFor(domain).iotlb_hits->Add();
+  }
+  if (repeat_.cross_domain) {
+    out.cross_domain = true;
+    cross_domain_hits_->Add();
+  } else if (repeat_.stale) {
+    out.stale_use = true;
+    out.stale_iotlb = true;
+    stale_iotlb_use_->Add();
+    trace_.Instant("iommu", "stale_iotlb_use", start);
+  }
+  NotifyOracle(domains_.at(domain).oracle, iova, start, out);
+  return out;
+}
+
+TranslationResult Iommu::TranslateMemoMiss(DomainId domain, Iova iova, TimeNs start) {
   translations_->Add();
   TranslationResult out;
   DomainTable::Entry* dom = domains_.Find(domain);
@@ -135,6 +255,7 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
     return out;
   }
   IoPageTable* const pt = dom->page_table;
+  SafetyOracle* const oracle = dom->oracle;
   const bool multi = domains_.multi_domain();
   if (multi) {
     CountersFor(domain).translations->Add();
@@ -145,38 +266,6 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
   // the bug models is a shared-TLB lookup matching a foreign entry).
   const std::uint64_t iotlb_dbits = config_.inject_untagged_iotlb ? 0 : dbits;
   const std::uint64_t page = PageNumber(iova);
-
-  // Repeat-hit fast path: consecutive TLPs of one DMA fall in the same 4 KB
-  // page, so the hit below would find the same entry and the safety walk
-  // would return the same answer. Replay the memoized outcome — with the
-  // exact counter and LRU effects of the probes it skips — as long as
-  // neither the IOTLB nor the page table has mutated since the memo formed.
-  if (page == repeat_.page && repeat_.domain == domain &&
-      iotlb_.mutation_version() == repeat_.iotlb_version &&
-      (!config_.track_safety ||
-       pt->mutation_version() == repeat_.pt_version)) {
-    out.iotlb_hit = true;
-    out.phys = repeat_.base + (iova & repeat_.offset_mask);
-    out.done = start;
-    if (repeat_.huge) {
-      iotlb_.NoteRepeatMiss();  // the 4 KB-granularity probe misses again
-    }
-    iotlb_.RepeatHit(repeat_.entry);
-    if (multi) {
-      CountersFor(domain).iotlb_hits->Add();
-    }
-    if (repeat_.cross_domain) {
-      out.cross_domain = true;
-      cross_domain_hits_->Add();
-    } else if (repeat_.stale) {
-      out.stale_use = true;
-      out.stale_iotlb = true;
-      stale_iotlb_use_->Add();
-      trace_.Instant("iommu", "stale_iotlb_use", start);
-    }
-    NotifyOracle(domain, iova, start, out);
-    return out;
-  }
 
   // Classifies an IOTLB hit on `tag`: a foreign-owned entry is an isolation
   // breach (possible only under the injected tagging bug); otherwise apply
@@ -213,7 +302,9 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
     repeat_.huge = huge;
     repeat_.stale = stale;
     repeat_.cross_domain = cross;
+    repeat_.plain = !huge && !stale && !cross && !multi && oracle == nullptr;
     repeat_.domain = domain;
+    repeat_.pt = pt;
     repeat_.iotlb_version = iotlb_.mutation_version();
     repeat_.pt_version = pt->mutation_version();
   };
@@ -229,12 +320,14 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
     classify_hit(iotlb_dbits | page, &out.cross_domain, &out.stale_iotlb);
     out.stale_use = out.stale_iotlb;
     memoize(handle, *hit, kPageSize - 1, false, out.stale_iotlb, out.cross_domain);
-    NotifyOracle(domain, iova, start, out);
+    NotifyOracle(oracle, iova, start, out);
     return out;
   }
   // 2 MB-granularity IOTLB entries (hugepage mappings).
   const std::uint64_t huge_tag = kHugeIotlbTagBit | iotlb_dbits | LevelTag(iova, 3);
-  if (auto hit = iotlb_.Lookup(huge_tag, &handle); hit.has_value()) {
+  if (!huge_iotlb_used_) {
+    iotlb_.NoteRepeatMiss();  // the empty 2 MB namespace misses
+  } else if (auto hit = iotlb_.Lookup(huge_tag, &handle); hit.has_value()) {
     out.iotlb_hit = true;
     out.phys = *hit + (iova & (LevelEntrySpan(3) - 1));
     out.done = start;
@@ -244,17 +337,16 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
     classify_hit(huge_tag, &out.cross_domain, &out.stale_iotlb);
     out.stale_use = out.stale_iotlb;
     memoize(handle, *hit, LevelEntrySpan(3) - 1, true, out.stale_iotlb, out.cross_domain);
-    NotifyOracle(domain, iova, start, out);
+    NotifyOracle(oracle, iova, start, out);
     return out;
   }
 
   // Coalesce with an in-flight walk for the same (domain, page), if any: the
   // request waits for that walk instead of starting its own.
-  if (auto it = pending_walks_.find(dbits | page);
-      it != pending_walks_.end() && it->second.done > start) {
-    out.phys = it->second.phys + (iova & (kPageSize - 1));
-    out.done = it->second.done;
-    NotifyOracle(domain, iova, start, out);
+  if (const PendingWalk* w = pending_walks_.Find(dbits | page); w != nullptr && w->done > start) {
+    out.phys = w->phys + (iova & (kPageSize - 1));
+    out.done = w->done;
+    NotifyOracle(oracle, iova, start, out);
     return out;
   }
 
@@ -276,7 +368,7 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
       trace_.Instant("iommu", "stale_ptcache_use", start);
     }
   }
-  NotifyOracle(domain, iova, start, out);
+  NotifyOracle(oracle, iova, start, out);
   return out;
 }
 
@@ -293,6 +385,10 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
   // determines how many sequential PTE reads the walk needs.
   int reads = 1;  // the leaf entry read is unavoidable
   bool stale = false;
+  // A PTcache-L3 hit is refilled below through its handle: nothing touches
+  // that cache between the lookup and the refill.
+  bool l3_hit = false;
+  SetAssocCache::HitHandle l3_handle = 0;
   // A cached pointer that disagrees with the current walk path is stale; if
   // its target table page was reclaimed, hardware would walk freed memory —
   // the gravest class the safety oracle distinguishes. Payloads carry the
@@ -334,7 +430,8 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
       }
     }
   } else if (config_.ptcache_enabled) {
-    if (auto l3 = ptcache_l3_.Lookup(dbits | LevelTag(iova, 3)); l3.has_value()) {
+    if (auto l3 = ptcache_l3_.Lookup(dbits | LevelTag(iova, 3), &l3_handle); l3.has_value()) {
+      l3_hit = true;
       if (config_.track_safety && *l3 != (dbits | walk.path_page_id[3])) {
         // The cached pointer leads to a reclaimed (or replaced) PT-L4 page:
         // hardware would read a stale entry.
@@ -417,7 +514,9 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
   if (config_.ptcache_enabled) {
     ptcache_l1_.Insert(dbits | LevelTag(iova, 1), dbits | walk.path_page_id[1]);
     ptcache_l2_.Insert(dbits | LevelTag(iova, 2), dbits | walk.path_page_id[2]);
-    if (!walk.huge) {
+    if (l3_hit) {
+      ptcache_l3_.Refresh(l3_handle, dbits | walk.path_page_id[3]);
+    } else if (!walk.huge) {
       ptcache_l3_.Insert(dbits | LevelTag(iova, 3), dbits | walk.path_page_id[3]);
     }
   }
@@ -425,6 +524,7 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
     // One IOTLB entry covers the whole 2 MB mapping.
     const std::uint64_t tag = kHugeIotlbTagBit | iotlb_dbits | LevelTag(iova, 3);
     auto evicted = iotlb_.Insert(tag, walk.phys & ~(LevelEntrySpan(3) - 1));
+    huge_iotlb_used_ = true;
     if (multi) {
       NoteIotlbInsert(tag, domain, evicted);
     }
@@ -435,16 +535,11 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
       NoteIotlbInsert(tag, domain, evicted);
     }
   }
-  pending_walks_[dbits | page] = PendingWalk{t, walk.phys & ~(kPageSize - 1)};
-  if (pending_walks_.size() > 8192) {
-    // Prune completed walks so the map stays small.
-    for (auto it = pending_walks_.begin(); it != pending_walks_.end();) {
-      if (it->second.done <= start) {
-        it = pending_walks_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  pending_walks_.Put(dbits | page, PendingWalk{t, walk.phys & ~(kPageSize - 1)});
+  if (pending_walks_.size() > kPendingWalkPruneAbove) {
+    // Prune completed walks so the table stays small.
+    pending_walks_.EraseIf(
+        [start](std::uint64_t, const PendingWalk& w) { return w.done <= start; });
   }
   return out;
 }
@@ -472,11 +567,13 @@ TimeNs Iommu::InvalidateRange(DomainId domain, Iova start, std::uint64_t len, bo
   const std::uint64_t iotlb_dbits = config_.inject_untagged_iotlb ? 0 : dbits;
   const Iova end = start + len - 1;
   iotlb_.InvalidateRange(iotlb_dbits | PageNumber(start), iotlb_dbits | PageNumber(end));
-  // Hugepage-granularity IOTLB entries covering the range.
-  iotlb_.InvalidateRange(kHugeIotlbTagBit | iotlb_dbits | LevelTag(start, 3),
-                         kHugeIotlbTagBit | iotlb_dbits | LevelTag(end, 3));
+  if (huge_iotlb_used_) {
+    // Hugepage-granularity IOTLB entries covering the range.
+    iotlb_.InvalidateRange(kHugeIotlbTagBit | iotlb_dbits | LevelTag(start, 3),
+                           kHugeIotlbTagBit | iotlb_dbits | LevelTag(end, 3));
+  }
   for (std::uint64_t page = PageNumber(start); page <= PageNumber(end); ++page) {
-    pending_walks_.erase(dbits | page);
+    pending_walks_.Erase(dbits | page);
   }
   if (!leaf_only) {
     for (int level = 1; level <= 3; ++level) {
@@ -513,7 +610,7 @@ TimeNs Iommu::InvalidateAll(TimeNs at) {
   ptcache_l1_.InvalidateAll();
   ptcache_l2_.InvalidateAll();
   ptcache_l3_.InvalidateAll();
-  pending_walks_.clear();
+  pending_walks_.Clear();
   iotlb_owner_.clear();
   TimeNs done = at + config_.invalidation_hw_ns;
   if (fault_injector_ != nullptr) {
@@ -545,13 +642,8 @@ TimeNs Iommu::InvalidateDomain(DomainId domain, TimeNs at) {
   for (SetAssocCache* pc : ptcaches_) {
     pc->InvalidateMasked(kDomainFieldMask, dbits);
   }
-  for (auto it = pending_walks_.begin(); it != pending_walks_.end();) {
-    if ((it->first & kDomainFieldMask) == dbits) {
-      it = pending_walks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  pending_walks_.EraseIf(
+      [dbits](std::uint64_t key, const PendingWalk&) { return (key & kDomainFieldMask) == dbits; });
   for (auto it = iotlb_owner_.begin(); it != iotlb_owner_.end();) {
     if (it->second == domain) {
       it = iotlb_owner_.erase(it);
@@ -560,7 +652,7 @@ TimeNs Iommu::InvalidateDomain(DomainId domain, TimeNs at) {
     }
   }
   if (repeat_.domain == domain) {
-    repeat_.page = kNoMemoPage;
+    ForgetRepeat();
   }
   if (domain.value < domain_counters_.size()) {
     CountersFor(domain).inv_requests->Add();

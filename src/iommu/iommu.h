@@ -35,6 +35,7 @@
 #ifndef FASTSAFE_SRC_IOMMU_IOMMU_H_
 #define FASTSAFE_SRC_IOMMU_IOMMU_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -128,6 +129,8 @@ class Iommu {
   // Translates `iova` for a DMA issued at time `start` on behalf of
   // `domain`. Concurrent misses on the same (domain, page) coalesce onto one
   // in-flight walk. Translating against a dead/unknown domain faults.
+  // Defined inline below: a repeat hit on a plain entry returns without a
+  // call.
   TranslationResult Translate(DomainId domain, Iova iova, TimeNs start);
   // Host-domain shorthand (the single-device configuration).
   TranslationResult Translate(Iova iova, TimeNs start) {
@@ -182,13 +185,16 @@ class Iommu {
   // Optional fault injection (invalidation stalls/drops, walker latency
   // spikes) and safety-oracle observation of every device translation.
   void SetFaultInjector(FaultInjector* faults) { fault_injector_ = faults; }
-  void SetSafetyOracle(SafetyOracle* oracle) { domains_.at(kHostDomain).oracle = oracle; }
+  void SetSafetyOracle(SafetyOracle* oracle) {
+    domains_.at(kHostDomain).oracle = oracle;
+    ForgetRepeat();
+  }
   // Host crash-recovery: the rebooted driver builds a fresh IO page table;
   // the IOMMU hardware (and whatever stale state its caches hold — exactly
   // the hazard recovery must invalidate) persists across the reboot.
   void SetPageTable(IoPageTable* page_table) {
     domains_.at(kHostDomain).page_table = page_table;
-    repeat_.page = kNoMemoPage;
+    ForgetRepeat();
   }
   // Observability: page-walk spans, invalidation spans, stale-use instants.
   void SetTrace(const TraceScope& trace) { trace_ = trace; }
@@ -199,10 +205,44 @@ class Iommu {
     PhysAddr phys = 0;
   };
 
+  // (domain-tagged page) -> in-flight walk: open addressing with linear
+  // probing and backward-shift deletion over a table allocated once, sized
+  // for the largest key set the prune rule lets it hold (8193) at half
+  // load. It only reallocates if more walks than that are in flight at once.
+  class PendingWalkTable {
+   public:
+    explicit PendingWalkTable(std::size_t buckets);
+    const PendingWalk* Find(std::uint64_t key) const;
+    void Put(std::uint64_t key, const PendingWalk& walk);  // insert or overwrite
+    void Erase(std::uint64_t key);
+    // Erases every entry for which pred(key, walk) holds.
+    template <typename Pred>
+    void EraseIf(Pred pred);
+    void Clear();
+    std::size_t size() const { return size_; }
+
+   private:
+    static constexpr std::uint64_t kEmpty = ~0ULL;  // never a domain-tagged page
+    struct Bucket {
+      std::uint64_t key = kEmpty;
+      PendingWalk walk;
+    };
+    std::size_t HomeOf(std::uint64_t key) const;
+    std::size_t Next(std::size_t i) const { return i + 1 == buckets_.size() ? 0 : i + 1; }
+    // The bucket holding `key`, or the empty bucket ending its probe run.
+    std::size_t Probe(std::uint64_t key) const;
+    void EraseBucket(std::size_t hole);
+    void Rehash(std::size_t buckets);
+
+    std::vector<Bucket> buckets_;
+    std::size_t size_ = 0;
+  };
+
   // Memo of the last IOTLB hit. Consecutive TLPs of one DMA translate the
   // same 4 KB page, so Translate can replay the hit (identical counter, LRU
-  // and safety effects) without the tag search or the safety walk — valid
-  // only while neither the IOTLB nor the page table has mutated.
+  // and safety effects) without the domain lookup, the tag search or the
+  // safety walk — valid only while neither the IOTLB nor the page table has
+  // mutated, and cleared by every domain-table change.
   static constexpr std::uint64_t kNoMemoPage = ~0ULL;
   struct RepeatMemo {
     std::uint64_t page = kNoMemoPage;      // 4 KB page number of the hit
@@ -212,7 +252,11 @@ class Iommu {
     bool huge = false;                     // hit was a 2 MB-granularity entry
     bool stale = false;                    // memoized !IsMapped() outcome
     bool cross_domain = false;             // memoized foreign-entry outcome
+    // 4 KB entry, not stale, not cross-domain, single domain, no oracle:
+    // the replay is the translation counter, the IOTLB hit and the result.
+    bool plain = false;
     DomainId domain{};                     // domain the memo was formed for
+    const IoPageTable* pt = nullptr;       // that domain's page table
     std::uint64_t iotlb_version = 0;
     std::uint64_t pt_version = 0;
   };
@@ -228,9 +272,17 @@ class Iommu {
     Counter* inv_requests = nullptr;
   };
 
+  // Translate without a usable repeat memo: domain lookup, IOTLB probes,
+  // walk coalescing and the page walk.
+  TranslationResult TranslateMemoMiss(DomainId domain, Iova iova, TimeNs start);
+  // Replays a memoized hit that is not plain (2 MB entry, stale or cross-
+  // domain outcome, per-domain counters, safety oracle).
+  TranslationResult ReplayRepeat(DomainId domain, Iova iova, TimeNs start);
   TranslationResult WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova, TimeNs start);
-  // Reports the translation to the domain's safety oracle (no-op without one).
-  void NotifyOracle(DomainId domain, Iova iova, TimeNs now, const TranslationResult& result);
+  // Reports the translation to a safety oracle (no-op when null).
+  static void NotifyOracle(SafetyOracle* oracle, Iova iova, TimeNs now,
+                           const TranslationResult& result);
+  void ForgetRepeat() { repeat_.page = kNoMemoPage; }
   // Owner bookkeeping around IOTLB inserts (multi-domain only): attributes
   // the eviction to the victim's owner and records the new entry's owner.
   void NoteIotlbInsert(std::uint64_t tag, DomainId domain,
@@ -253,9 +305,12 @@ class Iommu {
   SetAssocCache ptcache_l3_;
 
   std::vector<TimeNs> walker_free_;
-  // (domain-tagged page) -> in-flight walk.
-  std::unordered_map<std::uint64_t, PendingWalk> pending_walks_;
+  PendingWalkTable pending_walks_;
   RepeatMemo repeat_;
+  // False until the first 2 MB IOTLB entry is inserted: until then the 2 MB
+  // tag namespace is empty, so its probes are skipped (a Translate still
+  // counts the miss its probe would have taken).
+  bool huge_iotlb_used_ = false;
 
   // Owner of each resident IOTLB entry, keyed by the entry's tag as stored.
   // Maintained only in multi-domain operation: it is the ground truth that
@@ -280,6 +335,29 @@ class Iommu {
   Counter* walk_stall_ns_;
   Counter* cross_domain_hits_;
 };
+
+inline TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
+  // Repeat-hit fast path: consecutive TLPs of one DMA fall in the same 4 KB
+  // page, so the hit would find the same entry and the safety walk would
+  // return the same answer. Replay the memoized outcome — with the exact
+  // counter and LRU effects of the probes it skips — as long as neither the
+  // IOTLB nor the page table has mutated since the memo formed.
+  if (PageNumber(iova) == repeat_.page && domain == repeat_.domain &&
+      iotlb_.mutation_version() == repeat_.iotlb_version &&
+      (!config_.track_safety || repeat_.pt->mutation_version() == repeat_.pt_version)) {
+    if (!repeat_.plain) {
+      return ReplayRepeat(domain, iova, start);
+    }
+    translations_->Add();
+    iotlb_.RepeatHit(repeat_.entry);
+    TranslationResult out;
+    out.iotlb_hit = true;
+    out.phys = repeat_.base + (iova & (kPageSize - 1));
+    out.done = start;
+    return out;
+  }
+  return TranslateMemoMiss(domain, iova, start);
+}
 
 }  // namespace fsio
 

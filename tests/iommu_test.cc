@@ -1,9 +1,11 @@
 // Tests for the IOMMU model: translation timing, hierarchical miss
-// accounting, walk coalescing, invalidation semantics and the safety oracle.
+// accounting, walk coalescing, invalidation semantics, the safety oracle,
+// the repeat-hit memo and the 2 MB IOTLB namespace.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "src/faults/safety_oracle.h"
 #include "src/iommu/iommu.h"
 #include "src/mem/address.h"
 #include "src/mem/memory_system.h"
@@ -25,6 +27,15 @@ class IommuTest : public ::testing::Test {
     memory_ = std::make_unique<MemorySystem>(mem_config, stats_.get());
     page_table_ = std::make_unique<IoPageTable>();
     iommu_ = std::make_unique<Iommu>(config, memory_.get(), page_table_.get(), stats_.get());
+  }
+
+  // Maps `page` and translates it twice: a walk, then an IOTLB hit that
+  // forms the repeat-hit memo.
+  void FormMemo(DomainId domain, IoPageTable* pt, Iova page) {
+    ASSERT_TRUE(pt->Map(page, 0xaa000));
+    const TranslationResult walk = iommu_->Translate(domain, page, 0);
+    ASSERT_FALSE(walk.iotlb_hit);
+    ASSERT_TRUE(iommu_->Translate(domain, page, walk.done + 10).iotlb_hit);
   }
 
   IommuConfig config_;
@@ -267,6 +278,130 @@ TEST_F(IommuTest, InvalidateAllFlushesEverything) {
   const TranslationResult r = iommu_->Translate(0x1000, 2000);
   EXPECT_FALSE(r.iotlb_hit);
   EXPECT_EQ(r.mem_reads, 4);
+}
+
+TEST_F(IommuTest, PendingWalksSurviveGrowthPastPruneThreshold) {
+  // All 9000 walks are issued at t=0 and serialize on the one walker, so
+  // none completes before the next starts and the prune frees nothing.
+  constexpr int kPages = 9000;
+  for (int i = 0; i < kPages; ++i) {
+    ASSERT_TRUE(page_table_->Map(static_cast<Iova>(i + 1) * kPageSize, 0xaa000));
+  }
+  TranslationResult first;
+  for (int i = 0; i < kPages; ++i) {
+    const TranslationResult r = iommu_->Translate(static_cast<Iova>(i + 1) * kPageSize, 0);
+    if (i == 0) {
+      first = r;
+    }
+  }
+  // The first page's IOTLB entry is long evicted; its in-flight walk still
+  // serves a second request without a new miss.
+  const std::uint64_t misses = stats_->Value("iommu.iotlb_miss");
+  const TranslationResult again = iommu_->Translate(kPageSize + 0x80, 0);
+  EXPECT_EQ(stats_->Value("iommu.iotlb_miss"), misses);
+  EXPECT_FALSE(again.iotlb_hit);
+  EXPECT_EQ(again.done, first.done);
+  EXPECT_EQ(again.phys, 0xaa080u);
+}
+
+// The repeat-hit memo is checked before the domain table, so every domain-
+// table change must clear it: the next translation of the memoized page
+// sees the change exactly as a fresh lookup would.
+TEST_F(IommuTest, RetireDomainClearsRepeatMemo) {
+  IoPageTable tenant_pt;
+  const DomainId tenant = iommu_->AddDomain(&tenant_pt);
+  FormMemo(tenant, &tenant_pt, 0x1000);
+  iommu_->RetireDomain(tenant);
+  const TranslationResult r = iommu_->Translate(tenant, 0x1000, 5000);
+  EXPECT_TRUE(r.fault);
+  EXPECT_FALSE(r.iotlb_hit);
+}
+
+TEST_F(IommuTest, AddDomainClearsRepeatMemo) {
+  FormMemo(kHostDomain, page_table_.get(), 0x1000);
+  IoPageTable tenant_pt;
+  iommu_->AddDomain(&tenant_pt);
+  const TranslationResult r = iommu_->Translate(kHostDomain, 0x1000, 5000);
+  EXPECT_TRUE(r.iotlb_hit);
+  // Multi-domain from now on: the host domain's own counters see the hit,
+  // and the repeat hit replayed from the memo formed just now.
+  EXPECT_EQ(stats_->Value("tenant.0.translations"), 1u);
+  EXPECT_EQ(stats_->Value("tenant.0.iotlb_hits"), 1u);
+  EXPECT_TRUE(iommu_->Translate(kHostDomain, 0x1040, 6000).iotlb_hit);
+  EXPECT_EQ(stats_->Value("tenant.0.translations"), 2u);
+  EXPECT_EQ(stats_->Value("tenant.0.iotlb_hits"), 2u);
+}
+
+TEST_F(IommuTest, SetSafetyOracleClearsRepeatMemo) {
+  FormMemo(kHostDomain, page_table_.get(), 0x1000);
+  SafetyOracle oracle;
+  oracle.OnMap(0x1000, 1);
+  oracle.OnUnmap(0x1000, 1);
+  iommu_->SetSafetyOracle(&oracle);
+  EXPECT_TRUE(iommu_->Translate(kHostDomain, 0x1000, 5000).iotlb_hit);
+  EXPECT_EQ(oracle.count(SafetyViolationKind::kUseAfterUnmap), 1u);
+}
+
+TEST_F(IommuTest, SetDomainOracleClearsRepeatMemo) {
+  FormMemo(kHostDomain, page_table_.get(), 0x1000);
+  SafetyOracle oracle;
+  oracle.OnMap(0x1000, 1);
+  oracle.OnUnmap(0x1000, 1);
+  iommu_->SetDomainOracle(kHostDomain, &oracle);
+  EXPECT_TRUE(iommu_->Translate(kHostDomain, 0x1000, 5000).iotlb_hit);
+  EXPECT_EQ(oracle.count(SafetyViolationKind::kUseAfterUnmap), 1u);
+}
+
+TEST_F(IommuTest, SetPageTableClearsRepeatMemo) {
+  FormMemo(kHostDomain, page_table_.get(), 0x1000);
+  IoPageTable fresh;  // does not map the page the IOTLB still caches
+  iommu_->SetPageTable(&fresh);
+  const TranslationResult r = iommu_->Translate(kHostDomain, 0x1000, 5000);
+  EXPECT_TRUE(r.iotlb_hit);
+  EXPECT_TRUE(r.stale_iotlb);
+  EXPECT_EQ(stats_->Value("iommu.stale_iotlb_use"), 1u);
+}
+
+TEST_F(IommuTest, SetDomainPageTableClearsRepeatMemo) {
+  IoPageTable tenant_pt;
+  const DomainId tenant = iommu_->AddDomain(&tenant_pt);
+  FormMemo(tenant, &tenant_pt, 0x1000);
+  IoPageTable fresh;
+  iommu_->SetDomainPageTable(tenant, &fresh);
+  const TranslationResult r = iommu_->Translate(tenant, 0x1000, 5000);
+  EXPECT_TRUE(r.iotlb_hit);
+  EXPECT_TRUE(r.stale_iotlb);
+  // Mapping the page in the new table makes the same hit clean again.
+  ASSERT_TRUE(fresh.Map(0x1000, 0xaa000));
+  EXPECT_FALSE(iommu_->Translate(tenant, 0x1000, 6000).stale_iotlb);
+}
+
+TEST_F(IommuTest, FourKbMissStillCountsTheTwoMbProbe) {
+  ASSERT_TRUE(page_table_->Map(0x1000, 0xaa000));
+  ASSERT_TRUE(page_table_->Map(0x2000, 0xbb000));
+  iommu_->Translate(0x1000, 0);
+  EXPECT_EQ(iommu_->iotlb().misses(), 2u);  // the 4 KB and the 2 MB probe
+  iommu_->Translate(0x2000, 1000);
+  EXPECT_EQ(iommu_->iotlb().misses(), 4u);
+  iommu_->Translate(0x1000, 2000);
+  EXPECT_EQ(iommu_->iotlb().misses(), 4u);
+  EXPECT_EQ(iommu_->iotlb().hits(), 1u);
+}
+
+TEST_F(IommuTest, InvalidateRangeDropsTwoMbEntry) {
+  constexpr Iova kHuge = 0x40000000;
+  ASSERT_TRUE(page_table_->MapHuge(kHuge, 0x600000));
+  EXPECT_FALSE(iommu_->Translate(kHuge, 0).iotlb_hit);
+  const TranslationResult hit = iommu_->Translate(kHuge + 0x5040, 1000);
+  EXPECT_TRUE(hit.iotlb_hit);
+  EXPECT_EQ(hit.phys, 0x605040u);
+  // One page inside the mapping: the covering 2 MB entry goes.
+  iommu_->InvalidateRange(kHuge + 0x3000, kPageSize, /*leaf_only=*/true, 2000);
+  EXPECT_EQ(iommu_->iotlb().size(), 0u);
+  const TranslationResult r = iommu_->Translate(kHuge + 0x5040, 3000);
+  EXPECT_FALSE(r.iotlb_hit);
+  EXPECT_GT(r.mem_reads, 0);
+  EXPECT_EQ(r.phys, 0x605040u);
 }
 
 TEST_F(IommuTest, InvalidationRequestsCompleteAfterHardwareLatency) {
