@@ -1,10 +1,10 @@
 #include "src/check/checker.h"
 
 #include <deque>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 
+#include "src/cli/repro.h"
 #include "src/refmodel/shrink.h"
 
 namespace fsio {
@@ -142,132 +142,66 @@ ShrunkTrace ShrinkTrace(const CheckModelConfig& config, std::vector<ModelStep> s
   return out;
 }
 
+namespace {
+
+// The trace file's settings, bound to *config and *violation: the one table
+// both SerializeTrace and ParseTrace use.
+cli::ReproFormat TraceFormat(CheckModelConfig* config, ModelViolation* violation) {
+  cli::Choices<ModelViolation> violations;
+  for (int v = 0; v <= static_cast<int>(ModelViolation::kDmaAfterRevoke); ++v) {
+    violations.emplace_back(ModelViolationName(static_cast<ModelViolation>(v)),
+                            static_cast<ModelViolation>(v));
+  }
+  return {"fsio-model-trace v1",
+          {cli::OneOf("mode", &config->mode, ModeTokenChoices(), "MODE", ""),
+           cli::OneOf("bug", &config->bug, BugChoices(), "BUG", ""),
+           cli::Unsigned("domains", &config->domains, "", 1, kMaxDomains),
+           cli::Unsigned("pages", &config->pages, "", 1, kMaxPages),
+           cli::OneOf("violation", violation, std::move(violations), "VIOLATION", "")},
+          "step"};
+}
+
+// A step line: kind, domain, page, aux, within the model's hard ceilings.
+constexpr std::size_t kStepFields = 4;
+
+std::vector<cli::Flag> StepFields(ModelStep* step) {
+  cli::Choices<StepKind> kinds;
+  for (int k = 0; k < static_cast<int>(StepKind::kCount); ++k) {
+    kinds.emplace_back(StepKindName(static_cast<StepKind>(k)), static_cast<StepKind>(k));
+  }
+  return {cli::OneOf("kind", &step->kind, std::move(kinds), "KIND", ""),
+          cli::Unsigned("domain", &step->domain, "", 0, kMaxDomains - 1),
+          cli::Unsigned("page", &step->page, "", 0, kMaxPages - 1),
+          cli::Unsigned("aux", &step->aux, "", 0, kMaxDomains - 1)};
+}
+
+}  // namespace
+
 std::string SerializeTrace(const CheckModelConfig& config, ModelViolation violation,
                            const std::vector<ModelStep>& steps) {
-  std::ostringstream os;
-  os << "fsio-model-trace v1\n";
-  os << "mode " << ModeToken(config.mode) << "\n";
-  os << "bug " << InjectedBugName(config.bug) << "\n";
-  os << "domains " << config.domains << "\n";
-  os << "pages " << config.pages << "\n";
-  os << "violation " << ModelViolationName(violation) << "\n";
-  os << "steps " << steps.size() << "\n";
-  for (const ModelStep& step : steps) {
-    os << "step " << StepKindName(step.kind) << " " << static_cast<int>(step.domain)
-       << " " << static_cast<int>(step.page) << " " << static_cast<int>(step.aux)
-       << "\n";
-  }
-  os << "end fsio-model-trace\n";
-  return os.str();
+  CheckModelConfig bound = config;
+  return cli::WriteRepro(TraceFormat(&bound, &violation),
+                         cli::FormatRecords(steps, StepFields, kStepFields));
 }
 
 bool ParseTrace(const std::string& text, CheckModelConfig* config,
                 ModelViolation* violation, std::vector<ModelStep>* steps,
                 std::string* error) {
-  auto fail = [&](const std::string& why) {
-    if (error != nullptr) {
-      *error = why;
-    }
-    return false;
-  };
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != "fsio-model-trace v1") {
-    return fail("missing 'fsio-model-trace v1' header");
-  }
   *config = CheckModelConfig{};
   *violation = ModelViolation::kNone;
   steps->clear();
-  std::size_t expected_steps = 0;
-  bool saw_end = false;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key == "mode") {
-      std::string token;
-      ls >> token;
-      if (!ParseModeToken(token, &config->mode)) {
-        return fail("unknown mode token: " + token);
-      }
-    } else if (key == "bug") {
-      std::string token;
-      ls >> token;
-      if (!ParseBugToken(token, &config->bug)) {
-        return fail("unknown bug token: " + token);
-      }
-    } else if (key == "domains") {
-      ls >> config->domains;
-      if (ls.fail() || config->domains == 0 || config->domains > kMaxDomains) {
-        return fail("domains out of range");
-      }
-    } else if (key == "pages") {
-      ls >> config->pages;
-      if (ls.fail() || config->pages == 0 || config->pages > kMaxPages) {
-        return fail("pages out of range");
-      }
-    } else if (key == "violation") {
-      std::string token;
-      ls >> token;
-      bool known = false;
-      for (int i = 0; i <= static_cast<int>(ModelViolation::kDmaAfterRevoke); ++i) {
-        const ModelViolation v = static_cast<ModelViolation>(i);
-        if (token == ModelViolationName(v)) {
-          *violation = v;
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        return fail("unknown violation token: " + token);
-      }
-    } else if (key == "steps") {
-      ls >> expected_steps;
-      if (ls.fail()) {
-        return fail("bad steps count");
-      }
-    } else if (key == "step") {
-      std::string token;
-      int domain = 0;
-      int page = 0;
-      int aux = 0;
-      ls >> token >> domain >> page >> aux;
-      ModelStep step;
-      if (ls.fail() || !ParseStepKind(token, &step.kind)) {
-        return fail("bad step line: " + line);
-      }
-      if (domain < 0 || domain >= static_cast<int>(kMaxDomains) || page < 0 ||
-          page >= static_cast<int>(kMaxPages) || aux < 0 ||
-          aux >= static_cast<int>(kMaxDomains)) {
-        return fail("step operand out of range: " + line);
-      }
-      step.domain = static_cast<std::uint8_t>(domain);
-      step.page = static_cast<std::uint8_t>(page);
-      step.aux = static_cast<std::uint8_t>(aux);
-      steps->push_back(step);
-    } else if (key == "end") {
-      saw_end = true;
-      break;
-    } else {
-      return fail("unknown key: " + key);
-    }
+  if (!cli::ReadRepro(text, TraceFormat(config, violation),
+                      cli::AppendRecords(steps, StepFields, kStepFields), error)) {
+    return false;
   }
-  if (!saw_end) {
-    return fail("missing 'end fsio-model-trace' trailer");
-  }
-  if (steps->size() != expected_steps) {
-    return fail("step count mismatch");
-  }
-  // Keys may arrive in any order, so step coordinates are checked against
-  // the PARSED configuration only once the whole file is in (the in-loop
-  // check only enforces the hard kMaxDomains/kMaxPages ceilings).
+  // Keys may arrive in any order, so step operands are checked against the
+  // parsed configuration only once the whole file is in (the step rows only
+  // enforce the hard kMaxDomains/kMaxPages ceilings).
   for (const ModelStep& step : *steps) {
     if (step.domain >= config->domains || step.page >= config->pages ||
         step.aux >= config->domains) {
-      return fail("step operand out of range for the configuration");
+      *error = "step operand out of range for the configuration";
+      return false;
     }
   }
   return true;

@@ -83,8 +83,10 @@ struct ShrunkTrace {
 ShrunkTrace ShrinkTrace(const CheckModelConfig& config, std::vector<ModelStep> steps,
                         const ReplayOutcome& first);
 
-// Replayable counterexample files ("fsio-model-trace v1": same text-repro
-// conventions as the differential harness's fsio-diff format).
+// Replayable counterexample files in the shared repro format
+// (src/cli/repro.h): header "fsio-model-trace v1", the mode, bug, domains,
+// pages and violation keys, "steps N", N "step KIND DOMAIN PAGE AUX" lines,
+// "end".
 std::string SerializeTrace(const CheckModelConfig& config, ModelViolation violation,
                            const std::vector<ModelStep>& steps);
 bool ParseTrace(const std::string& text, CheckModelConfig* config,

@@ -100,17 +100,6 @@ const char* StepKindName(StepKind kind) {
   return "?";
 }
 
-bool ParseStepKind(const std::string& token, StepKind* kind) {
-  for (int i = 0; i < static_cast<int>(StepKind::kCount); ++i) {
-    const StepKind k = static_cast<StepKind>(i);
-    if (token == StepKindName(k)) {
-      *kind = k;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char* ModelViolationName(ModelViolation violation) {
   switch (violation) {
     case ModelViolation::kNone:

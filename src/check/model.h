@@ -125,7 +125,6 @@ enum class StepKind : std::uint8_t {
 };
 
 const char* StepKindName(StepKind kind);
-bool ParseStepKind(const std::string& token, StepKind* kind);
 
 struct ModelStep {
   StepKind kind = StepKind::kMap;

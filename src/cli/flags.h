@@ -30,7 +30,7 @@
 namespace fsio::cli {
 
 // Decimal digits only — no sign, whitespace or trailing characters — with no
-// overflow past `max`. Shared with the tools' repro readers.
+// overflow past `max`.
 bool ParseUnsigned(std::string_view text, std::uint64_t max, std::uint64_t* out);
 
 template <typename T>

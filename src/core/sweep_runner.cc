@@ -68,18 +68,15 @@ std::uint64_t SweepRunner::DefaultDeadlineMs() {
   return 0;
 }
 
+void SweepRunner::Run(std::size_t n, const std::function<void(std::size_t)>& fn) const {
+  RunCancellable(n, [&fn](std::size_t i, const std::atomic<bool>&) { fn(i); }, 0);
+}
+
 SweepRunReport SweepRunner::RunCancellable(
     std::size_t n, const std::function<void(std::size_t, const std::atomic<bool>&)>& fn,
     std::uint64_t deadline_ms) const {
   SweepRunReport report;
   if (n == 0) {
-    return report;
-  }
-  if (deadline_ms == 0) {
-    // No watchdog, no extra thread: the flag is shared and never set.
-    static const std::atomic<bool> kNeverCancelled{false};
-    Run(n, [&fn](std::size_t i) { fn(i, kNeverCancelled); });
-    report.completed = n;
     return report;
   }
 
@@ -100,22 +97,26 @@ SweepRunReport SweepRunner::RunCancellable(
         .count();
   };
 
+  // Without a deadline there is no watchdog thread and no flag is ever set.
   std::atomic<bool> all_done{false};
-  std::thread watchdog([&] {
-    const auto tick = std::chrono::milliseconds(
-        std::min<std::uint64_t>(deadline_ms / 4 + 1, 50));
-    while (!all_done.load(std::memory_order_acquire)) {
-      const long long now = now_ms();
-      for (PointState& s : states) {
-        const long long started = s.started_ms.load(std::memory_order_acquire);
-        if (started >= 0 && !s.finished.load(std::memory_order_acquire) &&
-            now - started >= static_cast<long long>(deadline_ms)) {
-          s.cancel.store(true, std::memory_order_release);
+  std::thread watchdog;
+  if (deadline_ms > 0) {
+    watchdog = std::thread([&] {
+      const auto tick = std::chrono::milliseconds(
+          std::min<std::uint64_t>(deadline_ms / 4 + 1, 50));
+      while (!all_done.load(std::memory_order_acquire)) {
+        const long long now = now_ms();
+        for (PointState& s : states) {
+          const long long started = s.started_ms.load(std::memory_order_acquire);
+          if (started >= 0 && !s.finished.load(std::memory_order_acquire) &&
+              now - started >= static_cast<long long>(deadline_ms)) {
+            s.cancel.store(true, std::memory_order_release);
+          }
         }
+        std::this_thread::sleep_for(tick);  // fsio-lint: allow(wall-clock)
       }
-      std::this_thread::sleep_for(tick);  // fsio-lint: allow(wall-clock)
-    }
-  });
+    });
+  }
 
   std::atomic<std::size_t> next{0};
   ErrorCollector errors;
@@ -125,7 +126,9 @@ SweepRunReport SweepRunner::RunCancellable(
       if (i >= n) {
         return;
       }
-      states[i].started_ms.store(now_ms(), std::memory_order_release);
+      if (deadline_ms > 0) {
+        states[i].started_ms.store(now_ms(), std::memory_order_release);
+      }
       try {
         fn(i, states[i].cancel);
       } catch (...) {
@@ -137,7 +140,7 @@ SweepRunReport SweepRunner::RunCancellable(
 
   const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(threads_, n));
   if (workers <= 1) {
-    worker();  // points run on the calling thread; only the watchdog is extra
+    worker();  // points run on the calling thread
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -149,7 +152,9 @@ SweepRunReport SweepRunner::RunCancellable(
     }
   }
   all_done.store(true, std::memory_order_release);
-  watchdog.join();
+  if (watchdog.joinable()) {
+    watchdog.join();
+  }
   errors.Rethrow();
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -159,46 +164,6 @@ SweepRunReport SweepRunner::RunCancellable(
   }
   report.completed = n - report.timed_out.size();
   return report;
-}
-
-void SweepRunner::Run(std::size_t n, const std::function<void(std::size_t)>& fn) const {
-  if (n == 0) {
-    return;
-  }
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads_, n));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  ErrorCollector errors;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) {
-        return;
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        errors.Capture();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) {
-    pool.emplace_back(worker);
-  }
-  for (auto& thread : pool) {
-    thread.join();
-  }
-  errors.Rethrow();
 }
 
 }  // namespace fsio

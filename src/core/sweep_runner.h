@@ -17,13 +17,15 @@
 // The FSIO_SWEEP_THREADS environment variable overrides the default thread
 // count (set it to 1 to force serial execution).
 //
-// Thread safety: Run() is the simulator's only thread-spawn point. Workers
-// share exactly three things — the atomic point index, the mutex-guarded
-// ErrorCollector (sweep_runner.cc, annotated for Clang's thread-safety
-// analysis), and the caller's `fn`, which must confine each point's mutable
-// state to its own index i (the Map() slot-per-point pattern guarantees
-// that for results). Everything a point touches beyond its slot must be
-// instance-owned (Cluster/Testbed) or a Logger call; the TSan CI preset
+// Thread safety: RunCancellable() (which Run() calls) is the simulator's
+// only thread-spawn point. Workers share exactly three things: the atomic
+// point index, the mutex-guarded ErrorCollector (sweep_runner.cc, annotated
+// for Clang's thread-safety analysis), and the caller's `fn`, which must
+// confine each point's mutable state to its own index i (the Map()
+// slot-per-point pattern guarantees that for results). The deadline
+// watchdog reads only each point's atomic start/finish/cancel flags.
+// Everything a point touches beyond its slot must be instance-owned
+// (Cluster/Testbed) or a Logger call; the TSan CI preset
 // (FSIO_SANITIZE=thread) enforces this on every PR.
 #ifndef FASTSAFE_SRC_CORE_SWEEP_RUNNER_H_
 #define FASTSAFE_SRC_CORE_SWEEP_RUNNER_H_
@@ -54,9 +56,9 @@ class SweepRunner {
 
   unsigned threads() const { return threads_; }
 
-  // Runs fn(i) for every i in [0, n), at most threads() concurrently.
-  // Returns when all points completed; the first exception thrown by any
-  // point is rethrown here.
+  // Runs fn(i) for every i in [0, n), at most threads() concurrently: the
+  // no-deadline case of RunCancellable(). Returns when all points completed;
+  // the first exception thrown by any point is rethrown here.
   void Run(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
   // Convenience: results[i] = fn(i). Result must be default-constructible.

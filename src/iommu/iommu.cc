@@ -285,7 +285,7 @@ TranslationResult Iommu::TranslateMemoMiss(DomainId domain, Iova iova, TimeNs st
         return;
       }
     }
-    if (config_.track_safety && !pt->IsMapped(iova)) {
+    if (!pt->IsMapped(iova)) {
       // Deferred-mode hazard: the device just used a mapping that the OS
       // already tore down.
       *stale = true;
@@ -412,7 +412,7 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
       l1_miss_->Add();
       reads = 3;
     } else if (auto l2 = ptcache_l2_.Lookup(dbits | LevelTag(iova, 2)); l2.has_value()) {
-      if (config_.track_safety && *l2 != (dbits | walk.path_page_id[2])) {
+      if (*l2 != (dbits | walk.path_page_id[2])) {
         note_stale_ptcache(*l2);
       }
     } else {
@@ -420,7 +420,7 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
       l2_miss_->Add();
       reads = 2;
       if (auto l1 = ptcache_l1_.Lookup(dbits | LevelTag(iova, 1)); l1.has_value()) {
-        if (config_.track_safety && *l1 != (dbits | walk.path_page_id[1])) {
+        if (*l1 != (dbits | walk.path_page_id[1])) {
           note_stale_ptcache(*l1);
         }
       } else {
@@ -432,7 +432,7 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
   } else if (config_.ptcache_enabled) {
     if (auto l3 = ptcache_l3_.Lookup(dbits | LevelTag(iova, 3), &l3_handle); l3.has_value()) {
       l3_hit = true;
-      if (config_.track_safety && *l3 != (dbits | walk.path_page_id[3])) {
+      if (*l3 != (dbits | walk.path_page_id[3])) {
         // The cached pointer leads to a reclaimed (or replaced) PT-L4 page:
         // hardware would read a stale entry.
         note_stale_ptcache(*l3);
@@ -442,7 +442,7 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
       l3_miss_->Add();
       reads = 2;
       if (auto l2 = ptcache_l2_.Lookup(dbits | LevelTag(iova, 2)); l2.has_value()) {
-        if (config_.track_safety && *l2 != (dbits | walk.path_page_id[2])) {
+        if (*l2 != (dbits | walk.path_page_id[2])) {
           note_stale_ptcache(*l2);
         }
       } else {
@@ -450,7 +450,7 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
         l2_miss_->Add();
         reads = 3;
         if (auto l1 = ptcache_l1_.Lookup(dbits | LevelTag(iova, 1)); l1.has_value()) {
-          if (config_.track_safety && *l1 != (dbits | walk.path_page_id[1])) {
+          if (*l1 != (dbits | walk.path_page_id[1])) {
             note_stale_ptcache(*l1);
           }
         } else {

@@ -80,8 +80,6 @@ struct IommuConfig {
   TimeNs leaf_pte_read_ns = 160;
   // Hardware processing time for one invalidation-queue request.
   TimeNs invalidation_hw_ns = 50;
-  // Detect stale-entry use (safety oracle). Costs extra software walks.
-  bool track_safety = true;
   // Way-partitioned IOTLB (iotlb_partition=per_domain): insertion victims
   // are confined to the inserting domain's way partition, so one tenant's
   // traffic cannot evict another's entries (the IOTLB-SC defense). 1 = the
@@ -344,7 +342,7 @@ inline TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs sta
   // IOTLB nor the page table has mutated since the memo formed.
   if (PageNumber(iova) == repeat_.page && domain == repeat_.domain &&
       iotlb_.mutation_version() == repeat_.iotlb_version &&
-      (!config_.track_safety || repeat_.pt->mutation_version() == repeat_.pt_version)) {
+      repeat_.pt->mutation_version() == repeat_.pt_version) {
     if (!repeat_.plain) {
       return ReplayRepeat(domain, iova, start);
     }

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <utility>
 
-#include "src/cli/flags.h"
+#include "src/cli/repro.h"
 #include "src/driver/dma_api.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/invariant_registry.h"
@@ -38,17 +38,6 @@ std::vector<std::pair<std::string, E>> TokenChoices(const char* const (&tokens)[
     choices.emplace_back(tokens[i], static_cast<E>(i));
   }
   return choices;
-}
-
-template <typename E, std::size_t N>
-bool ParseToken(const char* const (&tokens)[N], const std::string& token, E* out) {
-  for (const auto& [name, value] : TokenChoices<E>(tokens)) {
-    if (token == name) {
-      *out = value;
-      return true;
-    }
-  }
-  return false;
 }
 
 // The environment faults behind each FaultPlanId: a pure function of
@@ -96,11 +85,34 @@ FaultPlan BuildFaultPlan(FaultPlanId id, std::uint64_t seed) {
   return plan;
 }
 
-}  // namespace
-
-bool ParseBugToken(const std::string& token, InjectedBug* bug) {
-  return ParseToken(kBugTokens, token, bug);
+// The repro file's settings, bound to *config: the one table both
+// Serialize and Parse use. An op line holds kind (as a number), core, arg.
+cli::ReproFormat DiffReproFormat(DiffConfig* config) {
+  return {"fsio-diff-repro v1",
+          {cli::OneOf("mode", &config->mode, ModeTokenChoices(), "MODE", ""),
+           cli::Unsigned("rcache", &config->enable_rcache, "", 0, 1),
+           cli::Unsigned("seed", &config->seed, ""),
+           cli::Unsigned("pages_per_chunk", &config->pages_per_chunk, "", 1),
+           cli::Unsigned("num_cores", &config->num_cores, "", 1),
+           cli::Unsigned("num_domains", &config->num_domains, "", 1),
+           cli::OneOf("bug", &config->bug, BugChoices(), "BUG", ""),
+           cli::OneOf("fault_plan", &config->fault_plan,
+                      TokenChoices<FaultPlanId>(kFaultPlanTokens), "PLAN", "")},
+          "op"};
 }
+
+constexpr std::size_t kOpFields = 3;
+
+std::vector<cli::Flag> OpFields(DiffOp* op) {
+  cli::Choices<OpKind> kinds;
+  for (int k = 0; k <= static_cast<int>(OpKind::kDmaRetired); ++k) {
+    kinds.emplace_back(std::to_string(k), static_cast<OpKind>(k));
+  }
+  return {cli::OneOf("kind", &op->kind, std::move(kinds), "KIND", ""),
+          cli::Unsigned("core", &op->core, ""), cli::Unsigned("arg", &op->arg, "")};
+}
+
+}  // namespace
 
 std::vector<std::pair<std::string, InjectedBug>> BugChoices() {
   return TokenChoices<InjectedBug>(kBugTokens);
@@ -593,122 +605,19 @@ DifferentialHarness::ShrinkOutcome DifferentialHarness::Shrink(const DiffConfig&
 
 std::string DifferentialHarness::Serialize(const DiffConfig& config,
                                            const std::vector<DiffOp>& ops) {
-  std::ostringstream os;
-  os << "fsio-diff-repro v1\n";
-  os << "mode " << ModeToken(config.mode) << "\n";
-  os << "rcache " << (config.enable_rcache ? 1 : 0) << "\n";
-  os << "seed " << config.seed << "\n";
-  os << "pages_per_chunk " << config.pages_per_chunk << "\n";
-  os << "num_cores " << config.num_cores << "\n";
-  // Optional keys are written only when set, so repro files without them
-  // stay byte-identical to the formats that predate them.
-  if (config.num_domains != 1) {
-    os << "num_domains " << config.num_domains << "\n";
-  }
-  os << "bug " << InjectedBugName(config.bug) << "\n";
-  if (config.fault_plan != FaultPlanId::kNone) {
-    os << "fault_plan " << FaultPlanName(config.fault_plan) << "\n";
-  }
-  os << "ops " << ops.size() << "\n";
-  for (const DiffOp& op : ops) {
-    os << "op " << static_cast<int>(op.kind) << " " << op.core << " " << op.arg << "\n";
-  }
-  os << "end\n";
-  return os.str();
+  DiffConfig bound = config;
+  return cli::WriteRepro(DiffReproFormat(&bound), cli::FormatRecords(ops, OpFields, kOpFields));
 }
 
 bool DifferentialHarness::Parse(const std::string& text, DiffConfig* config,
                                 std::vector<DiffOp>* ops, std::string* error) {
-  std::istringstream is(text);
-  auto fail = [&](const std::string& why) {
-    if (error != nullptr) {
-      *error = why;
-    }
-    return false;
-  };
-  std::string line;
-  if (!std::getline(is, line) || line != "fsio-diff-repro v1") {
-    return fail("missing 'fsio-diff-repro v1' header");
-  }
   *config = DiffConfig{};
   ops->clear();
-  std::uint64_t declared_ops = 0;
-  bool saw_end = false;
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::vector<std::string> f;
-    for (std::string field; ls >> field;) {
-      f.push_back(std::move(field));
-    }
-    if (f.empty()) {
-      continue;
-    }
-    const std::string& key = f[0];
-    // Every key but `op` and `end` takes exactly one value.
-    if (f.size() != 2 && key != "op" && key != "end") {
-      return fail("malformed " + key + " line: " + line);
-    }
-    const std::string& value = f.back();
-    std::uint32_t rcache = 0;
-    bool ok = true;
-    if (key == "mode") {
-      if (!ParseModeToken(value, &config->mode)) {
-        return fail("unknown mode token: " + value);
-      }
-    } else if (key == "rcache") {
-      ok = cli::ParseUnsigned(value, &rcache) && rcache <= 1;
-      config->enable_rcache = rcache == 1;
-    } else if (key == "seed") {
-      ok = cli::ParseUnsigned(value, &config->seed);
-    } else if (key == "pages_per_chunk") {
-      ok = cli::ParseUnsigned(value, &config->pages_per_chunk);
-    } else if (key == "num_cores") {
-      ok = cli::ParseUnsigned(value, &config->num_cores);
-    } else if (key == "num_domains") {
-      ok = cli::ParseUnsigned(value, &config->num_domains);
-    } else if (key == "bug") {
-      if (!ParseBugToken(value, &config->bug)) {
-        return fail("unknown bug token: " + value);
-      }
-    } else if (key == "fault_plan") {
-      if (!ParseToken(kFaultPlanTokens, value, &config->fault_plan)) {
-        return fail("unknown fault_plan token: " + value);
-      }
-    } else if (key == "ops") {
-      ok = cli::ParseUnsigned(value, &declared_ops);
-    } else if (key == "op") {
-      std::uint32_t kind = 0;
-      DiffOp op;
-      ok = f.size() == 4 && cli::ParseUnsigned(f[1], &kind) &&
-           kind <= static_cast<std::uint32_t>(OpKind::kDmaRetired) &&
-           cli::ParseUnsigned(f[2], &op.core) && cli::ParseUnsigned(f[3], &op.arg);
-      op.kind = static_cast<OpKind>(kind);
-      ops->push_back(op);
-    } else if (key == "end") {
-      saw_end = true;
-      break;
-    } else {
-      return fail("unknown key: " + key);
-    }
-    if (!ok) {
-      return fail("malformed " + key + " line: " + line);
-    }
+  if (!cli::ReadRepro(text, DiffReproFormat(config),
+                      cli::AppendRecords(ops, OpFields, kOpFields), error)) {
+    return false;
   }
-  if (!saw_end) {
-    return fail("missing 'end' marker");
-  }
-  if (declared_ops != ops->size()) {
-    return fail("op count mismatch between header and body");
-  }
-  if (config->num_ops < ops->size()) {
-    config->num_ops = static_cast<std::uint32_t>(ops->size());
-  }
-  if (config->pages_per_chunk == 0 || config->num_cores == 0) {
-    return fail("pages_per_chunk and num_cores must be positive");
-  }
-  if (config->num_domains == 0) {
-    return fail("num_domains must be positive");
-  }
+  config->num_ops = std::max(config->num_ops, static_cast<std::uint32_t>(ops->size()));
   return true;
 }
 

@@ -165,8 +165,6 @@ struct DiffResult {
   std::uint64_t double_unmaps = 0;          // reported by the driver
 };
 
-bool ParseBugToken(const std::string& token, InjectedBug* bug);
-
 // Token -> value choices for the fsio_diff and fsio_model flags: --bug;
 // --mode as "all" (every mode) or one mode token; --fault-plan as "all"
 // (every plan but none) or one plan token.
@@ -192,7 +190,10 @@ class DifferentialHarness {
   static ShrinkOutcome Shrink(const DiffConfig& config, std::vector<DiffOp> ops,
                               const DiffResult& first);
 
-  // Replayable repro files (deterministic text format).
+  // Replayable repro files in the shared format (src/cli/repro.h): header
+  // "fsio-diff-repro v1", one line per DiffConfig key, "ops N", N
+  // "op KIND CORE ARG" lines, "end". Parse starts from a default DiffConfig,
+  // so a file without a key (num_domains, fault_plan) keeps its default.
   static std::string Serialize(const DiffConfig& config, const std::vector<DiffOp>& ops);
   static bool Parse(const std::string& text, DiffConfig* config, std::vector<DiffOp>* ops,
                     std::string* error);

@@ -254,18 +254,50 @@ TEST(ModelTraceFormatTest, RejectsMalformedInput) {
   std::string error;
   EXPECT_FALSE(ParseTrace("", &config, &kind, &steps, &error));
   EXPECT_FALSE(ParseTrace("bogus header\n", &config, &kind, &steps, &error));
-  EXPECT_FALSE(ParseTrace("fsio-model-trace v1\nmode warp-speed\nend fsio-model-trace\n",
+  EXPECT_FALSE(ParseTrace("fsio-model-trace v1\nmode warp-speed\nsteps 0\nend\n",
                           &config, &kind, &steps, &error));
   EXPECT_FALSE(ParseTrace(  // step count mismatch
-      "fsio-model-trace v1\nmode strict\nsteps 2\nstep map 0 0 0\n"
-      "end fsio-model-trace\n",
+      "fsio-model-trace v1\nmode strict\nsteps 2\nstep map 0 0 0\nend\n",
       &config, &kind, &steps, &error));
   EXPECT_FALSE(ParseTrace(  // missing end marker
       "fsio-model-trace v1\nmode strict\nsteps 0\n", &config, &kind, &steps, &error));
   EXPECT_FALSE(ParseTrace(  // domain out of range for the config
-      "fsio-model-trace v1\nmode strict\ndomains 1\nsteps 1\nstep map 2 0 0\n"
-      "end fsio-model-trace\n",
+      "fsio-model-trace v1\nmode strict\ndomains 1\nsteps 1\nstep map 2 0 0\nend\n",
       &config, &kind, &steps, &error));
+  EXPECT_EQ(error, "step operand out of range for the configuration");
+}
+
+// Damaged traces an earlier reader replayed as valid ones: trailing words,
+// numbers with trailing junk, extra step operands, and a key given twice.
+TEST(ModelTraceFormatTest, RejectsDamagedTraces) {
+  const std::string valid =
+      "fsio-model-trace v1\nmode fast-safe\nbug skip-invalidation\ndomains 1\npages 2\n"
+      "violation dma_to_reclaimed_frame\nsteps 6\nstep map 0 0 0\nstep dma_walk 0 0 0\n"
+      "step unmap_begin 0 0 0\nstep invalidate_complete 0 0 0\nstep reclaim 0 0 0\n"
+      "step dma_hit 0 0 0\nend\n";
+  CheckModelConfig config;
+  ModelViolation kind = ModelViolation::kNone;
+  std::vector<ModelStep> steps;
+  std::string error;
+  ASSERT_TRUE(ParseTrace(valid, &config, &kind, &steps, &error)) << error;
+  struct Case {
+    std::string from;
+    std::string to;
+    std::string want;  // the error's start
+  };
+  const Case cases[] = {
+      {"mode fast-safe\n", "mode strict junk\n", "line 2: want 'key value'"},
+      {"domains 1\n", "domains 1x\n", "line 4: --domains: '1x' is not"},
+      {"steps 6\n", "steps 6abc\n", "line 7: --steps: '6abc' is not"},
+      {"step map 0 0 0\n", "step map 0 0 0 99 extra\n", "line 8: want 4 fields, got 6"},
+      {"pages 2\n", "pages 2\npages 1\n", "line 6: repeated key 'pages'"},
+  };
+  for (const Case& c : cases) {
+    std::string text = valid;
+    text.replace(text.find(c.from), c.from.size(), c.to);
+    EXPECT_FALSE(ParseTrace(text, &config, &kind, &steps, &error)) << text;
+    EXPECT_EQ(error.substr(0, c.want.size()), c.want) << text;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-// Shared command-line layer: the strict flag parser (src/cli/flags.h) and
-// the one protection-mode table (src/driver/protection.h).
+// Shared command-line layer: the strict flag parser (src/cli/flags.h), the
+// repro file format built on it (src/cli/repro.h) and the one
+// protection-mode table (src/driver/protection.h).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "src/cli/flags.h"
+#include "src/cli/repro.h"
 #include "src/driver/protection.h"
 
 namespace fsio {
@@ -210,6 +212,100 @@ TEST(CliNumbers, StrictHelpers) {
   EXPECT_FALSE(cli::ParseDouble(" 1", &d));
   EXPECT_FALSE(cli::ParseDouble("inf", &d));
   EXPECT_DOUBLE_EQ(d, 0.25);
+}
+
+// A repro format over a few of Options' fields, with "item" records of a
+// bare count and a keyed protection mode.
+struct Item {
+  std::uint32_t count = 0;
+  ProtectionMode under = ProtectionMode::kOff;
+};
+
+cli::ReproFormat ReproTable(Options* o) {
+  return {"test-repro v1",
+          {cli::Unsigned("seed", &o->seed, ""), cli::Unsigned("cores", &o->cores, "", 1, 64),
+           cli::OneOf("mode", &o->mode, ModeTokenChoices(), "MODE", "")},
+          "item"};
+}
+
+std::vector<cli::Flag> ItemFields(Item* item) {
+  return {cli::Unsigned("count", &item->count, ""),
+          cli::OneOf("under", &item->under, ModeTokenChoices(), "MODE", "")};
+}
+
+// Reads `text` into fresh Options and items; returns "" or the error.
+std::string ReadError(const std::string& text, Options* o, std::vector<Item>* items) {
+  *o = Options{};
+  items->clear();
+  std::string error;
+  const bool ok = cli::ReadRepro(text, ReproTable(o), cli::AppendRecords(items, ItemFields, 1),
+                                 &error);
+  EXPECT_EQ(ok, error.empty());
+  return error;
+}
+
+TEST(CliRepro, WritesEveryCurrentValueAndReadsItBack) {
+  Options o;
+  o.seed = 42;
+  o.mode = ProtectionMode::kStrict;
+  const std::vector<Item> items = {{3, ProtectionMode::kDeferred}, {0, ProtectionMode::kOff}};
+  const std::string text =
+      cli::WriteRepro(ReproTable(&o), cli::FormatRecords(items, ItemFields, 1));
+  EXPECT_EQ(text,
+            "test-repro v1\nseed 42\ncores 4\nmode strict\nitems 2\n"
+            "item 3 under=deferred\nitem 0 under=off\nend\n");
+  Options parsed;
+  std::vector<Item> parsed_items;
+  ASSERT_EQ(ReadError(text, &parsed, &parsed_items), "");
+  EXPECT_EQ(parsed.seed, 42u);
+  EXPECT_EQ(parsed.mode, ProtectionMode::kStrict);
+  ASSERT_EQ(parsed_items.size(), 2u);
+  EXPECT_EQ(parsed_items[0].count, 3u);
+  EXPECT_EQ(parsed_items[0].under, ProtectionMode::kDeferred);
+  EXPECT_EQ(parsed_items[1].under, ProtectionMode::kOff);
+  // A missing key keeps its bound value; no records is fine.
+  ASSERT_EQ(ReadError("test-repro v1\nitems 0\nend\n", &parsed, &parsed_items), "");
+  EXPECT_EQ(parsed.seed, 1u);
+  EXPECT_TRUE(parsed_items.empty());
+}
+
+TEST(CliRepro, RejectsDamagedFiles) {
+  struct Case {
+    std::string text;
+    std::string want;  // the error's start
+  };
+  const std::string head = "test-repro v1\n";
+  const Case cases[] = {
+      {"", "line 1: missing 'test-repro v1' header"},
+      {"test-repro v2\nitems 0\nend\n", "line 1: missing 'test-repro v1' header"},
+      {head + "speed 3\nitems 0\nend\n", "line 2: unknown key 'speed'"},
+      {head + "seed 3\nseed 4\nitems 0\nend\n", "line 3: repeated key 'seed'"},
+      {head + "seed 3x\nitems 0\nend\n",
+       "line 2: --seed: '3x' is not an unsigned decimal integer"},
+      {head + "cores 0\nitems 0\nend\n", "line 2: --cores must be at least 1, got 0"},
+      {head + "mode warp\nitems 0\nend\n", "line 2: --mode: unknown value 'warp'"},
+      {head + "seed 3 4\nitems 0\nend\n", "line 2: want 'key value', got 'seed 3 4'"},
+      {head + "\nitems 0\nend\n", "line 2: want 'key value', got ''"},
+      {head + "seed 3\n", "line 3: missing 'items N' line"},
+      {head + "items 0\nitems 0\nend\n", "line 3: want 'end' after 0 item lines, got 'items 0'"},
+      {head + "items 1x\nend\n", "line 2: --items: '1x' is not an unsigned decimal integer"},
+      {head + "items 2\nitem 1 under=off\nend\n", "line 4: want 2 item lines, got 1"},
+      {head + "items 2\nitem 1 under=off\n", "line 4: want 2 item lines, got 1"},
+      {head + "items 1\nitem 1 under=off\nitem 2 under=off\nend\n",
+       "line 4: want 'end' after 1 item lines, got 'item 2 under=off'"},
+      {head + "items 0\n", "line 3: missing 'end' after 0 item lines"},
+      {head + "items 0\nend\nseed 2\n", "line 4: text after 'end'"},
+      {head + "items 1\nitem 1\nend\n", "line 3: want 2 fields, got 1"},
+      {head + "items 1\nitem 1 off\nend\n", "line 3: want 'under=...', got 'off'"},
+      {head + "items 1\nitem -1 under=off\nend\n",
+       "line 3: --count: '-1' is not an unsigned decimal integer"},
+  };
+  for (const Case& c : cases) {
+    Options o;
+    std::vector<Item> items;
+    const std::string error = ReadError(c.text, &o, &items);
+    EXPECT_EQ(error.substr(0, c.want.size()), c.want) << c.text;
+  }
 }
 
 TEST(ModeTable, CanonicalTokensRoundTrip) {

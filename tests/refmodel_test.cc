@@ -365,17 +365,56 @@ TEST(ReproFormatTest, RejectsMalformedInput) {
   EXPECT_FALSE(config.enable_rcache);
 }
 
-// Repros without a fault plan keep the format that predates the key.
+// The writer prints every key, num_domains and fault_plan included, even at
+// their defaults.
 TEST(ReproFormatTest, NoFaultPlanLineWithoutAPlan) {
   DiffConfig config;
   config.seed = 5;
   const std::vector<DiffOp> ops = {{OpKind::kMapTx, 1, 9}};
   EXPECT_EQ(DifferentialHarness::Serialize(config, ops),
             "fsio-diff-repro v1\nmode strict\nrcache 1\nseed 5\npages_per_chunk 64\n"
-            "num_cores 4\nbug none\nops 1\nop 1 1 9\nend\n");
+            "num_cores 4\nnum_domains 1\nbug none\nfault_plan none\nops 1\nop 1 1 9\nend\n");
   config.fault_plan = FaultPlanId::kDelayedFlush;
   EXPECT_NE(DifferentialHarness::Serialize(config, ops).find("\nfault_plan delayed-flush\n"),
             std::string::npos);
+}
+
+// Repros written before every key was printed (no num_domains line, no
+// fault_plan line without a plan) still read to the same run.
+TEST(ReproFormatTest, ReadsReprosThatOmitDefaultKeys) {
+  DiffConfig config;
+  std::vector<DiffOp> ops;
+  std::string error;
+  ASSERT_TRUE(DifferentialHarness::Parse(
+      "fsio-diff-repro v1\nmode strict\nrcache 1\nseed 5\npages_per_chunk 64\n"
+      "num_cores 4\nbug none\nops 1\nop 1 1 9\nend\n",
+      &config, &ops, &error))
+      << error;
+  DiffConfig want;
+  want.seed = 5;
+  EXPECT_EQ(config.mode, want.mode);
+  EXPECT_EQ(config.enable_rcache, want.enable_rcache);
+  EXPECT_EQ(config.seed, want.seed);
+  EXPECT_EQ(config.num_ops, want.num_ops);
+  EXPECT_EQ(config.pages_per_chunk, want.pages_per_chunk);
+  EXPECT_EQ(config.num_cores, want.num_cores);
+  EXPECT_EQ(config.num_domains, want.num_domains);
+  EXPECT_EQ(config.bug, want.bug);
+  EXPECT_EQ(config.fault_plan, want.fault_plan);
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].kind, OpKind::kMapTx);
+  EXPECT_EQ(ops[0].core, 1u);
+  EXPECT_EQ(ops[0].arg, 9u);
+}
+
+// A second value for a key would silently replay a different run.
+TEST(ReproFormatTest, RejectsRepeatedKey) {
+  DiffConfig config;
+  std::vector<DiffOp> ops;
+  std::string error;
+  EXPECT_FALSE(DifferentialHarness::Parse(
+      "fsio-diff-repro v1\nseed 5\nseed 999\nops 0\nend\n", &config, &ops, &error));
+  EXPECT_NE(error.find("repeated key 'seed'"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

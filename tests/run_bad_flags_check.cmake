@@ -8,8 +8,9 @@
 #    MSS underflows), an unknown --mode;
 #  - fsio_diff --seeds abc ("0 runs"), an unknown fsio_diff --fault-plan,
 #    fsio_model --depth x (depth 0), fsio_sidechan --trials -1 (a huge
-#    allocation), fsio_chaos --window abc (a 0 window), and the shared
-#    parser's generic cases on fsio_trace and fsio_lint.
+#    allocation), fsio_chaos --window abc (a 0 window), the removed
+#    fsio_chaos --selftest-determinism, and the shared parser's generic
+#    cases on fsio_trace and fsio_lint.
 # Valid runs in both flag syntaxes (--name=value and --name value) must still
 # exit 0, and so must the topology, multi-tenant and capability paths of
 # fsio_sim end to end (the --jobs=4 sweep is why this test is also labelled
@@ -61,6 +62,7 @@ list(APPEND cases
      "SIDECHAN|--partition bogus|--partition"
      "CHAOS|--window abc|--window"
      "CHAOS|--jobs=+2|--jobs"
+     "CHAOS|--selftest-determinism|--selftest-determinism"
      "TRACE_TOOL|top trace.json --n=0|--n must be at least 1"
      "LINT|--rules=bogus src|--rules")
 

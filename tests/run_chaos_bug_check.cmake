@@ -2,8 +2,10 @@
 # invalidation must be caught by the cross-host safety oracle, shrink to a
 # fault-event list shorter than the input, and the written repro (holding
 # exactly those events) must replay the violation.
-# A repro with a corrupted number must be refused as unreadable instead of
-# replaying zeros.
+# A damaged repro must be refused (exit 2, "bad repro file") instead of
+# replaying something else: a corrupted number (which would replay zeros), a
+# repeated seed (the last value would win) and a repro cut off before its
+# last event (which would replay as a shorter, different repro).
 # Invoked by ctest as
 #   cmake -DCHAOS=<fsio_chaos> -DWORKDIR=<build dir> -P run_chaos_bug_check.cmake
 if(NOT DEFINED CHAOS OR NOT DEFINED WORKDIR)
@@ -43,12 +45,20 @@ if(NOT rc_replay EQUAL 0)
 endif()
 
 file(READ ${repro} repro_text)
+string(FIND "${repro_text}" "\nevent " last_event REVERSE)
+string(SUBSTRING "${repro_text}" 0 ${last_event} truncated_text)
 set(corrupt "${WORKDIR}/repro_chaos_corrupt.txt")
-foreach(pattern "seed=[0-9]+|seed=abc" " p=[0-9.]+| p=x")
-  string(REPLACE "|" ";" pair "${pattern}")
-  list(GET pair 0 from)
-  list(GET pair 1 to)
-  string(REGEX REPLACE "${from}" "${to}" corrupt_text "${repro_text}")
+foreach(pattern "\nseed [0-9]+|\nseed abc" " p=[0-9.]+| p=x" "\nseed |\nseed 999\nseed "
+                "TRUNCATE")
+  if(pattern STREQUAL "TRUNCATE")
+    set(to "a repro cut off before its last event")
+    set(corrupt_text "${truncated_text}\n")
+  else()
+    string(REPLACE "|" ";" pair "${pattern}")
+    list(GET pair 0 from)
+    list(GET pair 1 to)
+    string(REGEX REPLACE "${from}" "${to}" corrupt_text "${repro_text}")
+  endif()
   if(corrupt_text STREQUAL repro_text)
     message(FATAL_ERROR "repro has no '${from}' to corrupt:\n${repro_text}")
   endif()
@@ -56,8 +66,8 @@ foreach(pattern "seed=[0-9]+|seed=abc" " p=[0-9.]+| p=x")
   execute_process(COMMAND ${CHAOS} --replay ${corrupt}
                   OUTPUT_VARIABLE out_corrupt ERROR_VARIABLE err_corrupt
                   RESULT_VARIABLE rc_corrupt)
-  string(FIND "${out_corrupt}" "REPLAY FAILED: unreadable repro" found)
-  if(rc_corrupt EQUAL 0 OR found EQUAL -1)
+  string(FIND "${err_corrupt}" "fsio_chaos: bad repro file: " found)
+  if(NOT rc_corrupt EQUAL 2 OR found EQUAL -1)
     message(FATAL_ERROR "repro with '${to}' was not refused (exit ${rc_corrupt}):\n"
                         "${out_corrupt}${err_corrupt}")
   endif()

@@ -2,12 +2,20 @@
 # output across separate processes AND across worker-pool sizes (--jobs=1
 # vs --jobs=4 — slot-per-cell reports emitted in cell order make a parallel
 # matrix byte-identical to a serial one). Invoked by ctest as
-#   cmake -DCHAOS=<path-to-fsio_chaos> -P run_chaos_determinism_check.cmake
+#   cmake -DCHAOS=<path-to-fsio_chaos> [-DSEED=N] [-DWINDOW=NS]
+#         -P run_chaos_determinism_check.cmake
+# SEED and WINDOW default to 99 and 3000000 (3 ms simulated).
 if(NOT DEFINED CHAOS)
   message(FATAL_ERROR "pass -DCHAOS=<path to fsio_chaos>")
 endif()
+if(NOT DEFINED SEED)
+  set(SEED 99)
+endif()
+if(NOT DEFINED WINDOW)
+  set(WINDOW 3000000)
+endif()
 
-set(args --seed 99 --window 3000000)
+set(args --seed ${SEED} --window ${WINDOW})
 
 execute_process(COMMAND ${CHAOS} ${args} --jobs 1 OUTPUT_VARIABLE out_serial
                 RESULT_VARIABLE rc_serial)

@@ -31,7 +31,7 @@
 // All randomness flows from --seed; cells are independent simulations run on
 // the SweepRunner pool with slot-per-cell reports emitted in cell order, so
 // output is byte-identical across reruns and across --jobs values (checked
-// by ctest and by --selftest-determinism).
+// by the chaos_determinism ctest).
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "src/cli/flags.h"
+#include "src/cli/repro.h"
 #include "src/core/cluster.h"
 #include "src/core/cluster_faults.h"
 #include "src/core/sweep_runner.h"
@@ -535,116 +536,46 @@ int RunTenantCrash(std::string* output) {
 // ---------------------------------------------------------------------------
 // Broken-recovery demonstration: repro files, shrinking, replay.
 
-bool KindFromName(const std::string& name, FaultKind* out) {
+// The repro file's settings, bound to *opt and *mode: the one table both
+// WriteChaosRepro and ReadChaosRepro use. An event line is the event's
+// ToString(): its kind, then name=value fields in EventFields' order.
+cli::ReproFormat ChaosReproFormat(ChaosOptions* opt, ProtectionMode* mode) {
+  return {"fsio-chaos-repro v1",
+          {cli::Unsigned("seed", &opt->seed, ""), cli::Unsigned("window", &opt->window, "", 1),
+           cli::OneOf("mode", mode, ModeTokenChoices(), "MODE", ""),
+           cli::Unsigned("break-recovery", &opt->break_recovery, "", 0, 1)},
+          "event"};
+}
+
+std::vector<cli::Flag> EventFields(ClusterFaultEvent* e) {
+  cli::Choices<FaultKind> kinds;
   for (int k = 0; k < static_cast<int>(FaultKind::kCount); ++k) {
-    const auto kind = static_cast<FaultKind>(k);
-    if (name == FaultKindName(kind)) {
-      *out = kind;
-      return true;
-    }
+    kinds.emplace_back(FaultKindName(static_cast<FaultKind>(k)), static_cast<FaultKind>(k));
   }
-  return false;
+  return {cli::OneOf("kind", &e->kind, std::move(kinds), "KIND", ""),
+          cli::Unsigned("at", &e->at, ""),
+          cli::Unsigned("dur", &e->duration_ns, ""),
+          cli::Unsigned("switch", &e->switch_id, ""),
+          cli::Unsigned("host", &e->host, ""),
+          cli::Unsigned("any_port", &e->any_port, "", 0, 1),
+          cli::Double("p", &e->probability, "")};
 }
 
-// Text repro: settings lines (key=value) then one "event <ToString()>" line
-// per fault event. Round-trips through ParseRepro for --replay.
-std::string FormatRepro(const ChaosOptions& opt, ProtectionMode mode,
-                        const std::vector<ClusterFaultEvent>& events) {
-  std::ostringstream os;
-  os << "# fsio_chaos repro: broken recovery (skipped global invalidation)\n";
-  os << "seed=" << opt.seed << "\n";
-  os << "window=" << opt.window << "\n";
-  os << "mode=" << ModeToken(mode) << "\n";
-  os << "break-recovery=1\n";
+std::string WriteChaosRepro(ChaosOptions opt, ProtectionMode mode,
+                            const std::vector<ClusterFaultEvent>& events) {
+  std::vector<std::string> lines;
   for (const ClusterFaultEvent& e : events) {
-    os << "event " << e.ToString() << "\n";
+    lines.push_back(e.ToString());
   }
-  return os.str();
+  return cli::WriteRepro(ChaosReproFormat(&opt, &mode), lines);
 }
 
-bool ParseReproLine(const std::string& line, ClusterFaultEvent* e) {
-  std::istringstream is(line);
-  std::string kind_name;
-  if (!(is >> kind_name) || !KindFromName(kind_name, &e->kind)) {
-    return false;
-  }
-  std::string field;
-  while (is >> field) {
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return false;
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    bool ok = true;
-    if (key == "at") {
-      ok = cli::ParseUnsigned(value, &e->at);
-    } else if (key == "dur") {
-      ok = cli::ParseUnsigned(value, &e->duration_ns);
-    } else if (key == "switch") {
-      ok = cli::ParseUnsigned(value, &e->switch_id);
-    } else if (key == "host") {
-      ok = cli::ParseUnsigned(value, &e->host);
-    } else if (key == "any_port") {
-      e->any_port = value == "1";
-    } else if (key == "p") {
-      ok = cli::ParseDouble(value, &e->probability);
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ParseRepro(const std::string& path, ChaosOptions* opt, ProtectionMode* mode,
-                std::vector<ClusterFaultEvent>* events) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "fsio_chaos: cannot open repro %s\n", path.c_str());
-    return false;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    if (line.rfind("event ", 0) == 0) {
-      ClusterFaultEvent e;
-      if (!ParseReproLine(line.substr(6), &e)) {
-        std::fprintf(stderr, "fsio_chaos: bad repro event line: %s\n", line.c_str());
-        return false;
-      }
-      events->push_back(e);
-      continue;
-    }
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "fsio_chaos: bad repro line: %s\n", line.c_str());
-      return false;
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    bool ok = true;
-    if (key == "seed") {
-      ok = cli::ParseUnsigned(value, &opt->seed);
-    } else if (key == "window") {
-      ok = cli::ParseUnsigned(value, &opt->window);
-    } else if (key == "mode") {
-      ok = ParseModeToken(value, mode);
-    } else if (key == "break-recovery") {
-      opt->break_recovery = value == "1";
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "fsio_chaos: bad repro line: %s\n", line.c_str());
-      return false;
-    }
-  }
-  return true;
+bool ReadChaosRepro(const std::string& path, ChaosOptions* opt, ProtectionMode* mode,
+                    std::vector<ClusterFaultEvent>* events) {
+  return cli::ReadReproFile(path, "fsio_chaos", [&](const std::string& text, std::string* error) {
+    return cli::ReadRepro(text, ChaosReproFormat(opt, mode),
+                          cli::AppendRecords(events, EventFields, 1), error);
+  });
 }
 
 // Runs one broken-recovery cell over an explicit event list.
@@ -722,7 +653,7 @@ int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
       }
       if (!opt.repro_out.empty()) {
         std::ofstream out(opt.repro_out);
-        out << FormatRepro(opt, mode, minimal);
+        out << WriteChaosRepro(opt, mode, minimal);
         all << "repro written to " << opt.repro_out << "\n";
       }
     }
@@ -737,13 +668,8 @@ int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
   return failures;
 }
 
-int RunReplay(const std::string& path, ChaosOptions opt, std::string* output) {
-  ProtectionMode mode = ProtectionMode::kFastSafe;
-  std::vector<ClusterFaultEvent> events;
-  if (!ParseRepro(path, &opt, &mode, &events) || events.empty()) {
-    *output = "REPLAY FAILED: unreadable repro\n";
-    return 1;
-  }
+int RunReplay(const ChaosOptions& opt, ProtectionMode mode,
+              const std::vector<ClusterFaultEvent>& events, std::string* output) {
   std::ostringstream all;
   all << "replaying " << events.size() << " event(s), mode=" << ModeToken(mode)
       << " seed=" << opt.seed << " window=" << opt.window
@@ -760,7 +686,6 @@ int RunReplay(const std::string& path, ChaosOptions opt, std::string* output) {
 
 int Main(int argc, char** argv) {
   ChaosOptions opt;
-  bool selftest = false;
   cli::Parse(
       argc, argv, "fsio_chaos",
       "Cluster chaos matrix: fault scenarios x every protection mode on a 4-host,\n"
@@ -778,30 +703,23 @@ int Main(int argc, char** argv) {
           cli::Switch("tenant-crash", &opt.tenant_crash,
                       "run the multi-tenant crash matrix instead"),
           cli::String("replay", &opt.replay, "FILE", "replay a repro file"),
-          cli::Switch("selftest-determinism", &selftest,
-                      "run the matrix twice in-process and compare the reports"),
       });
 
   std::string output;
   int failures;
   if (!opt.replay.empty()) {
-    failures = RunReplay(opt.replay, opt, &output);
+    ProtectionMode mode = ProtectionMode::kFastSafe;
+    std::vector<ClusterFaultEvent> events;
+    if (!ReadChaosRepro(opt.replay, &opt, &mode, &events)) {
+      return 2;
+    }
+    failures = RunReplay(opt, mode, events, &output);
   } else if (opt.tenant_crash) {
     failures = RunTenantCrash(&output);
   } else if (opt.break_recovery) {
     failures = RunBrokenRecovery(opt, &output);
   } else {
     failures = RunSuite(opt, &output);
-    if (selftest) {
-      std::string second;
-      failures += RunSuite(opt, &second);
-      if (second != output) {
-        std::fprintf(stdout, "%s", output.c_str());
-        std::fprintf(stdout, "DETERMINISM FAILED: two same-seed runs diverged\n");
-        return 1;
-      }
-      output += "DETERMINISM OK\n";
-    }
   }
   std::fprintf(stdout, "%s", output.c_str());
   return failures == 0 ? 0 : 1;

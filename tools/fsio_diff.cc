@@ -22,11 +22,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/cli/flags.h"
+#include "src/cli/repro.h"
 #include "src/driver/protection.h"
 #include "src/refmodel/diff_harness.h"
 
@@ -94,18 +94,12 @@ bool ReproRoundTrips(const DiffConfig& config, const std::vector<DiffOp>& ops) {
 }
 
 int Replay(const Options& opt) {
-  std::ifstream in(opt.replay);
-  if (!in) {
-    std::fprintf(stderr, "fsio_diff: cannot open %s\n", opt.replay.c_str());
-    return 2;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
   DiffConfig config;
   std::vector<DiffOp> ops;
-  std::string error;
-  if (!DifferentialHarness::Parse(buf.str(), &config, &ops, &error)) {
-    std::fprintf(stderr, "fsio_diff: bad repro file: %s\n", error.c_str());
+  const auto parse = [&](const std::string& text, std::string* error) {
+    return DifferentialHarness::Parse(text, &config, &ops, error);
+  };
+  if (!cli::ReadReproFile(opt.replay, "fsio_diff", parse)) {
     return 2;
   }
   const DiffResult result = DifferentialHarness::Run(config, ops);

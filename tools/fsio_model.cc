@@ -23,12 +23,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/check/checker.h"
 #include "src/cli/flags.h"
+#include "src/cli/repro.h"
 #include "src/check/model.h"
 #include "src/driver/protection.h"
 #include "src/refmodel/diff_harness.h"
@@ -138,19 +138,13 @@ ShrunkTrace HandleViolation(const Options& opt, const CheckModelConfig& config,
 }
 
 int Replay(const Options& opt) {
-  std::ifstream in(opt.replay);
-  if (!in) {
-    std::fprintf(stderr, "fsio_model: cannot open %s\n", opt.replay.c_str());
-    return 2;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
   CheckModelConfig config;
   ModelViolation violation;
   std::vector<ModelStep> steps;
-  std::string error;
-  if (!check::ParseTrace(buf.str(), &config, &violation, &steps, &error)) {
-    std::fprintf(stderr, "fsio_model: bad trace file: %s\n", error.c_str());
+  const auto parse = [&](const std::string& text, std::string* error) {
+    return check::ParseTrace(text, &config, &violation, &steps, error);
+  };
+  if (!cli::ReadReproFile(opt.replay, "fsio_model", parse)) {
     return 2;
   }
   const ReplayOutcome result = check::ReplayTrace(config, steps);
