@@ -42,11 +42,10 @@ inline TimeNs WindowNs() { return SmokeMode() ? 3 * kNsPerMs : kWindowNs; }
 // Sweep-axis values; truncated to the first value in smoke mode.
 template <typename T>
 inline std::vector<T> Sweep(std::initializer_list<T> values) {
-  std::vector<T> out(values);
-  if (SmokeMode() && out.size() > 1) {
-    out.resize(1);
+  if (SmokeMode() && values.size() > 1) {
+    return {*values.begin()};
   }
-  return out;
+  return values;
 }
 
 // Appends the kernel-bypass capability mode to a figure's mode axis in full

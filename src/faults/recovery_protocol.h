@@ -12,10 +12,13 @@
 //   kReclaimFrames   every frame the dead stack handed out returns to the
 //                    allocator. Safe ONLY because the device is quiesced —
 //                    reclaiming before the drain completes would let an
-//                    in-flight access land in reclaimed memory.
+//                    in-flight access land in reclaimed memory. Both paths
+//                    then rebuild the driver stack with the one call
+//                    ProtectionDomain::Rebuild (src/driver/).
 //   kInvalidateCaches
 //                    flush every translation the shared IOMMU cached for the
-//                    dead stack. Must precede handing fresh mappings out:
+//                    dead stack (globally for a host, domain-selectively for
+//                    a tenant). Must precede handing fresh mappings out:
 //                    skipping it (the chaos harness's --break-recovery bug)
 //                    leaves stale entries that alias once IOVAs are re-used.
 //   kDone            the rebuilt stack may map again.

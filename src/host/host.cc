@@ -2,41 +2,42 @@
 
 namespace fsio {
 
+HostConfig Host::Normalize(HostConfig config) {
+  config.dma.mode = config.mode;
+  if (config.mode == ProtectionMode::kHugepagePersistent) {
+    config.use_hugepages = true;
+  }
+  if (config.use_hugepages) {
+    config.pages_per_desc = 512;  // one descriptor == one 2 MB huge frame
+    config.dma.use_hugepages = true;
+  }
+  config.dma.pages_per_chunk = config.pages_per_desc;
+  config.dma.num_cores = config.cores;
+  config.iova.num_cores = config.cores;
+  return config;
+}
+
 Host::Host(const HostConfig& config, EventQueue* ev)
-    : config_(config),
+    : config_(Normalize(config)),
       ev_(ev),
+      memory_(std::make_unique<MemorySystem>(config_.memory, &stats_)),
       frames_(/*scramble=*/false, /*seed=*/config.host_id + 1),
+      iommu_(UsesIommu(config_.mode)
+                 ? std::make_unique<Iommu>(config_.iommu, memory_.get(), nullptr, &stats_)
+                 : nullptr),
+      driver_({config_.iova, config_.dma}, iommu_.get(),
+              ProtectionDomain::Binding::kHostDomain, &stats_),
       cores_(config.cores == 0 ? 1 : config.cores),
       app_rx_bytes_(stats_.Get("host.app_rx_bytes")),
       replenished_descs_(stats_.Get("host.replenished_descs")) {
-  config_.dma.mode = config_.mode;
-  if (config_.mode == ProtectionMode::kHugepagePersistent) {
-    config_.use_hugepages = true;
-  }
-  if (config_.use_hugepages) {
-    config_.pages_per_desc = 512;  // one descriptor == one 2 MB huge frame
-    config_.dma.use_hugepages = true;
-  }
-  config_.dma.pages_per_chunk = config_.pages_per_desc;
-  config_.dma.num_cores = config_.cores;
-  config_.iova.num_cores = config_.cores;
-
-  memory_ = std::make_unique<MemorySystem>(config_.memory, &stats_);
-  page_table_ = std::make_unique<IoPageTable>();
-  if (UsesIommu(config_.mode)) {
-    iommu_ = std::make_unique<Iommu>(config_.iommu, memory_.get(), page_table_.get(), &stats_);
-  }
-  iova_ = std::make_unique<IovaAllocator>(config_.iova, &stats_);
-  dma_ = std::make_unique<DmaApi>(config_.dma, iova_.get(), page_table_.get(), iommu_.get(),
-                                  &stats_);
   if (config_.track_l3_locality) {
-    dma_->SetL3Tracker(&l3_tracker_);
+    driver_.SetL3Tracker(&l3_tracker_);
   }
   rc_ = std::make_unique<RootComplex>(config_.pcie, iommu_.get(), memory_.get(), &stats_);
   config_.nic.mtu_bytes = config_.mtu_bytes;
   nic_ = std::make_unique<Nic>(config_.nic, config_.cores, ev_, rc_.get(), &stats_);
   if (config_.mode == ProtectionMode::kCapability) {
-    // Captures `this`, not `dma_`, so the check follows the driver-stack swap
+    // Captures `this`, not the DmaApi, so the check follows the driver-stack swap
     // across crash recovery (the rebuilt DmaApi carries a fresh, empty
     // capability table — descriptors from before the crash fail the check).
     nic_->SetCapabilityCheck(
@@ -44,7 +45,7 @@ Host::Host(const HostConfig& config, EventQueue* ev)
           Nic::CapCheckResult out;
           for (const DmaMapping& m : mappings) {
             const DmaApi::DeviceCheckResult r =
-                dma_->DeviceCheckCapability(m.iova, 1, now, enforce);
+                dma().DeviceCheckCapability(m.iova, 1, now, enforce);
             out.check_ns += r.check_ns;
             if (!r.allowed) {
               out.allowed = false;
@@ -113,7 +114,7 @@ void Host::SetTracer(Tracer* tracer) {
   }
   rc_->SetTrace(TraceScope(tracer, id, TraceTrack::kPcie));
   nic_->SetTrace(TraceScope(tracer, id, TraceTrack::kNic));
-  dma_->SetTrace(driver_trace_);
+  driver_.SetTrace(driver_trace_);
   const TraceScope transport(tracer, id, TraceTrack::kTransport);
   for (auto& [flow, sender] : senders_) {
     sender->SetTrace(transport);
@@ -133,7 +134,7 @@ void Host::SetupRings() {
     for (std::uint64_t i = 0; i < ring_pages; ++i) {
       ring_frames.push_back(frames_.AllocFrame());
     }
-    const Iova ring_iova = dma_->MapPersistent(c, ring_frames);
+    const Iova ring_iova = dma().MapPersistent(c, ring_frames);
     nic_->SetRingIova(c, ring_iova, ring_pages);
 
     // Initial descriptor fill.
@@ -146,7 +147,7 @@ void Host::ReplenishRing(std::uint32_t core_idx, TimeNs at, TimeNs* cpu_ns) {
   while (nic_->AvailableRxPages(core_idx) + config_.pages_per_desc <= target_pages_per_ring_) {
     DmaApi::MapResult mapped;
     if (config_.mode == ProtectionMode::kHugepagePersistent) {
-      mapped = dma_->AcquirePersistentDescriptor(
+      mapped = dma().AcquirePersistentDescriptor(
           core_idx, [this] { return frames_.AllocHugeFrame(); });
     } else if (config_.use_hugepages) {
       const PhysAddr huge = frames_.AllocHugeFrame();
@@ -155,14 +156,14 @@ void Host::ReplenishRing(std::uint32_t core_idx, TimeNs at, TimeNs* cpu_ns) {
       for (std::uint32_t i = 0; i < config_.pages_per_desc; ++i) {
         frames.push_back(huge + static_cast<PhysAddr>(i) * kPageSize);
       }
-      mapped = dma_->MapPages(core_idx, frames);
+      mapped = dma().MapPages(core_idx, frames);
     } else {
       std::vector<PhysAddr> frames;
       frames.reserve(config_.pages_per_desc);
       for (std::uint32_t i = 0; i < config_.pages_per_desc; ++i) {
         frames.push_back(frames_.AllocFrame());
       }
-      mapped = dma_->MapPages(core_idx, frames);
+      mapped = dma().MapPages(core_idx, frames);
     }
     if (driver_trace_.enabled() && mapped.cpu_ns > 0) {
       driver_trace_.Complete("driver", "map_pages", at + *cpu_ns,
@@ -203,7 +204,7 @@ void Host::RunCore(std::uint32_t core_idx) {
   while (!core.tx_unmaps.empty()) {
     std::vector<DmaMapping> mappings = std::move(core.tx_unmaps.front());
     core.tx_unmaps.pop_front();
-    const auto result = dma_->UnmapDescriptor(core_idx, mappings, t + cpu);
+    const auto result = dma().UnmapDescriptor(core_idx, mappings, t + cpu);
     cpu += result.cpu_ns;
     for (const DmaMapping& m : mappings) {
       frames_.FreeFrame(m.phys);
@@ -218,14 +219,14 @@ void Host::RunCore(std::uint32_t core_idx) {
     if (config_.mode == ProtectionMode::kHugepagePersistent) {
       // Recycle the permanently-mapped descriptor: no unmap, no invalidation
       // (and the huge frame stays with the pool).
-      dma_->ReleasePersistentDescriptor(core_idx, mappings);
+      dma().ReleasePersistentDescriptor(core_idx, mappings);
       cpu += 50;
     } else if (config_.use_hugepages) {
-      const auto result = dma_->UnmapDescriptor(core_idx, mappings, t + cpu);
+      const auto result = dma().UnmapDescriptor(core_idx, mappings, t + cpu);
       cpu += result.cpu_ns;
       frames_.FreeHugeFrame(mappings[0].phys);
     } else {
-      const auto result = dma_->UnmapDescriptor(core_idx, mappings, t + cpu);
+      const auto result = dma().UnmapDescriptor(core_idx, mappings, t + cpu);
       cpu += result.cpu_ns;
       for (const DmaMapping& m : mappings) {
         frames_.FreeFrame(m.phys);
@@ -316,7 +317,7 @@ void Host::TransmitFromCore(const Packet& packet, std::uint32_t core_idx) {
   mappings.reserve(pages);
   for (std::uint32_t i = 0; i < pages; ++i) {
     const PhysAddr frame = frames_.AllocFrame();
-    const DmaApi::PageMapResult m = dma_->MapOnePage(core_idx, frame);
+    const DmaApi::PageMapResult m = dma().MapOnePage(core_idx, frame);
     cpu += m.cpu_ns;
     if (!m.ok()) {
       frames_.FreeFrame(frame);  // IOVA space exhausted: send what did map
@@ -432,35 +433,15 @@ Counter* Host::LazyCounter(Counter** slot, const char* name) {
 void Host::EnableSafetyInstrumentation(SafetyOracle* oracle, InvariantRegistry* invariants,
                                        FaultInjector* injector) {
   oracle_ = oracle;
-  invariants_ = invariants;
-  injector_ = injector;
   if (iommu_ != nullptr) {
-    iommu_->SetSafetyOracle(oracle);
     iommu_->SetFaultInjector(injector);
   }
-  dma_->SetSafetyOracle(oracle);
-  dma_->SetFaultInjector(injector);
-  iova_->SetFaultInjector(injector);
+  driver_.SetOracle(oracle);
+  driver_.SetFaultInjector(injector);
+  driver_.RegisterInvariants(invariants);
   frames_.SetFaultInjector(injector);
   rc_->SetFaultInjector(injector);
   nic_->SetFaultInjector(injector);
-  if (invariants != nullptr) {
-    dma_->RegisterInvariants(invariants);
-    // Captures `this`, not the table, so the check follows the driver-stack
-    // swap across crash recovery.
-    invariants->Register("pagetable.consistency", [this](std::string* d) {
-      return page_table_->CheckConsistency(d);
-    });
-    if (oracle != nullptr) {
-      invariants->Register("oracle.no_overlap", [oracle](std::string* d) {
-        if (oracle->overlap_maps() != 0) {
-          *d = "overlapping live map observed";
-          return false;
-        }
-        return true;
-      });
-    }
-  }
 }
 
 void Host::Crash() {
@@ -512,34 +493,13 @@ void Host::FinishRecovery(std::vector<DmaMapping> device_mappings) {
     if (high_water > 1) {
       oracle_->OnFramesReclaimed(/*base=*/kPageSize, /*pages=*/high_water - 1);
     }
-    oracle_->ForceUnmapAll();
   }
   frames_.Reset();
 
-  // Rebuild the driver stack on the surviving IOMMU hardware. The old stack
-  // is retired, not destroyed: registered invariant checks still reference
-  // it and its frozen accounting stays self-consistent.
-  retired_stacks_.push_back(
-      {std::move(page_table_), std::move(iova_), std::move(dma_)});
-  page_table_ = std::make_unique<IoPageTable>();
-  iova_ = std::make_unique<IovaAllocator>(config_.iova, &stats_);
-  dma_ = std::make_unique<DmaApi>(config_.dma, iova_.get(), page_table_.get(), iommu_.get(),
-                                  &stats_);
-  if (config_.track_l3_locality) {
-    dma_->SetL3Tracker(&l3_tracker_);
-  }
-  if (tracer_ != nullptr) {
-    dma_->SetTrace(driver_trace_);
-  }
-  if (iommu_ != nullptr) {
-    iommu_->SetPageTable(page_table_.get());
-  }
-  dma_->SetSafetyOracle(oracle_);
-  dma_->SetFaultInjector(injector_);
-  iova_->SetFaultInjector(injector_);
-  if (invariants_ != nullptr) {
-    dma_->RegisterInvariants(invariants_);
-  }
+  // Rebuild the driver stack on the surviving IOMMU hardware: every live
+  // mapping goes dead in the oracle and the old stack is retired, not
+  // destroyed (registered invariant checks still reference it).
+  driver_.Rebuild();
 
   // Step 4: flush every cached translation the IOMMU accumulated before the
   // crash. Skipping it (the injected bug) leaves stale IOTLB/PT-cache

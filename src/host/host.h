@@ -20,6 +20,7 @@
 
 #include "src/driver/dma_api.h"
 #include "src/driver/protection.h"
+#include "src/driver/protection_domain.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/invariant_registry.h"
 #include "src/faults/recovery_protocol.h"
@@ -29,7 +30,6 @@
 #include "src/mem/frame_allocator.h"
 #include "src/mem/memory_system.h"
 #include "src/nic/nic.h"
-#include "src/pagetable/io_page_table.h"
 #include "src/pcie/root_complex.h"
 #include "src/simcore/event_queue.h"
 #include "src/simcore/fifo_ring.h"
@@ -115,7 +115,7 @@ class Host {
   const HostConfig& config() const { return config_; }
   Nic& nic() { return *nic_; }
   Iommu* iommu() { return iommu_.get(); }
-  DmaApi& dma() { return *dma_; }
+  DmaApi& dma() { return driver_.dma(); }
   EventQueue& ev() { return *ev_; }
   ReuseDistanceTracker& l3_tracker() { return l3_tracker_; }
 
@@ -164,6 +164,9 @@ class Host {
     FifoRing<std::vector<DmaMapping>> tx_unmaps{16};
   };
 
+  // Fills in the fields `config` implies: the DMA API's mode and descriptor
+  // shape, hugepage descriptors and per-core counts.
+  static HostConfig Normalize(HostConfig config);
   void SetupRings();
   void FinishRecovery(std::vector<DmaMapping> device_mappings);
   Counter* LazyCounter(Counter** slot, const char* name);
@@ -188,10 +191,8 @@ class Host {
   StatsRegistry stats_;
   std::unique_ptr<MemorySystem> memory_;
   FrameAllocator frames_;
-  std::unique_ptr<IoPageTable> page_table_;
   std::unique_ptr<Iommu> iommu_;  // null when the mode bypasses the IOMMU (kOff, kCapability)
-  std::unique_ptr<IovaAllocator> iova_;
-  std::unique_ptr<DmaApi> dma_;
+  ProtectionDomain driver_;       // page table, IOVA allocator, DMA API (host domain)
   std::unique_ptr<RootComplex> rc_;
   std::unique_ptr<Nic> nic_;
   ReuseDistanceTracker l3_tracker_;
@@ -222,17 +223,6 @@ class Host {
   // sequence always matches the protocol the model checker verifies.
   RecoveryStep recovery_step_ = RecoveryStep::kIdle;
   SafetyOracle* oracle_ = nullptr;
-  InvariantRegistry* invariants_ = nullptr;
-  FaultInjector* injector_ = nullptr;
-  // Driver stacks retired by crash recovery. Kept alive (not destroyed)
-  // because registered invariant checks and the frozen accounting they
-  // capture reference them; they receive no further calls.
-  struct RetiredDriverStack {
-    std::unique_ptr<IoPageTable> page_table;
-    std::unique_ptr<IovaAllocator> iova;
-    std::unique_ptr<DmaApi> dma;
-  };
-  std::vector<RetiredDriverStack> retired_stacks_;
 
   Counter* app_rx_bytes_;
   Counter* replenished_descs_;

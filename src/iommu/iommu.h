@@ -181,19 +181,8 @@ class Iommu {
   const SetAssocCache& ptcache(int level) const { return *ptcaches_[level - 1]; }
 
   // Optional fault injection (invalidation stalls/drops, walker latency
-  // spikes) and safety-oracle observation of every device translation.
+  // spikes). Safety-oracle observation is per domain (SetDomainOracle).
   void SetFaultInjector(FaultInjector* faults) { fault_injector_ = faults; }
-  void SetSafetyOracle(SafetyOracle* oracle) {
-    domains_.at(kHostDomain).oracle = oracle;
-    ForgetRepeat();
-  }
-  // Host crash-recovery: the rebooted driver builds a fresh IO page table;
-  // the IOMMU hardware (and whatever stale state its caches hold — exactly
-  // the hazard recovery must invalidate) persists across the reboot.
-  void SetPageTable(IoPageTable* page_table) {
-    domains_.at(kHostDomain).page_table = page_table;
-    ForgetRepeat();
-  }
   // Observability: page-walk spans, invalidation spans, stale-use instants.
   void SetTrace(const TraceScope& trace) { trace_ = trace; }
 

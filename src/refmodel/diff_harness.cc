@@ -8,6 +8,7 @@
 
 #include "src/cli/repro.h"
 #include "src/driver/dma_api.h"
+#include "src/driver/protection_domain.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/invariant_registry.h"
 #include "src/faults/safety_oracle.h"
@@ -177,76 +178,53 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   frame_alloc.SetFaultInjector(&injector);
   MemorySystem mem(MemoryConfig{}, &stats);
 
-  // One stack per protection domain: the real driver objects plus the model
-  // and the live/retired descriptor pools. A single-domain run is exactly
-  // the classic harness (one stack in the host domain); multi-domain runs
-  // hang one stack behind each tenant domain of one shared IOMMU, so tenants
-  // contend for the same IOTLB/PTcache while each stack's contract is
-  // checked independently.
+  // One stack per protection domain: the real driver stack, its oracle, the
+  // model and the live/retired descriptor pools. A single-domain run is
+  // exactly the classic harness (one stack in the host domain); multi-domain
+  // runs hang one stack behind each tenant domain of one shared IOMMU, so
+  // tenants contend for the same IOTLB/PTcache while each stack's contract
+  // is checked independently.
   struct DomainStack {
-    DomainId id{};
-    std::unique_ptr<IoPageTable> pt;
-    std::unique_ptr<IovaAllocator> iova;
-    std::unique_ptr<DmaApi> dma;
+    std::unique_ptr<ProtectionDomain> driver;
     std::unique_ptr<SafetyOracle> oracle;
     std::unique_ptr<RefModel> model;
     std::vector<LiveDesc> live;
     std::deque<Iova> retired;
   };
-  std::vector<DomainStack> stacks(num_domains);
-  for (DomainStack& s : stacks) {
-    s.pt = std::make_unique<IoPageTable>();
-  }
-  // Multi-domain runs park an empty table in the (unused) host domain;
-  // every stack then gets its own tenant domain id.
-  std::unique_ptr<IoPageTable> host_pt;
-  if (multi) {
-    host_pt = std::make_unique<IoPageTable>();
-  }
+  // Multi-domain runs leave this empty table in the (unused) host domain; a
+  // single-domain stack replaces it with its own.
+  IoPageTable host_pt;
   IommuConfig iommu_config;
   iommu_config.inject_untagged_iotlb = config.bug == InjectedBug::kUntaggedIotlb;
-  Iommu iommu(iommu_config, &mem, multi ? host_pt.get() : stacks[0].pt.get(), &stats);
+  Iommu iommu(iommu_config, &mem, &host_pt, &stats);
   iommu.SetFaultInjector(&injector);
 
+  ProtectionDomainConfig driver_config;
+  driver_config.iova.num_cores = config.num_cores;
+  driver_config.iova.enable_rcache = config.enable_rcache;
+  driver_config.dma.mode = config.mode;
+  driver_config.dma.pages_per_chunk = config.pages_per_chunk;
+  driver_config.dma.num_cores = config.num_cores;
+  // Keep frees on the issuing core: cross-core migration only perturbs IOVA
+  // cache locality, which the contract does not speak about, and removing
+  // it makes shrunken repros stabler.
+  driver_config.dma.free_migration_fraction = 0.0;
+  driver_config.dma.inject_skip_reclaim_invalidation = config.bug == InjectedBug::kEarlyReclaim;
+  std::vector<DomainStack> stacks(num_domains);
   for (std::size_t di = 0; di < stacks.size(); ++di) {
     DomainStack& s = stacks[di];
-    s.id = multi ? iommu.AddDomain(s.pt.get()) : kHostDomain;
-    IovaAllocatorConfig iova_config;
-    iova_config.num_cores = config.num_cores;
-    iova_config.enable_rcache = config.enable_rcache;
-    s.iova = std::make_unique<IovaAllocator>(iova_config, &stats);
-    s.iova->SetFaultInjector(&injector);
-    DmaApiConfig dma_config;
-    dma_config.mode = config.mode;
-    dma_config.pages_per_chunk = config.pages_per_chunk;
-    dma_config.num_cores = config.num_cores;
-    // Keep frees on the issuing core: cross-core migration only perturbs IOVA
-    // cache locality, which the contract does not speak about, and removing
-    // it makes shrunken repros stabler.
-    dma_config.free_migration_fraction = 0.0;
-    dma_config.inject_skip_reclaim_invalidation = config.bug == InjectedBug::kEarlyReclaim;
-    dma_config.domain = s.id;
-    s.dma = std::make_unique<DmaApi>(dma_config, s.iova.get(), s.pt.get(), &iommu, &stats);
-    s.dma->SetFaultInjector(&injector);
+    s.driver = std::make_unique<ProtectionDomain>(
+        driver_config, &iommu,
+        multi ? ProtectionDomain::Binding::kNewDomain : ProtectionDomain::Binding::kHostDomain,
+        &stats);
     // Tenant oracles keep private counts (no registry) so violation
     // attribution stays per-domain instead of blurring across tenants.
     s.oracle = std::make_unique<SafetyOracle>(multi ? nullptr : &stats);
-    s.dma->SetSafetyOracle(s.oracle.get());
-    if (multi) {
-      iommu.SetDomainOracle(s.id, s.oracle.get());
-    } else {
-      iommu.SetSafetyOracle(s.oracle.get());
-    }
+    s.driver->SetOracle(s.oracle.get());
+    s.driver->SetFaultInjector(&injector);
+    s.driver->RegisterInvariants(&invariants,
+                                 multi ? "domain " + std::to_string(di) + ": " : "");
     s.model = std::make_unique<RefModel>(config.mode);
-    s.dma->RegisterInvariants(&invariants);
-    const std::string tag = multi ? "domain " + std::to_string(di) + ": " : "";
-    invariants.Register(tag + "pagetable.consistency", [pt = s.pt.get()](std::string* detail) {
-      return pt->CheckConsistency(detail);
-    });
-    invariants.Register(tag + "oracle.no_overlap", [oracle = s.oracle.get()](std::string* d) {
-      *d = "overlapping live map observed";
-      return oracle->overlap_maps() == 0;
-    });
   }
 
   const bool off = config.mode == ProtectionMode::kOff;
@@ -298,9 +276,10 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
       }
       // Capability mode never touches the IO page table (IOMMU pass-through);
       // the model's mapped set tracks the capability grants instead.
-      if (!off && !capability && s.pt->mapped_pages() != s.model->mapped_pages()) {
+      const std::uint64_t mapped = s.driver->page_table().mapped_pages();
+      if (!off && !capability && mapped != s.model->mapped_pages()) {
         std::ostringstream os;
-        os << tag << "page table holds " << s.pt->mapped_pages()
+        os << tag << "page table holds " << mapped
            << " pages but the model expects " << s.model->mapped_pages();
         diverge(index, os.str());
         return;
@@ -337,7 +316,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
 
   auto do_translate = [&](DomainStack& s, std::size_t index, Iova iova_addr) {
     ++out.dmas;
-    const TranslationResult res = iommu.Translate(s.id, iova_addr, t);
+    const TranslationResult res = iommu.Translate(s.driver->id(), iova_addr, t);
     if (res.fault) {
       ++out.faults;
     }
@@ -355,7 +334,8 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   auto do_cap_check = [&](DomainStack& s, std::size_t index, Iova iova_addr) {
     ++out.dmas;
     const bool enforce = config.bug != InjectedBug::kSkipCapabilityCheck;
-    const DmaApi::DeviceCheckResult r = s.dma->DeviceCheckCapability(iova_addr, 1, t, enforce);
+    const DmaApi::DeviceCheckResult r =
+        s.driver->dma().DeviceCheckCapability(iova_addr, 1, t, enforce);
     if (!r.allowed) {
       ++out.faults;
     }
@@ -369,8 +349,8 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
     // Domain dispatch rides the arg's high bits: independent of the low
     // bits' pool selections, so ops stay self-contained for shrinking.
     DomainStack& s = stacks[multi ? static_cast<std::size_t>((op.arg >> 44) % num_domains) : 0];
-    DmaApi& dma = *s.dma;
-    IoPageTable& pt = *s.pt;
+    DmaApi& dma = s.driver->dma();
+    IoPageTable& pt = s.driver->page_table();
     SafetyOracle& oracle = *s.oracle;
     RefModel& model = *s.model;
     std::vector<LiveDesc>& live = s.live;

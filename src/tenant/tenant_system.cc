@@ -17,10 +17,20 @@ TenantSystem::TenantSystem(const TenantSystemConfig& config) : config_(config) {
   for (const TenantConfig& tc : config_.tenants) {
     Tenant tenant;
     tenant.config = tc;
+    // Tenant drivers run on 4 cores with the IOVA rcache on and no
+    // cross-core free migration, so multi-tenant scenarios stay
+    // deterministic without seeding per-tenant RNG streams.
     ProtectionDomainConfig pd;
-    pd.mode = tc.mode;
-    pd.pages_per_chunk = config_.churn_pages;
-    tenant.domain = std::make_unique<ProtectionDomain>(pd, iommu_.get(), &stats_);
+    pd.iova.num_cores = 4;
+    pd.iova.enable_rcache = true;
+    pd.dma.mode = tc.mode;
+    pd.dma.pages_per_chunk = config_.churn_pages;
+    pd.dma.num_cores = 4;
+    pd.dma.free_migration_fraction = 0.0;
+    tenant.oracle = std::make_unique<SafetyOracle>();
+    tenant.domain = std::make_unique<ProtectionDomain>(
+        pd, iommu_.get(), ProtectionDomain::Binding::kNewDomain, &stats_);
+    tenant.domain->SetOracle(tenant.oracle.get());
     tenant.function = std::make_unique<NicFunction>(tenant.domain->id(), tc.weight);
     tenants_.push_back(std::move(tenant));
   }
@@ -59,8 +69,8 @@ void TenantSystem::RunOp(Tenant* tenant) {
     while (tenant->off_pool.size() < pages) {
       const PhysAddr f = frames_->AllocFrame();
       tenant->domain->page_table().Map(f, f);
-      tenant->domain->oracle().OnMap(f, 1);
-      tenant->domain->oracle().OnMapBacking(f, 1, f);
+      tenant->oracle->OnMap(f, 1);
+      tenant->oracle->OnMapBacking(f, 1, f);
       tenant->off_pool.push_back(DmaMapping{f, f, 0});
     }
     const std::uint64_t base = tenant->op_seq % tenant->off_pool.size();
@@ -170,8 +180,8 @@ void TenantSystem::RecoverTenant(std::size_t idx) {
   step = NextRecoveryStep(step);
 
   // kReclaimFrames: the stranded descriptors' frames go back to the shared
-  // pool; the rebuilt driver has no record of them. Safe only because the
-  // two steps above already hold.
+  // pool and the driver stack is rebuilt; the rebuilt driver has no record
+  // of them. Safe only because the two steps above already hold.
   step = NextRecoveryStep(step);
   for (const Desc& d : tenant.in_flight) {
     for (PhysAddr f : d.frames) {
@@ -180,12 +190,14 @@ void TenantSystem::RecoverTenant(std::size_t idx) {
   }
   tenant.in_flight.clear();
   tenant.off_pool.clear();
+  tenant.domain->Rebuild();
 
-  // kInvalidateCaches: Rebuild() ends in a domain-selective flush, evicting
-  // every translation the shared IOMMU cached for the dead stack before the
-  // rebuilt driver can re-use its IOVAs.
+  // kInvalidateCaches: a domain-selective flush evicts every translation
+  // the shared IOMMU cached for the dead stack before the rebuilt driver
+  // can re-use its IOVAs. Co-resident tenants' cached translations stay
+  // resident.
   step = NextRecoveryStep(step);
-  now_ = tenant.domain->Rebuild(now_);
+  now_ = iommu_->InvalidateDomain(tenant.domain->id(), now_);
 
   step = NextRecoveryStep(step);  // kDone: the tenant may map again.
   tenant.crashed = step != RecoveryStep::kDone;
@@ -198,9 +210,8 @@ TenantReport TenantSystem::Report(std::size_t idx) const {
   report.p50_ns = tenant.latency.Percentile(50.0);
   report.p99_ns = tenant.latency.Percentile(99.0);
   report.p999_ns = tenant.latency.Percentile(99.9);
-  report.violations = tenant.domain->oracle().total_violations();
-  report.cross_domain =
-      tenant.domain->oracle().count(SafetyViolationKind::kCrossDomainHit);
+  report.violations = tenant.oracle->total_violations();
+  report.cross_domain = tenant.oracle->count(SafetyViolationKind::kCrossDomainHit);
   return report;
 }
 

@@ -17,7 +17,7 @@
 // and leaves its own mapped. A tenant crash therefore strands a mapped
 // in-flight descriptor plus whatever the shared caches hold for the domain
 // — exactly the state Recover() must neutralize (ProtectionDomain::Rebuild:
-// force-unmap + fresh tables + domain-selective invalidation).
+// force-unmap + fresh tables, then a domain-selective invalidation).
 #ifndef FASTSAFE_SRC_TENANT_TENANT_SYSTEM_H_
 #define FASTSAFE_SRC_TENANT_TENANT_SYSTEM_H_
 
@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "src/driver/protection.h"
+#include "src/driver/protection_domain.h"
+#include "src/faults/safety_oracle.h"
 #include "src/iommu/iommu.h"
 #include "src/mem/frame_allocator.h"
 #include "src/mem/memory_system.h"
@@ -34,7 +36,6 @@
 #include "src/stats/counters.h"
 #include "src/stats/histogram.h"
 #include "src/tenant/nic_function.h"
-#include "src/tenant/protection_domain.h"
 
 namespace fsio {
 
@@ -111,6 +112,9 @@ class TenantSystem {
 
   struct Tenant {
     TenantConfig config;
+    // Per-domain ground truth for the isolation invariants: private counts
+    // (no registry), so violations stay attributed to this tenant.
+    std::unique_ptr<SafetyOracle> oracle;
     std::unique_ptr<ProtectionDomain> domain;
     std::unique_ptr<NicFunction> function;
     Histogram latency;

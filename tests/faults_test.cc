@@ -232,7 +232,7 @@ class FaultedDriverTest : public ::testing::Test {
     iommu_ = std::make_unique<Iommu>(IommuConfig{}, memory_.get(), page_table_.get(),
                                      stats_.get());
     iommu_->SetFaultInjector(injector_.get());
-    iommu_->SetSafetyOracle(oracle_.get());
+    iommu_->SetDomainOracle(kHostDomain, oracle_.get());
     IovaAllocatorConfig iova_config;
     iova_config.num_cores = 4;
     iova_ = std::make_unique<IovaAllocator>(iova_config, stats_.get());

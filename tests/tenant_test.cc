@@ -275,5 +275,27 @@ TEST(TenantSystemTest, CrashRecoveryInvalidatesOnlyTheCrashedDomain) {
   EXPECT_EQ(system.stats().Value("iommu.cross_domain_hits"), 0u);
 }
 
+TEST(TenantSystemTest, RecoveredDomainStillReportsToItsOracle) {
+  // Deferred mode leaves an unmapped descriptor's IOTLB entries resident
+  // until the flush queue drains: a device access through one is a
+  // use-after-unmap the tenant's own oracle must record, also after
+  // recovery rebuilt the tenant's driver stack.
+  TenantSystem system(TwoTenantConfig(ProtectionMode::kDeferred));
+  system.RunRounds(20);
+  system.CrashTenant(0);
+  system.RecoverTenant(0);
+  system.RunRounds(1);
+  const std::vector<Iova> previous = system.StrandedIovas(0);
+  ASSERT_FALSE(previous.empty());
+  system.RunRounds(1);  // the next op unmaps `previous`; its flush waits
+  EXPECT_EQ(system.Report(0).violations, 0u);
+
+  const TranslationResult r =
+      system.iommu().Translate(system.domain(0).id(), previous.front(), system.now());
+  EXPECT_TRUE(r.stale_iotlb);
+  EXPECT_EQ(system.Report(0).violations, 1u);
+  EXPECT_EQ(system.Report(1).violations, 0u);
+}
+
 }  // namespace
 }  // namespace fsio
