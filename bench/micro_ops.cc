@@ -43,6 +43,39 @@ void BM_RbTreeAllocFree(benchmark::State& state) {
 }
 BENCHMARK(BM_RbTreeAllocFree);
 
+// The request shape IovaAllocator actually sends to the tree: naturally
+// aligned power-of-two sizes of 1-64 pages, rcache off so every op reaches
+// the tree, ~1024 live ranges.
+void BM_IovaTreePathChurn(benchmark::State& state) {
+  StatsRegistry stats;
+  IovaAllocatorConfig config;
+  config.num_cores = 1;
+  config.enable_rcache = false;
+  IovaAllocator alloc(config, &stats);
+  struct Live {
+    Iova iova;
+    std::uint64_t pages;
+  };
+  std::vector<Live> live;
+  Rng rng(1);
+  for (auto _ : state) {
+    if (live.size() < 1024 || rng.NextBool(0.5)) {
+      const std::uint64_t pages = 1ULL << rng.NextBelow(7);
+      const Iova iova = alloc.Alloc(0, pages);
+      if (iova != IovaAllocator::kInvalidIova) {
+        live.push_back({iova, pages});
+      }
+    } else {
+      const std::size_t idx = rng.NextBelow(live.size());
+      alloc.Free(0, live[idx].iova, live[idx].pages);
+      live[idx] = live.back();
+      live.pop_back();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IovaTreePathChurn);
+
 void BM_IovaRcacheHit(benchmark::State& state) {
   StatsRegistry stats;
   IovaAllocator alloc(IovaAllocatorConfig{}, &stats);

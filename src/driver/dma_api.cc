@@ -30,30 +30,36 @@ DmaApi::DmaApi(const DmaApiConfig& config, IovaAllocator* iova, IoPageTable* pag
   }
 }
 
-void DmaApi::RegisterInvariants(InvariantRegistry* registry) {
+void DmaApi::RegisterInvariants(InvariantRegistry* registry, const std::string& prefix,
+                                std::function<DmaApi*()> current) {
   invariants_ = registry;
-  if (registry != nullptr) {
-    registry->Register("dma.chunk_accounting",
-                       [this](std::string* detail) { return CheckChunkAccounting(detail); });
-    if (captable_ != nullptr) {
-      registry->Register("capability.table_consistency", [this](std::string* detail) {
-        return captable_->CheckConsistency(detail);
-      });
-      // The capability mode's safety contract: once a capability is revoked,
-      // no device access may land through it. Any use-after-unmap the oracle
-      // records in this mode is exactly such a DMA-after-revoke.
-      registry->Register("capability.dma_after_revoke", [this](std::string* detail) {
-        if (oracle_ != nullptr &&
-            oracle_->count(SafetyViolationKind::kUseAfterUnmap) != 0) {
-          std::ostringstream os;
-          os << oracle_->count(SafetyViolationKind::kUseAfterUnmap)
-             << " device access(es) through a revoked capability";
-          *detail = os.str();
-          return false;
-        }
-        return true;
-      });
-    }
+  if (registry == nullptr) {
+    return;
+  }
+  if (!current) {
+    current = [this] { return this; };
+  }
+  registry->Register(prefix + "dma.chunk_accounting", [current](std::string* detail) {
+    return current()->CheckChunkAccounting(detail);
+  });
+  if (captable_ != nullptr) {
+    registry->Register(prefix + "capability.table_consistency", [current](std::string* detail) {
+      return current()->captable_->CheckConsistency(detail);
+    });
+    // The capability mode's safety contract: once a capability is revoked,
+    // no device access may land through it. Any use-after-unmap the oracle
+    // records in this mode is exactly such a DMA-after-revoke.
+    registry->Register(prefix + "capability.dma_after_revoke", [current](std::string* detail) {
+      const SafetyOracle* oracle = current()->oracle_;
+      if (oracle != nullptr && oracle->count(SafetyViolationKind::kUseAfterUnmap) != 0) {
+        std::ostringstream os;
+        os << oracle->count(SafetyViolationKind::kUseAfterUnmap)
+           << " device access(es) through a revoked capability";
+        *detail = os.str();
+        return false;
+      }
+      return true;
+    });
   }
 }
 

@@ -172,9 +172,15 @@ class DmaApi {
   // Optional end-to-end safety oracle: told about every logical map/unmap/
   // release so device accesses can be judged against driver intent.
   void SetSafetyOracle(SafetyOracle* oracle) { oracle_ = oracle; }
-  // Registers this layer's structural invariants (chunk accounting) and
-  // makes `registry` the sink for hard failures (double unmap).
-  void RegisterInvariants(InvariantRegistry* registry);
+  // Makes `registry` the sink for hard failures (double unmap).
+  void SetFailureSink(InvariantRegistry* registry) { invariants_ = registry; }
+  // Makes `registry` the failure sink and registers this layer's checks
+  // under `prefix`: chunk accounting, plus the capability table and
+  // DMA-after-revoke checks in kCapability mode. Each check runs against
+  // `current()` at check time, this DmaApi by default; a ProtectionDomain
+  // passes its live stack's, so one registration follows every rebuild.
+  void RegisterInvariants(InvariantRegistry* registry, const std::string& prefix = "",
+                          std::function<DmaApi*()> current = nullptr);
 
   // True if every live chunk's unmap accounting is sane (unmapped never
   // exceeds mapped). Registered as the "dma.chunk_accounting" invariant.

@@ -13,13 +13,19 @@ ProtectionDomain::ProtectionDomain(const ProtectionDomainConfig& config, Iommu* 
 }
 
 void ProtectionDomain::Build() {
-  stack_.page_table = std::make_unique<IoPageTable>();
+  Stack fresh;
+  fresh.page_table = std::make_unique<IoPageTable>(
+      stack_.page_table != nullptr ? stack_.page_table->next_page_id() : 1);
   if (iommu_ != nullptr) {
-    iommu_->SetDomainPageTable(id_, stack_.page_table.get());
+    iommu_->SetDomainPageTable(id_, fresh.page_table.get());
   }
-  stack_.iova = std::make_unique<IovaAllocator>(config_.iova, stats_);
-  stack_.dma = std::make_unique<DmaApi>(config_.dma, stack_.iova.get(), stack_.page_table.get(),
-                                        iommu_, stats_);
+  fresh.iova = std::make_unique<IovaAllocator>(config_.iova, stats_);
+  fresh.dma = std::make_unique<DmaApi>(config_.dma, fresh.iova.get(), fresh.page_table.get(),
+                                       iommu_, stats_);
+  // The IOMMU keeps table-page ids by value and forgot its repeat memo when
+  // the new table went in, so nothing points into the old stack any more.
+  stack_ = std::move(fresh);
+  stack_.dma->SetFailureSink(invariants_);
   SetOracle(oracle_);
   SetFaultInjector(injector_);
   SetTrace(trace_);
@@ -56,7 +62,7 @@ void ProtectionDomain::RegisterInvariants(InvariantRegistry* registry,
   if (registry == nullptr) {
     return;
   }
-  stack_.dma->RegisterInvariants(registry);
+  stack_.dma->RegisterInvariants(registry, prefix, [this] { return stack_.dma.get(); });
   registry->Register(prefix + "pagetable.consistency", [this](std::string* detail) {
     return stack_.page_table->CheckConsistency(detail);
   });
@@ -78,11 +84,7 @@ void ProtectionDomain::Rebuild() {
   if (oracle_ != nullptr) {
     oracle_->ForceUnmapAll();
   }
-  retired_.push_back(std::move(stack_));
   Build();
-  if (invariants_ != nullptr) {
-    stack_.dma->RegisterInvariants(invariants_);
-  }
 }
 
 }  // namespace fsio

@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/driver/dma_api.h"
 
@@ -47,15 +46,18 @@ class ProtectionDomain {
   void SetFaultInjector(FaultInjector* injector);
   void SetTrace(const TraceScope& trace);
   void SetL3Tracker(ReuseDistanceTracker* tracker);
-  // Registers the DMA API's checks, `prefix` + "pagetable.consistency"
-  // (which follows Rebuild() to the new table) and, when an oracle is set,
-  // `prefix` + "oracle.no_overlap". Call after SetOracle.
+  // Registers, once, the DMA API's checks and "pagetable.consistency", all
+  // under `prefix` and all following Rebuild() to the live stack, and, when
+  // an oracle is set, `prefix` + "oracle.no_overlap"; the registry is also
+  // every DMA API's failure sink. Call after SetOracle.
   void RegisterInvariants(InvariantRegistry* registry, const std::string& prefix = "");
 
-  // Crash recovery: every live mapping goes dead in the oracle, the stack
-  // is retired and a fresh one takes over the same domain with every hook,
-  // its DMA API's checks registered again. The shared caches still hold
-  // the dead stack's translations: the caller issues the invalidation.
+  // Crash recovery: every live mapping goes dead in the oracle and a fresh
+  // stack, with every hook, takes over the same domain; the old one is
+  // freed. The new page table continues the old one's page ids, so a
+  // surviving PTcache pointer into the old table reads as stale. The shared
+  // caches still hold the dead stack's translations: the caller issues the
+  // invalidation.
   void Rebuild();
 
  private:
@@ -65,7 +67,8 @@ class ProtectionDomain {
     std::unique_ptr<DmaApi> dma;
   };
 
-  // Builds `stack_` afresh, binds its page table and applies the hooks.
+  // Builds a fresh stack, binds its page table, frees the old stack and
+  // applies the hooks.
   void Build();
 
   ProtectionDomainConfig config_;
@@ -73,10 +76,6 @@ class ProtectionDomain {
   StatsRegistry* stats_;
   DomainId id_ = kHostDomain;
   Stack stack_;
-  // Retired stacks stay alive: the shared caches may hold entries created
-  // against their page tables until the caller's invalidation lands, and
-  // registered invariant checks still reference their frozen accounting.
-  std::vector<Stack> retired_;
 
   SafetyOracle* oracle_ = nullptr;
   FaultInjector* injector_ = nullptr;

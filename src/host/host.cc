@@ -497,8 +497,7 @@ void Host::FinishRecovery(std::vector<DmaMapping> device_mappings) {
   frames_.Reset();
 
   // Rebuild the driver stack on the surviving IOMMU hardware: every live
-  // mapping goes dead in the oracle and the old stack is retired, not
-  // destroyed (registered invariant checks still reference it).
+  // mapping goes dead in the oracle and a fresh stack replaces the old one.
   driver_.Rebuild();
 
   // Step 4: flush every cached translation the IOMMU accumulated before the

@@ -1,13 +1,15 @@
-// IOVA allocator facade: per-core magazine caches over the red-black tree.
+// IOVA allocator facade: per-core magazine caches over the top-down range
+// allocator (rbtree_allocator.h).
 //
 // Mirrors the Linux IOVA "rcache" design described in the paper's §2.1:
 // every core keeps two magazines (stacks) of recently freed IOVAs per size
 // class, with a shared depot of full magazines behind them; only when all of
 // these are empty (alloc) or full (free) does the allocator touch the global
-// red-black tree. This gives O(1) common-case cost and high CPU efficiency —
-// at the price of the IOVA locality degradation the paper measures in
-// Figures 2e and 3e, which emerges here from LIFO recycling across the Rx
-// and Tx datapaths.
+// range allocator, which places each naturally aligned power-of-two request
+// in the highest free gap that fits it. This gives O(1) common-case cost and
+// high CPU efficiency — at the price of the IOVA locality degradation the
+// paper measures in Figures 2e and 3e, which emerges here from LIFO
+// recycling across the Rx and Tx datapaths.
 #ifndef FASTSAFE_SRC_IOVA_IOVA_ALLOCATOR_H_
 #define FASTSAFE_SRC_IOVA_IOVA_ALLOCATOR_H_
 
@@ -23,7 +25,7 @@ namespace fsio {
 
 struct IovaAllocatorConfig {
   std::uint32_t num_cores = 8;
-  bool enable_rcache = true;       // false = every op goes to the rbtree
+  bool enable_rcache = true;       // false = every op goes to the range allocator
   std::uint32_t magazine_size = 127;
   std::uint32_t depot_magazines = 32;  // per size class, shared by all cores
   std::uint32_t max_cached_order = 6;  // cache size classes up to 2^6 = 64 pages
@@ -44,7 +46,7 @@ class IovaAllocator {
   // Returns an IOVA previously obtained from Alloc with the same `pages`.
   void Free(std::uint32_t core, Iova iova, std::uint64_t pages);
 
-  // Direct access to the underlying tree (tests, working-set inspection).
+  // Direct access to the range allocator (tests, working-set inspection).
   RbTreeAllocator& tree() { return tree_; }
   const RbTreeAllocator& tree() const { return tree_; }
 

@@ -1,491 +1,101 @@
 #include "src/iova/rbtree_allocator.h"
 
-#include <algorithm>
-#include <vector>
+#include <iterator>
 
 namespace fsio {
 
-namespace {
-enum Color : std::uint8_t { kRed, kBlack };
-}  // namespace
-
-struct RbTreeAllocator::Node {
-  std::uint64_t lo = 0;  // first PFN of the range
-  std::uint64_t hi = 0;  // last PFN of the range (inclusive)
-  Color color = kRed;
-  Node* parent = nullptr;
-  Node* left = nullptr;
-  Node* right = nullptr;
-  // In-order neighbors (nullptr at the ends). Rotations never reorder nodes,
-  // so these only change when a neighbor is inserted or removed.
-  Node* prev = nullptr;
-  Node* next = nullptr;
-  // Augmentation: free PFNs in the gap directly below this range, i.e.
-  // lo - (prev->hi + 1) (or lo - 0 with no prev), and the maximum such gap
-  // anywhere in this node's subtree. The gap above the topmost range is not
-  // represented here; Alloc checks it explicitly first.
-  std::uint64_t below_gap = 0;
-  std::uint64_t max_gap = 0;
-};
-
 RbTreeAllocator::RbTreeAllocator(std::uint64_t limit_pfn) : limit_pfn_(limit_pfn) {
-  nil_ = new Node();
-  nil_->color = kBlack;
-  nil_->parent = nil_->left = nil_->right = nil_;
-  nil_->max_gap = 0;  // permanent: lets RecomputeMaxGap treat children uniformly
-  root_ = nil_;
-}
-
-RbTreeAllocator::~RbTreeAllocator() {
-  // Iterative post-order destruction to avoid deep recursion.
-  std::vector<Node*> stack;
-  if (root_ != nil_) {
-    stack.push_back(root_);
+  if (limit_pfn_ > 0) {
+    free_.emplace(0, limit_pfn_);
   }
-  while (!stack.empty()) {
-    Node* n = stack.back();
-    stack.pop_back();
-    if (n->left != nil_) {
-      stack.push_back(n->left);
-    }
-    if (n->right != nil_) {
-      stack.push_back(n->right);
-    }
-    delete n;
-  }
-  delete nil_;
-}
-
-RbTreeAllocator::Node* RbTreeAllocator::Minimum(Node* x) const {
-  while (x->left != nil_) {
-    x = x->left;
-  }
-  return x;
-}
-
-RbTreeAllocator::Node* RbTreeAllocator::Maximum(Node* x) const {
-  while (x->right != nil_) {
-    x = x->right;
-  }
-  return x;
-}
-
-void RbTreeAllocator::RecomputeMaxGap(Node* x) {
-  x->max_gap = std::max({x->below_gap, x->left->max_gap, x->right->max_gap});
-}
-
-// Recomputes max_gap from `x` up to the root (after a below_gap change or a
-// structural change whose deepest affected node is `x`). Safe to call with
-// nil_: its parent always points at a real node or itself.
-void RbTreeAllocator::PullUpMaxGap(Node* x) {
-  while (x != nil_) {
-    RecomputeMaxGap(x);
-    x = x->parent;
-  }
-}
-
-void RbTreeAllocator::LeftRotate(Node* x) {
-  Node* y = x->right;
-  x->right = y->left;
-  if (y->left != nil_) {
-    y->left->parent = x;
-  }
-  y->parent = x->parent;
-  if (x->parent == nil_) {
-    root_ = y;
-  } else if (x == x->parent->left) {
-    x->parent->left = y;
-  } else {
-    x->parent->right = y;
-  }
-  y->left = x;
-  x->parent = y;
-  // A rotation moves subtrees but keeps the in-order sequence, so only the
-  // two pivot nodes' aggregates change (x is y's child after the rotation).
-  RecomputeMaxGap(x);
-  RecomputeMaxGap(y);
-}
-
-void RbTreeAllocator::RightRotate(Node* x) {
-  Node* y = x->left;
-  x->left = y->right;
-  if (y->right != nil_) {
-    y->right->parent = x;
-  }
-  y->parent = x->parent;
-  if (x->parent == nil_) {
-    root_ = y;
-  } else if (x == x->parent->right) {
-    x->parent->right = y;
-  } else {
-    x->parent->left = y;
-  }
-  y->right = x;
-  x->parent = y;
-  RecomputeMaxGap(x);
-  RecomputeMaxGap(y);
-}
-
-void RbTreeAllocator::InsertNode(Node* z) {
-  Node* y = nil_;
-  Node* x = root_;
-  while (x != nil_) {
-    y = x;
-    x = z->lo < x->lo ? x->left : x->right;
-  }
-  z->parent = y;
-  if (y == nil_) {
-    root_ = z;
-    z->prev = nullptr;
-    z->next = nullptr;
-  } else if (z->lo < y->lo) {
-    y->left = z;
-    z->prev = y->prev;
-    z->next = y;
-  } else {
-    y->right = z;
-    z->prev = y;
-    z->next = y->next;
-  }
-  if (z->prev != nullptr) {
-    z->prev->next = z;
-  }
-  if (z->next != nullptr) {
-    z->next->prev = z;
-  }
-  z->left = nil_;
-  z->right = nil_;
-  z->color = kRed;
-  // Gap bookkeeping: z splits its successor's old below-gap in two.
-  z->below_gap = z->lo - (z->prev != nullptr ? z->prev->hi + 1 : 0);
-  z->max_gap = z->below_gap;
-  PullUpMaxGap(z->parent);
-  InsertFixup(z);
-  if (z->next != nullptr) {
-    z->next->below_gap = z->next->lo - (z->hi + 1);
-    PullUpMaxGap(z->next);
-  }
-}
-
-void RbTreeAllocator::InsertFixup(Node* z) {
-  while (z->parent->color == kRed) {
-    if (z->parent == z->parent->parent->left) {
-      Node* y = z->parent->parent->right;
-      if (y->color == kRed) {
-        z->parent->color = kBlack;
-        y->color = kBlack;
-        z->parent->parent->color = kRed;
-        z = z->parent->parent;
-      } else {
-        if (z == z->parent->right) {
-          z = z->parent;
-          LeftRotate(z);
-        }
-        z->parent->color = kBlack;
-        z->parent->parent->color = kRed;
-        RightRotate(z->parent->parent);
-      }
-    } else {
-      Node* y = z->parent->parent->left;
-      if (y->color == kRed) {
-        z->parent->color = kBlack;
-        y->color = kBlack;
-        z->parent->parent->color = kRed;
-        z = z->parent->parent;
-      } else {
-        if (z == z->parent->left) {
-          z = z->parent;
-          RightRotate(z);
-        }
-        z->parent->color = kBlack;
-        z->parent->parent->color = kRed;
-        LeftRotate(z->parent->parent);
-      }
-    }
-  }
-  root_->color = kBlack;
-}
-
-void RbTreeAllocator::Transplant(Node* u, Node* v) {
-  if (u->parent == nil_) {
-    root_ = v;
-  } else if (u == u->parent->left) {
-    u->parent->left = v;
-  } else {
-    u->parent->right = v;
-  }
-  v->parent = u->parent;
-}
-
-void RbTreeAllocator::DeleteNode(Node* z) {
-  // Neighbor bookkeeping first: removing z merges the gaps on its two sides
-  // into its successor's below-gap. Aggregates are pulled up after the tree
-  // is restructured (the new below_gap value is already in place).
-  Node* const succ = z->next;
-  if (z->prev != nullptr) {
-    z->prev->next = z->next;
-  }
-  if (z->next != nullptr) {
-    z->next->prev = z->prev;
-    z->next->below_gap = z->next->lo - (z->prev != nullptr ? z->prev->hi + 1 : 0);
-  }
-
-  Node* y = z;
-  Node* x = nil_;
-  Color y_original = y->color;
-  if (z->left == nil_) {
-    x = z->right;
-    Transplant(z, z->right);
-    PullUpMaxGap(x->parent);
-  } else if (z->right == nil_) {
-    x = z->left;
-    Transplant(z, z->left);
-    PullUpMaxGap(x->parent);
-  } else {
-    y = Minimum(z->right);
-    y_original = y->color;
-    x = y->right;
-    if (y->parent == z) {
-      x->parent = y;
-      Transplant(z, y);
-      y->left = z->left;
-      y->left->parent = y;
-      y->color = z->color;
-      PullUpMaxGap(y);
-    } else {
-      Node* pull_from = y->parent;  // deepest node whose subtree changed
-      Transplant(y, y->right);
-      y->right = z->right;
-      y->right->parent = y;
-      Transplant(z, y);
-      y->left = z->left;
-      y->left->parent = y;
-      y->color = z->color;
-      PullUpMaxGap(pull_from);  // runs through y on the way to the root
-    }
-  }
-  if (y_original == kBlack) {
-    DeleteFixup(x);
-  }
-  if (succ != nullptr) {
-    PullUpMaxGap(succ);
-  }
-  delete z;
-}
-
-void RbTreeAllocator::DeleteFixup(Node* x) {
-  while (x != root_ && x->color == kBlack) {
-    if (x == x->parent->left) {
-      Node* w = x->parent->right;
-      if (w->color == kRed) {
-        w->color = kBlack;
-        x->parent->color = kRed;
-        LeftRotate(x->parent);
-        w = x->parent->right;
-      }
-      if (w->left->color == kBlack && w->right->color == kBlack) {
-        w->color = kRed;
-        x = x->parent;
-      } else {
-        if (w->right->color == kBlack) {
-          w->left->color = kBlack;
-          w->color = kRed;
-          RightRotate(w);
-          w = x->parent->right;
-        }
-        w->color = x->parent->color;
-        x->parent->color = kBlack;
-        w->right->color = kBlack;
-        LeftRotate(x->parent);
-        x = root_;
-      }
-    } else {
-      Node* w = x->parent->left;
-      if (w->color == kRed) {
-        w->color = kBlack;
-        x->parent->color = kRed;
-        RightRotate(x->parent);
-        w = x->parent->left;
-      }
-      if (w->right->color == kBlack && w->left->color == kBlack) {
-        w->color = kRed;
-        x = x->parent;
-      } else {
-        if (w->left->color == kBlack) {
-          w->right->color = kBlack;
-          w->color = kRed;
-          LeftRotate(w);
-          w = x->parent->left;
-        }
-        w->color = x->parent->color;
-        x->parent->color = kBlack;
-        w->left->color = kBlack;
-        RightRotate(x->parent);
-        x = root_;
-      }
-    }
-  }
-  x->color = kBlack;
-}
-
-RbTreeAllocator::Node* RbTreeAllocator::FindByStart(std::uint64_t start_pfn) const {
-  Node* x = root_;
-  while (x != nil_) {
-    if (start_pfn == x->lo) {
-      return x;
-    }
-    x = start_pfn < x->lo ? x->left : x->right;
-  }
-  return nullptr;
-}
-
-// Visits the gaps below the ranges in subtree `t` in strictly descending
-// address order, skipping (whole subtrees of) gaps too small to fit, and
-// returns the first placement the alignment predicate accepts. Identical
-// placement to the pre-augmentation linear walk: gaps smaller than `pages`
-// could never pass the size check there either.
-std::uint64_t RbTreeAllocator::SearchGapsDown(Node* t, std::uint64_t pages,
-                                              std::uint64_t align_mask) const {
-  while (t != nil_ && t->max_gap >= pages) {
-    const std::uint64_t from_right = SearchGapsDown(t->right, pages, align_mask);
-    if (from_right != kInvalidPfn) {
-      return from_right;
-    }
-    if (t->below_gap >= pages) {
-      const std::uint64_t gap_top = t->lo;  // exclusive
-      const std::uint64_t gap_lo = t->lo - t->below_gap;
-      const std::uint64_t start = (gap_top - pages) & ~align_mask;
-      if (start >= gap_lo && start + pages <= gap_top) {
-        return start;
-      }
-    }
-    t = t->left;  // tail call: continue with lower addresses
-  }
-  return kInvalidPfn;
 }
 
 std::uint64_t RbTreeAllocator::Alloc(std::uint64_t pages, std::uint64_t align_pages) {
   if (pages == 0 || pages > limit_pfn_) {
     return kInvalidPfn;
   }
-  if (align_pages == 0) {
-    align_pages = 1;
-  }
-  const std::uint64_t align_mask = align_pages - 1;
-  // Topmost gap first — between the highest allocated range (or 0) and the
-  // address-space limit — then the per-node gaps in descending order.
-  std::uint64_t start = kInvalidPfn;
-  const std::uint64_t top_lo = root_ == nil_ ? 0 : Maximum(root_)->hi + 1;
-  if (limit_pfn_ >= top_lo && limit_pfn_ - top_lo >= pages) {
-    const std::uint64_t candidate = (limit_pfn_ - pages) & ~align_mask;
-    if (candidate >= top_lo && candidate + pages <= limit_pfn_) {
-      start = candidate;
+  const std::uint64_t align_mask = align_pages == 0 ? 0 : align_pages - 1;
+  // Highest gap first, then downwards: each gap offers its topmost aligned
+  // start, and the first gap where that start still lies inside wins.
+  for (auto gap = free_.rbegin(); gap != free_.rend(); ++gap) {
+    const auto [lo, hi] = *gap;
+    if (hi - lo < pages) {
+      continue;
     }
-  }
-  if (start == kInvalidPfn) {
-    start = SearchGapsDown(root_, pages, align_mask);
-    if (start == kInvalidPfn) {
-      return kInvalidPfn;
+    const std::uint64_t start = (hi - pages) & ~align_mask;
+    if (start < lo) {
+      continue;
     }
+    // Split the gap into what lies below and above the new range.
+    auto it = std::prev(gap.base());
+    if (lo < start) {
+      it->second = start;
+      ++it;
+    } else {
+      it = free_.erase(it);
+    }
+    if (start + pages < hi) {
+      free_.emplace_hint(it, start + pages, hi);
+    }
+    allocated_.emplace(start, start + pages);
+    allocated_pages_ += pages;
+    return start;
   }
-  auto* range = new Node();
-  range->lo = start;
-  range->hi = start + pages - 1;
-  InsertNode(range);
-  ++size_;
-  allocated_pages_ += pages;
-  return start;
+  return kInvalidPfn;
 }
 
 bool RbTreeAllocator::Free(std::uint64_t start_pfn) {
-  Node* node = FindByStart(start_pfn);
-  if (node == nullptr) {
+  const auto range = allocated_.find(start_pfn);
+  if (range == allocated_.end()) {
     return false;
   }
-  allocated_pages_ -= node->hi - node->lo + 1;
-  --size_;
-  DeleteNode(node);
+  const std::uint64_t lo = range->first;
+  std::uint64_t hi = range->second;
+  allocated_pages_ -= hi - lo;
+  allocated_.erase(range);
+  // Merge with the free gaps that touch the range on either side.
+  auto above = free_.lower_bound(hi);
+  if (above != free_.end() && above->first == hi) {
+    hi = above->second;
+    above = free_.erase(above);
+  }
+  if (above != free_.begin()) {
+    const auto below = std::prev(above);
+    if (below->second == lo) {
+      below->second = hi;
+      return true;
+    }
+  }
+  free_.emplace_hint(above, lo, hi);
   return true;
 }
 
 bool RbTreeAllocator::Contains(std::uint64_t pfn) const {
-  const Node* x = root_;
-  while (x != nil_) {
-    if (pfn < x->lo) {
-      x = x->left;
-    } else if (pfn > x->hi) {
-      x = x->right;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool RbTreeAllocator::CheckSubtree(const Node* node, std::uint64_t* black_height,
-                                   std::uint64_t lo, std::uint64_t hi) const {
-  if (node == nil_) {
-    *black_height = 1;
-    return true;
-  }
-  if (node->lo > node->hi || node->lo < lo || node->hi > hi) {
-    return false;
-  }
-  if (node->color == kRed &&
-      (node->left->color == kRed || node->right->color == kRed)) {
-    return false;
-  }
-  // Augmentation invariants: below_gap matches the in-order predecessor,
-  // neighbor links agree, and max_gap aggregates the subtree.
-  const std::uint64_t expect_gap =
-      node->lo - (node->prev != nullptr ? node->prev->hi + 1 : 0);
-  if (node->below_gap != expect_gap) {
-    return false;
-  }
-  if (node->prev != nullptr && node->prev->next != node) {
-    return false;
-  }
-  if (node->next != nullptr && node->next->prev != node) {
-    return false;
-  }
-  if (node->max_gap != std::max({node->below_gap, node->left->max_gap,
-                                 node->right->max_gap})) {
-    return false;
-  }
-  std::uint64_t left_bh = 0;
-  std::uint64_t right_bh = 0;
-  // Children must fit strictly to each side of this range (no overlap).
-  if (node->lo > 0) {
-    if (!CheckSubtree(node->left, &left_bh, lo, node->lo - 1)) {
-      return false;
-    }
-  } else if (node->left != nil_) {
-    return false;
-  } else {
-    left_bh = 1;
-  }
-  if (node->hi < ~0ULL) {
-    if (!CheckSubtree(node->right, &right_bh, node->hi + 1, hi)) {
-      return false;
-    }
-  } else if (node->right != nil_) {
-    return false;
-  } else {
-    right_bh = 1;
-  }
-  if (left_bh != right_bh) {
-    return false;
-  }
-  *black_height = left_bh + (node->color == kBlack ? 1 : 0);
-  return true;
+  const auto above = allocated_.upper_bound(pfn);
+  return above != allocated_.begin() && pfn < std::prev(above)->second;
 }
 
 bool RbTreeAllocator::CheckInvariants() const {
-  if (root_->color != kBlack) {
-    return false;
+  // Merge-walk both maps in address order.
+  std::uint64_t pos = 0;
+  std::uint64_t pages = 0;
+  bool after_gap = false;
+  auto gap = free_.begin();
+  auto range = allocated_.begin();
+  while (gap != free_.end() || range != allocated_.end()) {
+    const bool is_gap =
+        range == allocated_.end() || (gap != free_.end() && gap->first < range->first);
+    const auto [lo, hi] = is_gap ? *gap++ : *range++;
+    if (lo != pos || hi <= lo || (is_gap && after_gap)) {
+      return false;
+    }
+    if (!is_gap) {
+      pages += hi - lo;
+    }
+    after_gap = is_gap;
+    pos = hi;
   }
-  std::uint64_t bh = 0;
-  return CheckSubtree(root_, &bh, 0, ~0ULL);
+  return pos == limit_pfn_ && pages == allocated_pages_;
 }
 
 }  // namespace fsio

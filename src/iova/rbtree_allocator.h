@@ -1,24 +1,21 @@
-// Red-black-tree IOVA range allocator, modeled on Linux's alloc_iova().
+// IOVA range allocator, modeled on Linux's alloc_iova().
 //
-// Allocated ranges are nodes in a from-scratch red-black tree ordered by
-// start PFN. Allocation searches top-down from the address-space limit for
-// the highest free gap that fits (Linux allocates IOVAs "compactly from the
-// top of the address space"); freeing removes the exact node. All operations
-// work in page-frame-number (PFN) space.
-//
-// The tree is augmented the way Linux's VMA tree is: every node carries the
-// free gap directly below its range and the maximum such gap in its subtree,
-// plus in-order prev/next links. Alloc prunes subtrees whose max gap cannot
-// fit the request, visiting candidate gaps in the same strictly descending
-// order as a linear scan — same placement decisions, O(log n) typical cost
-// instead of a walk over every allocated range. (The *simulated* CPU cost of
-// the slow path — the §2.1 trade-off — is charged separately by
-// iova_allocator.h; this structure only has to be fast for the simulator
-// itself.)
+// Linux allocates IOVAs "compactly from the top of the address space": a
+// request takes the highest free gap that fits it at its alignment, and a
+// free returns exactly the range that was allocated. Two ordered maps (the
+// standard library's red-black trees) hold the state, keyed by start PFN:
+// the free gaps and the allocated ranges, which together tile
+// [0, limit_pfn) with no two free gaps touching. Alloc visits the gaps from
+// the top down, so its cost grows with the number of gaps it skips; the
+// per-core rcache in front of it (iova_allocator.h) keeps it nearly idle,
+// and the *simulated* CPU cost of the slow path (the §2.1 trade-off) is
+// charged there, whatever this structure costs the simulator. All
+// operations work in page-frame-number (PFN) space.
 #ifndef FASTSAFE_SRC_IOVA_RBTREE_ALLOCATOR_H_
 #define FASTSAFE_SRC_IOVA_RBTREE_ALLOCATOR_H_
 
 #include <cstdint>
+#include <map>
 
 #include "src/mem/address.h"
 
@@ -30,7 +27,6 @@ class RbTreeAllocator {
 
   // Allocations are placed below `limit_pfn` (exclusive).
   explicit RbTreeAllocator(std::uint64_t limit_pfn = kIovaSpaceSize >> kPageShift);
-  ~RbTreeAllocator();
   RbTreeAllocator(const RbTreeAllocator&) = delete;
   RbTreeAllocator& operator=(const RbTreeAllocator&) = delete;
 
@@ -46,39 +42,19 @@ class RbTreeAllocator {
   // True if `pfn` lies inside any allocated range.
   bool Contains(std::uint64_t pfn) const;
 
-  std::uint64_t allocated_ranges() const { return size_; }
+  std::uint64_t allocated_ranges() const { return allocated_.size(); }
   std::uint64_t allocated_pages() const { return allocated_pages_; }
   std::uint64_t limit_pfn() const { return limit_pfn_; }
 
-  // Verifies red-black and interval invariants (for property tests):
-  // BST order, no red node with a red child, equal black height on every
-  // path, and no overlapping ranges. Returns false on any violation.
+  // Verifies (for property tests) that the free gaps and allocated ranges
+  // tile [0, limit_pfn) exactly, that no two free gaps touch, and that
+  // allocated_pages() agrees with the ranges. Returns false on any violation.
   bool CheckInvariants() const;
 
  private:
-  struct Node;
-
-  Node* Minimum(Node* x) const;
-  Node* Maximum(Node* x) const;
-  void LeftRotate(Node* x);
-  void RightRotate(Node* x);
-  void InsertNode(Node* z);
-  void InsertFixup(Node* z);
-  void Transplant(Node* u, Node* v);
-  void DeleteNode(Node* z);
-  void DeleteFixup(Node* x);
-  Node* FindByStart(std::uint64_t start_pfn) const;
-  void RecomputeMaxGap(Node* x);
-  void PullUpMaxGap(Node* x);
-  std::uint64_t SearchGapsDown(Node* t, std::uint64_t pages,
-                               std::uint64_t align_mask) const;
-  bool CheckSubtree(const Node* node, std::uint64_t* black_height, std::uint64_t lo,
-                    std::uint64_t hi) const;
-
   std::uint64_t limit_pfn_;
-  Node* nil_;   // shared sentinel
-  Node* root_;
-  std::uint64_t size_ = 0;
+  std::map<std::uint64_t, std::uint64_t> free_;       // gap start -> end (exclusive)
+  std::map<std::uint64_t, std::uint64_t> allocated_;  // range start -> end (exclusive)
   std::uint64_t allocated_pages_ = 0;
 };
 

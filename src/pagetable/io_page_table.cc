@@ -4,7 +4,9 @@
 
 namespace fsio {
 
-IoPageTable::IoPageTable() { root_.reset(NewPage(1)); }
+IoPageTable::IoPageTable(std::uint64_t first_page_id) : next_page_id_(first_page_id) {
+  root_.reset(NewPage(1));
+}
 
 IoPageTable::~IoPageTable() = default;
 

@@ -3,7 +3,9 @@
 // Level numbering follows the paper: PT-L1 is the root; PT-L4 pages hold leaf
 // entries mapping 4 KB IOVAs to physical frames. Every table page carries a
 // unique, never-reused id so the IOMMU model can detect use of stale cached
-// pointers (the safety property F&S must preserve).
+// pointers (the safety property F&S must preserve). A table that replaces
+// another one (a rebuilt protection domain) continues the old table's
+// numbering, so ids stay unique across the replacement too.
 //
 // Reclamation rule (paper §3, Fig. 5): a table page is reclaimed during an
 // Unmap call only if that *single* call's range covers the page's entire
@@ -49,7 +51,8 @@ struct WalkResult {
 
 class IoPageTable {
  public:
-  IoPageTable();
+  // The root gets id `first_page_id`; later pages count up from it.
+  explicit IoPageTable(std::uint64_t first_page_id = 1);
   ~IoPageTable();
   IoPageTable(const IoPageTable&) = delete;
   IoPageTable& operator=(const IoPageTable&) = delete;
@@ -91,7 +94,9 @@ class IoPageTable {
 
   std::uint64_t mapped_pages() const { return mapped_pages_; }
   std::uint64_t live_table_pages() const { return live_page_ids_.size(); }
-  std::uint64_t total_table_pages_created() const { return next_page_id_ - 1; }
+  // The id the next table page will get: the `first_page_id` for a table
+  // that replaces this one.
+  std::uint64_t next_page_id() const { return next_page_id_; }
   std::uint64_t total_table_pages_reclaimed() const { return reclaimed_pages_; }
 
  private:
@@ -115,7 +120,7 @@ class IoPageTable {
   void UnmapRange(TablePage* page, Iova page_base, Iova start, Iova end, UnmapResult* out);
 
   std::unique_ptr<TablePage> root_;
-  std::uint64_t next_page_id_ = 1;
+  std::uint64_t next_page_id_;
   std::uint64_t mapped_pages_ = 0;
   std::uint64_t mutation_version_ = 0;
   std::uint64_t reclaimed_pages_ = 0;

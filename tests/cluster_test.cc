@@ -256,10 +256,13 @@ TEST(ClusterFaultTest, SkippedRecoveryInvalidationIsCaughtByOracle) {
 
     SafetyOracle* oracle = cluster.oracle(0);
     caught += oracle->total_violations();
-    // Every violation must be one of the crash-family kinds.
+    // Every violation must be one of the crash-family kinds. A surviving
+    // PTcache pointer into the dead stack's page table is a walk into a
+    // reclaimed table page: the rebuilt table never reuses its page ids.
     EXPECT_EQ(oracle->count(SafetyViolationKind::kStaleDmaTranslation) +
                   oracle->count(SafetyViolationKind::kDmaToReclaimedFrame) +
-                  oracle->count(SafetyViolationKind::kUseAfterUnmap),
+                  oracle->count(SafetyViolationKind::kUseAfterUnmap) +
+                  oracle->count(SafetyViolationKind::kReclaimedTableWalk),
               oracle->total_violations())
         << "crash_at=" << crash_at;
   }

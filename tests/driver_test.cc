@@ -1,6 +1,7 @@
 // Tests for the DMA-API driver layer: per-mode map/unmap datapaths,
 // contiguous chunk packing, batched invalidations, deferred flushing, chunk
-// lifecycle and the strict-safety guarantee of every safe mode.
+// lifecycle, the strict-safety guarantee of every safe mode, and the
+// ProtectionDomain stack's crash rebuild.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +9,9 @@
 
 #include "src/driver/dma_api.h"
 #include "src/driver/protection.h"
+#include "src/driver/protection_domain.h"
+#include "src/faults/invariant_registry.h"
+#include "src/faults/safety_oracle.h"
 #include "src/iommu/iommu.h"
 #include "src/iova/iova_allocator.h"
 #include "src/mem/memory_system.h"
@@ -290,6 +294,69 @@ TEST_F(DriverTest, PersistentMappingsSurvive) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(page_table_->IsMapped(ring + static_cast<Iova>(i) * kPageSize));
   }
+}
+
+TEST(ProtectionDomainTest, RebuildFlagsStalePtcachePointerIntoOldTable) {
+  // The rebuilt page table continues the old table's page ids, so a PTcache
+  // pointer that survived the rebuild names a page no live table holds: the
+  // translation that consumes it is stale, into a reclaimed page.
+  StatsRegistry stats;
+  MemorySystem memory(MemoryConfig{}, &stats);
+  Iommu iommu(IommuConfig{}, &memory, /*page_table=*/nullptr, &stats);
+  ProtectionDomainConfig config;
+  config.dma.mode = ProtectionMode::kFastSafe;
+  ProtectionDomain domain(config, &iommu, ProtectionDomain::Binding::kHostDomain, &stats);
+  const DmaApi::PageMapResult before = domain.dma().MapOnePage(0, 0x1000'0000);
+  ASSERT_TRUE(before.ok());
+  const Iova iova = before.mapping.iova;
+  EXPECT_FALSE(iommu.Translate(iova, 1'000).stale_use);
+  // Leaf-only: the IOTLB entry goes, the PTcache pointers stay.
+  iommu.InvalidateRange(iova, kPageSize, /*leaf_only=*/true, 2'000);
+
+  domain.Rebuild();
+  const DmaApi::PageMapResult after = domain.dma().MapOnePage(0, 0x2000'0000);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after.mapping.iova, iova);
+  const TranslationResult t = iommu.Translate(iova, 10'000);
+  EXPECT_FALSE(t.l3_missed);  // served through the surviving PTcache-L3 entry
+  EXPECT_TRUE(t.stale_ptcache);
+  EXPECT_TRUE(t.stale_ptcache_reclaimed);
+}
+
+TEST(ProtectionDomainTest, RebuildKeepsOneRegistrationOfEachCheck) {
+  // kCapability registers the most checks: three DMA checks, the page
+  // table's and the oracle's. Rebuilds must neither add nor drop any, and
+  // the DMA checks carry the domain's prefix and follow the live stack.
+  StatsRegistry stats;
+  SafetyOracle oracle(&stats);
+  InvariantRegistry invariants(&stats);
+  ProtectionDomainConfig config;
+  config.dma.mode = ProtectionMode::kCapability;
+  ProtectionDomain domain(config, /*iommu=*/nullptr, ProtectionDomain::Binding::kHostDomain,
+                          &stats);
+  domain.SetOracle(&oracle);
+  domain.RegisterInvariants(&invariants, "domain 1: ");
+  TimeNs now = 1'000;
+  for (int rebuilds = 0; rebuilds < 3; ++rebuilds, now += 1'000) {
+    const std::uint64_t before = invariants.checks_run();
+    EXPECT_EQ(invariants.CheckAll(now), 0u);
+    EXPECT_EQ(invariants.checks_run() - before, 5u) << "after " << rebuilds << " rebuilds";
+    domain.Rebuild();
+  }
+
+  // The rebuilt DMA API's capability check runs, under the prefix, and the
+  // same DMA API reports hard failures to the registry.
+  const DmaApi::PageMapResult m = domain.dma().MapOnePage(0, 0x1000'0000);
+  ASSERT_TRUE(m.ok());
+  const std::vector<DmaMapping> once = {m.mapping};
+  domain.dma().UnmapDescriptor(0, once, now);
+  domain.dma().UnmapDescriptor(0, once, now);
+  ASSERT_EQ(invariants.failure_count(), 1u);
+  EXPECT_EQ(invariants.failures()[0].name, "dma.double_unmap");
+  domain.dma().DeviceCheckCapability(m.mapping.iova, 1, now, /*enforce=*/false);
+  EXPECT_EQ(invariants.CheckAll(now), 1u);
+  ASSERT_EQ(invariants.failure_count(), 2u);
+  EXPECT_EQ(invariants.failures()[1].name, "domain 1: capability.dma_after_revoke");
 }
 
 }  // namespace
