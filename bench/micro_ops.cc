@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate data structures:
 // IOVA allocation paths, IO page table operations, IOMMU cache operations,
-// the memory-bank grant, the per-TLP root-complex loops and reuse-distance
-// tracking. These measure simulator-implementation speed
+// the memory-bank grant, the per-TLP root-complex loops, reuse-distance
+// tracking and the DMA API's map/unmap cycles. These measure simulator-implementation speed
 // (how fast the model itself runs), complementing the figure benches which
 // measure *simulated* performance.
 #include <benchmark/benchmark.h>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/cache/set_assoc_cache.h"
+#include "src/driver/dma_api.h"
 #include "src/iommu/iommu.h"
 #include "src/iova/iova_allocator.h"
 #include "src/iova/rbtree_allocator.h"
@@ -283,6 +284,68 @@ void BM_ReuseDistanceAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReuseDistanceAccess);
+
+// One driver stack (IOVA allocator, IO page table, IOMMU, DmaApi) in `mode`,
+// freeing every IOVA on the core that allocated it.
+struct DmaStack {
+  explicit DmaStack(ProtectionMode mode)
+      : memory(MemoryConfig{}, &stats),
+        iommu(IommuConfig{}, &memory, &pt, &stats),
+        iova(IovaAllocatorConfig{}, &stats),
+        dma(Config(mode), &iova, &pt, &iommu, &stats) {}
+  static DmaApiConfig Config(ProtectionMode mode) {
+    DmaApiConfig config;
+    config.mode = mode;
+    config.num_cores = 1;
+    return config;
+  }
+  StatsRegistry stats;
+  MemorySystem memory;
+  IoPageTable pt;
+  Iommu iommu;
+  IovaAllocator iova;
+  DmaApi dma;
+};
+
+// Strict Rx descriptor cycle: MapPages of 64 pages (64 IOVAs, 64 PTEs), then
+// UnmapDescriptor (64 unmaps, 64 invalidation requests and waits).
+void BM_DmaApiRxDescriptor(benchmark::State& state) {
+  DmaStack stack(ProtectionMode::kStrict);
+  std::vector<PhysAddr> frames;
+  for (int i = 0; i < 64; ++i) {
+    frames.push_back(0x10000000 + static_cast<PhysAddr>(i) * kPageSize);
+  }
+  TimeNs t = 0;
+  for (auto _ : state) {
+    const DmaApi::MapResult r = stack.dma.MapPages(0, frames);
+    t += r.cpu_ns;
+    t += stack.dma.UnmapDescriptor(0, r.mappings, t).cpu_ns;
+  }
+  benchmark::DoNotOptimize(t);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DmaApiRxDescriptor);
+
+// F&S Tx burst: 16 MapOnePage calls packed at the per-core chunk cursor, then
+// one UnmapDescriptor (one run, one batched leaf-only invalidation).
+void BM_DmaApiTxPages(benchmark::State& state) {
+  DmaStack stack(ProtectionMode::kFastSafe);
+  std::vector<DmaMapping> mappings;
+  TimeNs t = 0;
+  for (auto _ : state) {
+    mappings.clear();
+    for (int i = 0; i < 16; ++i) {
+      const DmaApi::PageMapResult page =
+          stack.dma.MapOnePage(0, 0x10000000 + static_cast<PhysAddr>(i) * kPageSize);
+      t += page.cpu_ns;
+      mappings.push_back(page.mapping);
+    }
+    t += stack.dma.UnmapDescriptor(0, mappings, t).cpu_ns;
+  }
+  benchmark::DoNotOptimize(t);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DmaApiTxPages);
 
 }  // namespace
 }  // namespace fsio

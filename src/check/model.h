@@ -5,7 +5,8 @@
 // map/unmap ladder, what the device's IOTLB caches about the slot, and
 // whether the slot's backing frame is still live. Per-mode behavior comes
 // from the SAME tables the simulator uses — UnmapSemanticsFor()
-// (src/refmodel/mode_semantics.h) picks the unmap ladder,
+// (src/driver/protection.h, the table DmaApi dispatches on) picks the unmap
+// ladder,
 // CapabilityCheckPasses() (src/capability/capability_table.h) is the
 // capability admission rule, and RecoveryStep (src/faults/recovery_protocol.h)
 // is the crash-recovery ladder — so the checker exercises the protocols the
@@ -37,7 +38,6 @@
 #include "src/driver/protection.h"
 #include "src/faults/recovery_protocol.h"
 #include "src/refmodel/diff_harness.h"
-#include "src/refmodel/mode_semantics.h"
 
 namespace fsio {
 namespace check {

@@ -1,8 +1,16 @@
 #include "src/driver/dma_api.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace fsio {
+namespace {
+
+// One 2 MB PT-L3 leaf entry and the 4 KB pages behind it.
+constexpr std::uint64_t kHugeSpan = LevelEntrySpan(3);
+constexpr std::uint64_t kHugePages = kHugeSpan / kPageSize;
+
+}  // namespace
 
 DmaApi::DmaApi(const DmaApiConfig& config, IovaAllocator* iova, IoPageTable* page_table,
                Iommu* iommu, StatsRegistry* stats)
@@ -25,7 +33,7 @@ DmaApi::DmaApi(const DmaApiConfig& config, IovaAllocator* iova, IoPageTable* pag
       double_unmap_(stats->Get("dma.double_unmap")),
       alloc_failures_(stats->Get("dma.alloc_failures")),
       deferred_flush_delays_(stats->Get("dma.deferred_flush_delays")) {
-  if (config_.mode == ProtectionMode::kCapability) {
+  if (semantics() == UnmapSemantics::kRevokeCapability) {
     captable_ = std::make_unique<CapabilityTable>(config_.capability, stats);
   }
 }
@@ -77,6 +85,13 @@ bool DmaApi::CheckChunkAccounting(std::string* detail) const {
   return true;
 }
 
+DmaApi::PerCore& DmaApi::Core(std::uint32_t core) {
+  if (core >= per_core_.size()) {
+    per_core_.resize(core + 1);
+  }
+  return per_core_[core];
+}
+
 Iova DmaApi::AllocIova(std::uint32_t core, std::uint64_t pages, TimeNs* cpu_ns) {
   for (std::uint32_t attempt = 0;; ++attempt) {
     const Iova iova = iova_->Alloc(core, pages);
@@ -97,62 +112,54 @@ Iova DmaApi::AllocIova(std::uint32_t core, std::uint64_t pages, TimeNs* cpu_ns) 
   }
 }
 
-TimeNs DmaApi::SubmitInvalidationWithRetry(Iova base, std::uint64_t len, bool leaf_only,
-                                           TimeNs* t, std::uint32_t* requests) {
-  TimeNs backoff = config_.inv_retry_backoff_ns;
-  for (std::uint32_t attempt = 0; attempt <= config_.inv_max_retries; ++attempt) {
-    const TimeNs submit = *t + config_.inv_submit_cpu_ns;
-    const TimeNs hw = iommu_->InvalidateRange(config_.domain, base, len, leaf_only, submit);
-    inv_requests_submitted_->Add();
-    ++*requests;
-    *t = submit;
-    if (hw != kInvalidationDropped && hw <= *t + config_.inv_wait_timeout_ns) {
-      if (hw > *t) {
-        spin_ns_->Add(hw - *t);
-        trace_.Complete("driver", "inv_wait", *t, hw);
-        *t = hw;  // the CPU spins until the IOMMU acknowledges
-      }
-      return hw;
-    }
-    // No completion within the wait budget: the request was lost, or the
-    // queue is stalled beyond the deadline. Charge the full timed-out wait,
-    // back off, resubmit. (Resubmitting after a stall is harmless — the
-    // stalled request already dropped the cache entries.)
-    inv_timeouts_->Add();
-    trace_.Instant("driver", "inv_timeout", *t);
-    spin_ns_->Add(config_.inv_wait_timeout_ns);
-    *t += config_.inv_wait_timeout_ns;
-    if (attempt == config_.inv_max_retries) {
-      break;
-    }
-    inv_retries_->Add();
-    *t += backoff;
-    backoff *= 2;
+std::uint64_t DmaApi::NewChunk(std::uint32_t core, TimeNs* cpu_ns) {
+  const Iova base = AllocIova(core, config_.pages_per_chunk, cpu_ns);
+  if (base == IovaAllocator::kInvalidIova) {
+    return 0;
   }
-  // Retry budget exhausted: fall back to a full flush. The flush is a
-  // single always-delivered command, so safety holds even when every
-  // per-range request was lost. A tenant driver scopes the fallback to its
-  // own domain — blowing away co-resident tenants' cached translations is
-  // not its call to make; the host driver keeps the global flush.
-  inv_fallback_flushes_->Add();
-  trace_.Instant("driver", "inv_fallback_flush", *t);
-  const TimeNs submit = *t + config_.inv_submit_cpu_ns;
-  const TimeNs hw = config_.domain.value != 0 ? iommu_->InvalidateDomain(config_.domain, submit)
-                                              : iommu_->InvalidateAll(submit);
-  inv_requests_submitted_->Add();
-  ++*requests;
-  *t = submit;
-  if (hw > *t) {
-    spin_ns_->Add(hw - *t);
-    *t = hw;
-  }
-  return hw;
+  const std::uint64_t id = next_chunk_id_++;
+  Chunk& chunk = chunks_[id];
+  chunk.base = base;
+  chunk.pages = config_.pages_per_chunk;
+  chunk.core = core;
+  return id;
 }
 
-void DmaApi::TrackAllocation(Iova iova) {
+void DmaApi::MapRange(Iova iova, PhysAddr frame, bool huge, TimeNs* cpu_ns) {
+  const std::uint64_t pages = huge ? kHugePages : 1;
+  if (huge) {
+    page_table_->MapHuge(iova, frame);
+  } else {
+    page_table_->Map(iova, frame);
+  }
+  if (oracle_ != nullptr) {
+    oracle_->OnMap(iova, pages);
+    oracle_->OnMapBacking(iova, pages, frame);
+  }
+  if (cpu_ns == nullptr) {
+    return;  // descriptor ring: set-up work, not a datapath map
+  }
   if (l3_tracker_ != nullptr) {
     l3_tracker_->Access(LevelTag(iova, 3));
   }
+  map_ops_->Add();
+  *cpu_ns += config_.map_page_cpu_ns;
+}
+
+void DmaApi::RecordGrant(PhysAddr base, std::uint64_t pages) {
+  if (oracle_ == nullptr) {
+    return;
+  }
+  for (std::uint64_t i = 0; i < pages; ++i) {
+    const PhysAddr page = base + i * kPageSize;  // pass-through: iova == phys
+    oracle_->OnMap(page, 1);
+    oracle_->OnMapBacking(page, 1, page);
+  }
+}
+
+void DmaApi::ChargeMap(TimeNs cpu_ns) {
+  cpu_ns_total_->Add(cpu_ns);
+  map_cpu_ns_->Add(cpu_ns);
 }
 
 std::uint32_t DmaApi::FreeTarget(std::uint32_t core) {
@@ -166,160 +173,92 @@ std::uint32_t DmaApi::FreeTarget(std::uint32_t core) {
 }
 
 DmaMapping DmaApi::MapStandalone(std::uint32_t core, PhysAddr frame, TimeNs* cpu_ns) {
-  DmaMapping m;
-  m.iova = AllocIova(core, 1, cpu_ns);
-  m.phys = frame;
-  m.chunk_id = 0;
-  if (m.iova == IovaAllocator::kInvalidIova) {
-    return m;  // caller checks and drops the mapping
+  const DmaMapping m{AllocIova(core, 1, cpu_ns), frame, 0};
+  if (m.iova != IovaAllocator::kInvalidIova) {
+    MapRange(m.iova, frame, /*huge=*/false, cpu_ns);
   }
-  *cpu_ns += config_.map_page_cpu_ns;
-  page_table_->Map(m.iova, frame);
-  if (oracle_ != nullptr) {
-    oracle_->OnMap(m.iova, 1);
-    oracle_->OnMapBacking(m.iova, 1, frame);
-  }
-  TrackAllocation(m.iova);
-  map_ops_->Add();
-  return m;
+  return m;  // the caller checks the IOVA and drops a failed mapping
 }
 
 DmaMapping DmaApi::MapIntoChunk(std::uint32_t core, PhysAddr frame, TimeNs* cpu_ns) {
-  std::uint64_t chunk_id = 0;
-  if (auto it = tx_cursor_chunk_.find(core); it != tx_cursor_chunk_.end()) {
-    chunk_id = it->second;
-  }
-  Chunk* chunk = nullptr;
-  if (chunk_id != 0) {
-    chunk = &chunks_[chunk_id];
-    if (chunk->mapped == chunk->pages) {
-      chunk = nullptr;  // cursor chunk exhausted
-    }
-  }
-  if (chunk == nullptr) {
-    // Allocate a fresh descriptor-sized contiguous IOVA chunk.
-    const Iova base = AllocIova(core, config_.pages_per_chunk, cpu_ns);
-    if (base == IovaAllocator::kInvalidIova) {
+  PerCore& pc = Core(core);
+  auto cursor = chunks_.find(pc.tx_chunk);
+  if (cursor == chunks_.end() || cursor->second.mapped == cursor->second.pages) {
+    // No cursor chunk, or it is exhausted: take a fresh one.
+    const std::uint64_t id = NewChunk(core, cpu_ns);
+    if (id == 0) {
       return DmaMapping{IovaAllocator::kInvalidIova, frame, 0};
     }
-    chunk_id = next_chunk_id_++;
-    Chunk fresh;
-    fresh.base = base;
-    fresh.pages = config_.pages_per_chunk;
-    fresh.core = core;
-    chunks_[chunk_id] = fresh;
-    tx_cursor_chunk_[core] = chunk_id;
-    chunk = &chunks_[chunk_id];
+    pc.tx_chunk = id;
+    cursor = chunks_.find(id);
   }
-  DmaMapping m;
-  m.iova = chunk->base + static_cast<Iova>(chunk->mapped) * kPageSize;
-  m.phys = frame;
-  m.chunk_id = chunk_id;
-  ++chunk->mapped;
-  *cpu_ns += config_.map_page_cpu_ns;
-  page_table_->Map(m.iova, frame);
-  if (oracle_ != nullptr) {
-    oracle_->OnMap(m.iova, 1);
-    oracle_->OnMapBacking(m.iova, 1, frame);
-  }
-  TrackAllocation(m.iova);
-  map_ops_->Add();
+  Chunk& chunk = cursor->second;
+  const DmaMapping m{chunk.base + static_cast<Iova>(chunk.mapped) * kPageSize, frame,
+                     pc.tx_chunk};
+  ++chunk.mapped;
+  MapRange(m.iova, frame, /*huge=*/false, cpu_ns);
   return m;
 }
 
 DmaApi::MapResult DmaApi::MapPages(std::uint32_t core, const std::vector<PhysAddr>& frames) {
   MapResult out;
   out.mappings.reserve(frames.size());
-  if (config_.mode == ProtectionMode::kOff) {
-    for (PhysAddr frame : frames) {
-      out.mappings.push_back(DmaMapping{frame, frame, 0});
-    }
-    return out;
-  }
-  if (config_.mode == ProtectionMode::kCapability) {
-    // Kernel bypass: no IOMMU programming — device addresses are physical.
-    // One capability covers the whole descriptor buffer; its slot rides in
-    // chunk_id so completions can name the entry they retire.
-    const CapabilityTable::GrantResult g = captable_->Grant(frames);
-    out.cpu_ns += g.cpu_ns;
-    for (PhysAddr frame : frames) {
-      out.mappings.push_back(DmaMapping{frame, frame, g.id.slot});
-      if (oracle_ != nullptr) {
-        oracle_->OnMap(frame, 1);
-        oracle_->OnMapBacking(frame, 1, frame);
+  switch (semantics()) {
+    case UnmapSemantics::kNoProtection:
+      for (PhysAddr frame : frames) {
+        out.mappings.push_back(DmaMapping{frame, frame, 0});
       }
+      break;
+    case UnmapSemantics::kRevokeCapability: {
+      // Kernel bypass: no IOMMU programming — device addresses are physical.
+      // One capability covers the whole descriptor buffer; its slot rides in
+      // chunk_id so completions can name the entry they retire.
+      const CapabilityTable::GrantResult g = captable_->Grant(frames);
+      out.cpu_ns += g.cpu_ns;
+      for (PhysAddr frame : frames) {
+        out.mappings.push_back(DmaMapping{frame, frame, g.id.slot});
+        RecordGrant(frame, 1);
+      }
+      map_ops_->Add();
+      break;
     }
-    map_ops_->Add();
-    cpu_ns_total_->Add(out.cpu_ns);
-    map_cpu_ns_->Add(out.cpu_ns);
-    return out;
-  }
-  if (UsesContiguousIovas(config_.mode)) {
-    // One fresh chunk per Rx descriptor (Fig. 4b): the descriptor's pages
-    // occupy consecutive 4 KB slices of one contiguous IOVA range.
-    const Iova base = AllocIova(core, config_.pages_per_chunk, &out.cpu_ns);
-    if (base == IovaAllocator::kInvalidIova) {
-      cpu_ns_total_->Add(out.cpu_ns);
-      map_cpu_ns_->Add(out.cpu_ns);
-      return out;  // no descriptor this round; the ring refills later
-    }
-    const std::uint64_t chunk_id = next_chunk_id_++;
-    Chunk chunk;
-    chunk.base = base;
-    chunk.pages = config_.pages_per_chunk;
-    chunk.core = core;
-    if (config_.use_hugepages && IsHugeBacked(frames)) {
+    case UnmapSemantics::kSyncInvalidate:
+    case UnmapSemantics::kDeferredInvalidate:
+    case UnmapSemantics::kReleaseOnly: {
+      if (!UsesContiguousIovas(config_.mode)) {
+        for (PhysAddr frame : frames) {
+          const DmaMapping m = MapStandalone(core, frame, &out.cpu_ns);
+          if (m.iova != IovaAllocator::kInvalidIova) {
+            out.mappings.push_back(m);
+          }
+        }
+        break;
+      }
+      // One fresh chunk per Rx descriptor (Fig. 4b): the descriptor's pages
+      // occupy consecutive 4 KB slices of one contiguous IOVA range.
+      const std::uint64_t id = NewChunk(core, &out.cpu_ns);
+      if (id == 0) {
+        break;  // no descriptor this round; the ring refills later
+      }
+      Chunk& chunk = chunks_[id];
       // F&S + hugepages (§5 future work): one PT-L3 leaf entry maps the
       // whole descriptor; one map call, one unmap, one IOTLB entry.
-      page_table_->MapHuge(base, frames[0]);
-      if (oracle_ != nullptr) {
-        oracle_->OnMap(base, frames.size());
-        oracle_->OnMapBacking(base, frames.size(), frames[0]);
+      chunk.huge = config_.use_hugepages && IsHugeBacked(frames);
+      if (chunk.huge) {
+        MapRange(chunk.base, frames[0], /*huge=*/true, &out.cpu_ns);
       }
-      out.cpu_ns += config_.map_page_cpu_ns;
-      TrackAllocation(base);
-      map_ops_->Add();
-      huge_chunks_.insert(chunk_id);
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        DmaMapping m;
-        m.iova = base + static_cast<Iova>(i) * kPageSize;
-        m.phys = frames[i];
-        m.chunk_id = chunk_id;
+      for (PhysAddr frame : frames) {
+        const DmaMapping m{chunk.base + static_cast<Iova>(chunk.mapped) * kPageSize, frame, id};
+        if (!chunk.huge) {
+          MapRange(m.iova, frame, /*huge=*/false, &out.cpu_ns);
+        }
         out.mappings.push_back(m);
         ++chunk.mapped;
       }
-      chunks_[chunk_id] = chunk;
-      cpu_ns_total_->Add(out.cpu_ns);
-      map_cpu_ns_->Add(out.cpu_ns);
-      return out;
-    }
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      DmaMapping m;
-      m.iova = base + static_cast<Iova>(i) * kPageSize;
-      m.phys = frames[i];
-      m.chunk_id = chunk_id;
-      page_table_->Map(m.iova, frames[i]);
-      if (oracle_ != nullptr) {
-        oracle_->OnMap(m.iova, 1);
-        oracle_->OnMapBacking(m.iova, 1, frames[i]);
-      }
-      TrackAllocation(m.iova);
-      map_ops_->Add();
-      out.cpu_ns += config_.map_page_cpu_ns;
-      out.mappings.push_back(m);
-      ++chunk.mapped;
-    }
-    chunks_[chunk_id] = chunk;
-  } else {
-    for (PhysAddr frame : frames) {
-      const DmaMapping m = MapStandalone(core, frame, &out.cpu_ns);
-      if (m.iova != IovaAllocator::kInvalidIova) {
-        out.mappings.push_back(m);
-      }
+      break;
     }
   }
-  cpu_ns_total_->Add(out.cpu_ns);
-  map_cpu_ns_->Add(out.cpu_ns);
+  ChargeMap(out.cpu_ns);
   return out;
 }
 
@@ -335,87 +274,77 @@ DmaApi::MapResult DmaApi::MapPage(std::uint32_t core, PhysAddr frame) {
 
 DmaApi::PageMapResult DmaApi::MapOnePage(std::uint32_t core, PhysAddr frame) {
   PageMapResult out;
-  if (config_.mode == ProtectionMode::kOff) {
-    out.mapping = DmaMapping{frame, frame, 0};
-    return out;
-  }
-  if (config_.mode == ProtectionMode::kCapability) {
-    const CapabilityTable::GrantResult g = captable_->GrantRange(frame, 1);
-    out.cpu_ns += g.cpu_ns;
-    out.mapping = DmaMapping{frame, frame, g.id.slot};
-    if (oracle_ != nullptr) {
-      oracle_->OnMap(frame, 1);
-      oracle_->OnMapBacking(frame, 1, frame);
+  switch (semantics()) {
+    case UnmapSemantics::kNoProtection:
+      out.mapping = DmaMapping{frame, frame, 0};
+      break;
+    case UnmapSemantics::kRevokeCapability: {
+      const CapabilityTable::GrantResult g = captable_->GrantRange(frame, 1);
+      out.cpu_ns += g.cpu_ns;
+      out.mapping = DmaMapping{frame, frame, g.id.slot};
+      RecordGrant(frame, 1);
+      map_ops_->Add();
+      break;
     }
-    map_ops_->Add();
-    cpu_ns_total_->Add(out.cpu_ns);
-    map_cpu_ns_->Add(out.cpu_ns);
-    return out;
-  }
-  if (config_.mode == ProtectionMode::kHugepagePersistent) {
-    // Tx pages also come from a permanently-mapped pool: the IOVA keeps
-    // pointing at the recycled buffer page forever (weaker safety).
-    auto& pool = persistent_tx_pool_[core];
-    if (!pool.empty()) {
+    case UnmapSemantics::kReleaseOnly: {
+      // Tx pages also come from a permanently-mapped pool: the IOVA keeps
+      // pointing at the recycled buffer page forever (weaker safety).
+      std::deque<DmaMapping>& pool = Core(core).tx_pool;
+      if (pool.empty()) {
+        out.mapping = MapStandalone(core, frame, &out.cpu_ns);
+        break;
+      }
       out.mapping = pool.front();
       pool.pop_front();
       out.mapping.phys = frame;  // the buffer page is recycled behind the same IOVA
       if (oracle_ != nullptr) {
         oracle_->OnMap(out.mapping.iova, 1);  // logically re-acquired by the driver
       }
-      return out;
+      break;
     }
-    out.mapping = MapStandalone(core, frame, &out.cpu_ns);
-    cpu_ns_total_->Add(out.cpu_ns);
-    return out;
+    case UnmapSemantics::kSyncInvalidate:
+    case UnmapSemantics::kDeferredInvalidate:
+      // In contiguous modes the page is placed at the per-core chunk cursor.
+      out.mapping = UsesContiguousIovas(config_.mode) ? MapIntoChunk(core, frame, &out.cpu_ns)
+                                                      : MapStandalone(core, frame, &out.cpu_ns);
+      break;
   }
-  out.mapping = UsesContiguousIovas(config_.mode) ? MapIntoChunk(core, frame, &out.cpu_ns)
-                                                  : MapStandalone(core, frame, &out.cpu_ns);
-  cpu_ns_total_->Add(out.cpu_ns);
+  ChargeMap(out.cpu_ns);
   return out;
 }
 
 Iova DmaApi::MapPersistent(std::uint32_t core, const std::vector<PhysAddr>& frames) {
-  if (config_.mode == ProtectionMode::kOff) {
-    return frames.empty() ? 0 : frames.front();
-  }
-  if (config_.mode == ProtectionMode::kCapability) {
-    // Descriptor rings get a never-revoked capability over the region the
-    // device fetches from (identity-addressed, like the kOff ring region).
-    if (frames.empty()) {
-      return 0;
-    }
-    captable_->GrantRange(frames.front(), frames.size());
-    if (oracle_ != nullptr) {
-      oracle_->OnMap(frames.front(), frames.size());
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        oracle_->OnMapBacking(frames.front() + static_cast<Iova>(i) * kPageSize, 1,
-                              frames.front() + static_cast<PhysAddr>(i) * kPageSize);
+  switch (semantics()) {
+    case UnmapSemantics::kNoProtection:
+      return frames.empty() ? 0 : frames.front();
+    case UnmapSemantics::kRevokeCapability:
+      // Descriptor rings get a never-revoked capability over the region the
+      // device fetches from (identity-addressed, like the kOff ring region).
+      if (frames.empty()) {
+        return 0;
       }
-    }
-    return frames.front();
+      captable_->GrantRange(frames.front(), frames.size());
+      RecordGrant(frames.front(), frames.size());
+      return frames.front();
+    case UnmapSemantics::kSyncInvalidate:
+    case UnmapSemantics::kDeferredInvalidate:
+    case UnmapSemantics::kReleaseOnly:
+      break;
   }
-  TimeNs cpu_ns = 0;
+  TimeNs cpu_ns = 0;  // ring set-up is not charged to any core
   const Iova base = AllocIova(core, frames.size(), &cpu_ns);
   if (base == IovaAllocator::kInvalidIova) {
     return base;
   }
+  // Ring frames need not be physically contiguous: one 4 KB map per page.
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    page_table_->Map(base + static_cast<Iova>(i) * kPageSize, frames[i]);
-  }
-  if (oracle_ != nullptr) {
-    oracle_->OnMap(base, frames.size());
-    // Ring frames need not be physically contiguous; record per page.
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      oracle_->OnMapBacking(base + static_cast<Iova>(i) * kPageSize, 1, frames[i]);
-    }
+    MapRange(base + static_cast<Iova>(i) * kPageSize, frames[i], /*huge=*/false, nullptr);
   }
   return base;
 }
 
 bool DmaApi::IsHugeBacked(const std::vector<PhysAddr>& frames) {
-  constexpr std::uint64_t kHugeSpan = 2ull << 20;
-  if (frames.size() != kHugeSpan / kPageSize || (frames[0] & (kHugeSpan - 1)) != 0) {
+  if (frames.size() != kHugePages || (frames[0] & (kHugeSpan - 1)) != 0) {
     return false;
   }
   for (std::size_t i = 1; i < frames.size(); ++i) {
@@ -429,7 +358,7 @@ bool DmaApi::IsHugeBacked(const std::vector<PhysAddr>& frames) {
 DmaApi::MapResult DmaApi::AcquirePersistentDescriptor(
     std::uint32_t core, const std::function<PhysAddr()>& alloc_huge) {
   MapResult out;
-  auto& pool = persistent_pool_[core];
+  std::deque<std::vector<DmaMapping>>& pool = Core(core).rx_pool;
   if (!pool.empty()) {
     out.mappings = std::move(pool.front());
     pool.pop_front();
@@ -442,26 +371,15 @@ DmaApi::MapResult DmaApi::AcquirePersistentDescriptor(
     return out;
   }
   const PhysAddr huge = alloc_huge();
-  const std::uint64_t pages = (2ull << 20) / kPageSize;
-  const Iova base = AllocIova(core, pages, &out.cpu_ns);
-  if (base == IovaAllocator::kInvalidIova) {
-    cpu_ns_total_->Add(out.cpu_ns);
-    return out;
+  const Iova base = AllocIova(core, kHugePages, &out.cpu_ns);
+  if (base != IovaAllocator::kInvalidIova) {
+    MapRange(base, huge, /*huge=*/true, &out.cpu_ns);
+    out.mappings.reserve(kHugePages);
+    for (std::uint64_t i = 0; i < kHugePages; ++i) {
+      out.mappings.push_back(DmaMapping{base + i * kPageSize, huge + i * kPageSize, 0});
+    }
   }
-  out.cpu_ns += config_.map_page_cpu_ns;
-  page_table_->MapHuge(base, huge);
-  if (oracle_ != nullptr) {
-    oracle_->OnMap(base, pages);
-    oracle_->OnMapBacking(base, pages, huge);
-  }
-  TrackAllocation(base);
-  map_ops_->Add();
-  out.mappings.reserve(pages);
-  for (std::uint64_t i = 0; i < pages; ++i) {
-    out.mappings.push_back(DmaMapping{base + i * kPageSize, huge + i * kPageSize, 0});
-  }
-  cpu_ns_total_->Add(out.cpu_ns);
-  map_cpu_ns_->Add(out.cpu_ns);
+  ChargeMap(out.cpu_ns);
   return out;
 }
 
@@ -473,7 +391,7 @@ void DmaApi::ReleasePersistentDescriptor(std::uint32_t core,
   if (oracle_ != nullptr && !mappings.empty()) {
     oracle_->OnRelease(mappings.front().iova, mappings.size());
   }
-  persistent_pool_[core].push_back(mappings);
+  Core(core).rx_pool.push_back(mappings);
 }
 
 DmaApi::DeviceCheckResult DmaApi::DeviceCheckCapability(Iova base, std::uint64_t pages,
@@ -507,6 +425,253 @@ DmaApi::DeviceCheckResult DmaApi::DeviceCheckCapability(Iova base, std::uint64_t
   return out;
 }
 
+DmaApi::UnmapResultInfo DmaApi::UnmapDescriptor(std::uint32_t core,
+                                                const std::vector<DmaMapping>& mappings,
+                                                TimeNs at) {
+  UnmapResultInfo out;
+  if (mappings.empty()) {
+    return out;
+  }
+  TimeNs t = at;
+  switch (semantics()) {
+    case UnmapSemantics::kNoProtection:
+      return out;
+    case UnmapSemantics::kRevokeCapability:
+      t = RevokeCapabilities(mappings, at);
+      out.hw_done = t;  // the revoke (and any quiesce) completes synchronously
+      break;
+    case UnmapSemantics::kReleaseOnly: {
+      // Nothing is unmapped or invalidated; buffers return to the pool still
+      // device-accessible.
+      std::deque<DmaMapping>& pool = Core(core).tx_pool;
+      for (const DmaMapping& m : mappings) {
+        if (oracle_ != nullptr) {
+          oracle_->OnRelease(m.iova, 1);
+        }
+        pool.push_back(m);
+      }
+      t += 20 * mappings.size();
+      break;
+    }
+    case UnmapSemantics::kSyncInvalidate:
+    case UnmapSemantics::kDeferredInvalidate:
+      t = UnmapAndInvalidate(core, mappings, at, &out);
+      if (trace_.enabled() && t > at) {
+        trace_.Complete("driver", "unmap", at, t, "pages",
+                        static_cast<double>(mappings.size()), "inv_reqs",
+                        static_cast<double>(out.invalidation_requests));
+      }
+      break;
+  }
+  out.cpu_ns = t - at;
+  cpu_ns_total_->Add(out.cpu_ns);
+  return out;
+}
+
+TimeNs DmaApi::RevokeCapabilities(const std::vector<DmaMapping>& mappings, TimeNs at) {
+  // Revoke each owning capability once. The revoke is synchronous: an
+  // armed entry (one the device checked) charges the bounded in-flight
+  // quiesce, so by the time this call returns no descriptor can pass a
+  // check against the dying entry — the strict property without any
+  // IOMMU invalidation.
+  std::vector<CapabilityId> ids;
+  for (const DmaMapping& m : mappings) {
+    const CapabilityId id = captable_->Lookup(m.iova);
+    if (id.slot == 0) {
+      // No live owner: a duplicate completion already retired this page.
+      ReportDoubleUnmap(m.iova, 1, 0, at);
+      continue;
+    }
+    if (oracle_ != nullptr) {
+      oracle_->OnUnmap(m.iova, 1);
+    }
+    if (std::none_of(ids.begin(), ids.end(),
+                     [&id](const CapabilityId& k) { return k.slot == id.slot; })) {
+      ids.push_back(id);
+    }
+  }
+  TimeNs t = at;
+  for (const CapabilityId& id : ids) {
+    t += captable_->Revoke(id).cpu_ns;
+    unmap_ops_->Add();
+  }
+  if (trace_.enabled() && t > at) {
+    trace_.Complete("driver", "cap_revoke", at, t, "pages", static_cast<double>(mappings.size()),
+                    "caps", static_cast<double>(ids.size()));
+  }
+  return t;
+}
+
+TimeNs DmaApi::UnmapAndInvalidate(std::uint32_t core, const std::vector<DmaMapping>& mappings,
+                                  TimeNs at, UnmapResultInfo* out) {
+  const bool deferred = semantics() == UnmapSemantics::kDeferredInvalidate;
+  const bool preserve = PreservesPtCaches(config_.mode);
+  const bool batch = UsesContiguousIovas(config_.mode);
+  TimeNs t = at;
+
+  // Group the descriptor's mappings into maximal contiguous runs. Only
+  // chunk-allocated IOVAs are known-contiguous; standalone IOVAs always form
+  // single-page runs (Fig. 6a vs 6b).
+  for (std::size_t i = 0, j = 0; i < mappings.size(); i = j) {
+    const std::uint64_t chunk_id = mappings[i].chunk_id;
+    j = i + 1;
+    if (batch && chunk_id != 0) {
+      while (j < mappings.size() && mappings[j].chunk_id == chunk_id &&
+             mappings[j].iova == mappings[j - 1].iova + kPageSize) {
+        ++j;
+      }
+    }
+    const Iova run_base = mappings[i].iova;
+    const std::uint64_t run_pages = j - i;
+
+    // One unmap call for the whole run (Linux unmaps per page; the run is a
+    // single page there, so the semantics coincide).
+    const auto chunk = chunk_id != 0 ? chunks_.find(chunk_id) : chunks_.end();
+    const bool huge_run = chunk != chunks_.end() && chunk->second.huge;
+    const UnmapResult r = page_table_->Unmap(run_base, run_pages * kPageSize);
+    HandleReclamation(r);
+    if (r.unmapped_pages < run_pages) {
+      // Some (or all) of the run was already torn down: a duplicate
+      // completion reached this unmap. Report the hard invariant failure
+      // and account only what this call actually unmapped, so the chunk's
+      // books and the IOVA allocator are not corrupted (and, in deferred
+      // mode, no IOVA is queued for freeing twice).
+      ReportDoubleUnmap(run_base, run_pages, r.unmapped_pages, at);
+      if (r.unmapped_pages == 0) {
+        continue;  // nothing new unmapped: no invalidation, no IOVA free
+      }
+    }
+    if (oracle_ != nullptr) {
+      oracle_->OnUnmap(run_base, run_pages);
+    }
+    unmap_ops_->Add();
+    // A huge mapping clears one PT-L3 leaf entry; 4 KB runs clear one PTE
+    // per page.
+    t += huge_run ? config_.unmap_page_cpu_ns : config_.unmap_page_cpu_ns * run_pages;
+    if (deferred) {
+      deferred_queue_.push_back(DeferredIova{run_base, run_pages, core});
+      continue;
+    }
+
+    // One invalidation-queue request per run; strict Linux issues one per
+    // page because its IOVAs are not contiguous. Lost or stalled requests
+    // are retried with backoff (see SubmitInvalidationWithRetry) so the
+    // completion below is guaranteed.
+    const bool leaf_only =
+        preserve && (!r.reclaimed_any() || config_.inject_skip_reclaim_invalidation);
+    const TimeNs hw = SubmitInvalidationWithRetry(run_base, run_pages * kPageSize, leaf_only,
+                                                  &t, &out->invalidation_requests);
+    out->hw_done = std::max(out->hw_done, hw);
+
+    // Release the IOVAs.
+    if (chunk_id != 0) {
+      AccountChunkUnmap(core, chunk_id, static_cast<std::uint32_t>(r.unmapped_pages));
+    } else {
+      for (std::size_t k = i; k < j; ++k) {
+        iova_->Free(FreeTarget(core), mappings[k].iova, 1);
+      }
+    }
+  }
+  if (deferred && deferred_queue_.size() >= config_.deferred_flush_threshold) {
+    if (fault_injector_ != nullptr &&
+        deferred_queue_.size() < 4 * config_.deferred_flush_threshold &&
+        fault_injector_->Sample(FaultKind::kDeferredFlushDelay, t).fire) {
+      // Flush postponed (timer starvation): every queued IOVA's
+      // use-after-unmap window stretches until the next flush attempt.
+      deferred_flush_delays_->Add();
+    } else {
+      t = FlushDeferredQueue(t, out);
+    }
+  }
+  return t;
+}
+
+TimeNs DmaApi::FlushDeferredQueue(TimeNs t, UnmapResultInfo* out) {
+  const TimeNs flush_start = t;
+  // The deferred flush-queue drain is a full flush in Linux; it is issued
+  // at `t` and the CPU pays the submit cost while the hardware works.
+  const TimeNs hw = FlushScope(t);
+  inv_requests_submitted_->Add();
+  ++out->invalidation_requests;
+  t += config_.inv_submit_cpu_ns;
+  SpinUntil(hw, &t);
+  out->hw_done = hw;
+  if (trace_.enabled()) {
+    trace_.Complete("driver", "deferred_flush", flush_start, t, "iovas",
+                    static_cast<double>(deferred_queue_.size()));
+  }
+  for (const DeferredIova& d : deferred_queue_) {
+    iova_->Free(FreeTarget(d.core), d.iova, d.pages);
+  }
+  deferred_queue_.clear();
+  deferred_flushes_->Add();
+  return t;
+}
+
+TimeNs DmaApi::SubmitInvalidationWithRetry(Iova base, std::uint64_t len, bool leaf_only,
+                                           TimeNs* t, std::uint32_t* requests) {
+  TimeNs backoff = config_.inv_retry_backoff_ns;
+  for (std::uint32_t attempt = 0; attempt <= config_.inv_max_retries; ++attempt) {
+    *t += config_.inv_submit_cpu_ns;
+    const TimeNs hw = iommu_->InvalidateRange(config_.domain, base, len, leaf_only, *t);
+    inv_requests_submitted_->Add();
+    ++*requests;
+    if (hw != kInvalidationDropped && hw <= *t + config_.inv_wait_timeout_ns) {
+      if (hw > *t) {
+        trace_.Complete("driver", "inv_wait", *t, hw);
+      }
+      SpinUntil(hw, t);  // the CPU spins until the IOMMU acknowledges
+      return hw;
+    }
+    // No completion within the wait budget: the request was lost, or the
+    // queue is stalled beyond the deadline. Charge the full timed-out wait,
+    // back off, resubmit. (Resubmitting after a stall is harmless — the
+    // stalled request already dropped the cache entries.)
+    inv_timeouts_->Add();
+    trace_.Instant("driver", "inv_timeout", *t);
+    SpinUntil(*t + config_.inv_wait_timeout_ns, t);
+    if (attempt == config_.inv_max_retries) {
+      break;
+    }
+    inv_retries_->Add();
+    *t += backoff;
+    backoff *= 2;
+  }
+  // Retry budget exhausted: fall back to a full flush. The flush is a
+  // single always-delivered command, so safety holds even when every
+  // per-range request was lost.
+  inv_fallback_flushes_->Add();
+  trace_.Instant("driver", "inv_fallback_flush", *t);
+  *t += config_.inv_submit_cpu_ns;
+  const TimeNs hw = FlushScope(*t);
+  inv_requests_submitted_->Add();
+  ++*requests;
+  SpinUntil(hw, t);
+  return hw;
+}
+
+TimeNs DmaApi::FlushScope(TimeNs submit) {
+  return config_.domain.value != 0 ? iommu_->InvalidateDomain(config_.domain, submit)
+                                   : iommu_->InvalidateAll(submit);
+}
+
+void DmaApi::SpinUntil(TimeNs hw, TimeNs* t) {
+  if (hw > *t) {
+    spin_ns_->Add(hw - *t);
+    *t = hw;
+  }
+}
+
+void DmaApi::ReportDoubleUnmap(Iova base, std::uint64_t pages, std::uint64_t fresh, TimeNs at) {
+  double_unmap_->Add();
+  if (invariants_ != nullptr) {
+    std::ostringstream os;
+    os << "iova=0x" << std::hex << base << std::dec << " pages=" << pages
+       << " freshly unmapped=" << fresh;
+    invariants_->ReportFailure("dma.double_unmap", os.str(), at);
+  }
+}
+
 void DmaApi::HandleReclamation(const UnmapResult& result) {
   if (!result.reclaimed_any() || iommu_ == nullptr) {
     return;
@@ -527,239 +692,16 @@ void DmaApi::AccountChunkUnmap(std::uint32_t core, std::uint64_t chunk_id, std::
   }
   Chunk& chunk = it->second;
   chunk.unmapped += pages;
-  const bool is_tx_cursor =
-      tx_cursor_chunk_.contains(chunk.core) && tx_cursor_chunk_[chunk.core] == chunk_id;
+  PerCore& owner = Core(chunk.core);
+  const bool is_tx_cursor = owner.tx_chunk == chunk_id;
   const bool fully_mapped = chunk.mapped == chunk.pages || !is_tx_cursor;
   if (fully_mapped && chunk.unmapped >= chunk.mapped) {
     iova_->Free(FreeTarget(core), chunk.base, chunk.pages);
     if (is_tx_cursor) {
-      tx_cursor_chunk_.erase(chunk.core);
+      owner.tx_chunk = 0;
     }
-    huge_chunks_.erase(chunk_id);
     chunks_.erase(it);
   }
-}
-
-DmaApi::UnmapResultInfo DmaApi::UnmapDescriptor(std::uint32_t core,
-                                                const std::vector<DmaMapping>& mappings,
-                                                TimeNs at) {
-  UnmapResultInfo out;
-  if (config_.mode == ProtectionMode::kOff || mappings.empty()) {
-    return out;
-  }
-  if (config_.mode == ProtectionMode::kCapability) {
-    // Revoke each owning capability once. The revoke is synchronous: an
-    // armed entry (one the device checked) charges the bounded in-flight
-    // quiesce, so by the time this call returns no descriptor can pass a
-    // check against the dying entry — the strict property without any
-    // IOMMU invalidation.
-    TimeNs t = at;
-    std::vector<CapabilityId> ids;
-    for (const DmaMapping& m : mappings) {
-      const CapabilityId id = captable_->Lookup(m.iova);
-      if (id.slot == 0) {
-        // No live owner: a duplicate completion already retired this page.
-        double_unmap_->Add();
-        if (invariants_ != nullptr) {
-          std::ostringstream os;
-          os << "addr=0x" << std::hex << m.iova << std::dec << " has no live capability";
-          invariants_->ReportFailure("dma.double_unmap", os.str(), at);
-        }
-        continue;
-      }
-      if (oracle_ != nullptr) {
-        oracle_->OnUnmap(m.iova, 1);
-      }
-      bool seen = false;
-      for (const CapabilityId& k : ids) {
-        if (k.slot == id.slot) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        ids.push_back(id);
-      }
-    }
-    for (const CapabilityId& id : ids) {
-      const CapabilityTable::RevokeResult r = captable_->Revoke(id);
-      t += r.cpu_ns;
-      unmap_ops_->Add();
-    }
-    out.cpu_ns = t - at;
-    out.hw_done = t;
-    cpu_ns_total_->Add(out.cpu_ns);
-    if (trace_.enabled() && t > at) {
-      trace_.Complete("driver", "cap_revoke", at, t, "pages",
-                      static_cast<double>(mappings.size()), "caps",
-                      static_cast<double>(ids.size()));
-    }
-    return out;
-  }
-  if (config_.mode == ProtectionMode::kHugepagePersistent) {
-    // Nothing is unmapped or invalidated; buffers return to the pool still
-    // device-accessible.
-    auto& pool = persistent_tx_pool_[core];
-    for (const DmaMapping& m : mappings) {
-      if (oracle_ != nullptr) {
-        oracle_->OnRelease(m.iova, 1);
-      }
-      pool.push_back(m);
-    }
-    out.cpu_ns = 20 * mappings.size();
-    cpu_ns_total_->Add(out.cpu_ns);
-    return out;
-  }
-  TimeNs t = at;
-
-  if (config_.mode == ProtectionMode::kDeferred) {
-    for (const DmaMapping& m : mappings) {
-      if (!page_table_->IsMapped(m.iova)) {
-        // Double unmap (duplicate completion): without this check the IOVA
-        // would be queued for freeing twice and handed out while the first
-        // owner still considers it pending.
-        double_unmap_->Add();
-        if (invariants_ != nullptr) {
-          std::ostringstream os;
-          os << "iova=0x" << std::hex << m.iova << std::dec << " already unmapped";
-          invariants_->ReportFailure("dma.double_unmap", os.str(), at);
-        }
-        continue;
-      }
-      const UnmapResult r = page_table_->Unmap(m.iova, kPageSize);
-      HandleReclamation(r);
-      if (oracle_ != nullptr) {
-        oracle_->OnUnmap(m.iova, 1);
-      }
-      unmap_ops_->Add();
-      t += config_.unmap_page_cpu_ns;
-      deferred_queue_.push_back(DeferredIova{m.iova, 1, core});
-    }
-    if (deferred_queue_.size() >= config_.deferred_flush_threshold) {
-      if (fault_injector_ != nullptr &&
-          deferred_queue_.size() < 4 * config_.deferred_flush_threshold &&
-          fault_injector_->Sample(FaultKind::kDeferredFlushDelay, t).fire) {
-        // Flush postponed (timer starvation): every queued IOVA's
-        // use-after-unmap window stretches until the next flush attempt.
-        deferred_flush_delays_->Add();
-        out.cpu_ns = t - at;
-        cpu_ns_total_->Add(out.cpu_ns);
-        return out;
-      }
-      const TimeNs flush_start = t;
-      // The deferred flush-queue drain is a full flush in Linux; a tenant
-      // driver's version is domain-selective for the same reason as the
-      // retry fallback.
-      const TimeNs hw = config_.domain.value != 0 ? iommu_->InvalidateDomain(config_.domain, t)
-                                                  : iommu_->InvalidateAll(t);
-      inv_requests_submitted_->Add();
-      ++out.invalidation_requests;
-      t += config_.inv_submit_cpu_ns;
-      if (hw > t) {
-        t = hw;
-      }
-      out.hw_done = hw;
-      if (trace_.enabled()) {
-        trace_.Complete("driver", "deferred_flush", flush_start, t, "iovas",
-                        static_cast<double>(deferred_queue_.size()));
-      }
-      while (!deferred_queue_.empty()) {
-        const DeferredIova& d = deferred_queue_.front();
-        iova_->Free(FreeTarget(d.core), d.iova, d.pages);
-        deferred_queue_.pop_front();
-      }
-      deferred_flushes_->Add();
-    }
-    out.cpu_ns = t - at;
-    cpu_ns_total_->Add(out.cpu_ns);
-    if (trace_.enabled() && t > at) {
-      trace_.Complete("driver", "unmap", at, t, "pages",
-                      static_cast<double>(mappings.size()), "inv_reqs",
-                      static_cast<double>(out.invalidation_requests));
-    }
-    return out;
-  }
-
-  const bool preserve = PreservesPtCaches(config_.mode);
-  const bool batch = UsesContiguousIovas(config_.mode);
-
-  // Group the descriptor's mappings into maximal contiguous runs. Only
-  // chunk-allocated IOVAs are known-contiguous; standalone IOVAs always form
-  // single-page runs (Fig. 6a vs 6b).
-  std::size_t i = 0;
-  while (i < mappings.size()) {
-    std::size_t j = i + 1;
-    if (batch && mappings[i].chunk_id != 0) {
-      while (j < mappings.size() && mappings[j].chunk_id == mappings[i].chunk_id &&
-             mappings[j].iova == mappings[j - 1].iova + kPageSize) {
-        ++j;
-      }
-    }
-    const Iova run_base = mappings[i].iova;
-    const std::uint64_t run_pages = j - i;
-
-    // One unmap call for the whole run (Linux unmaps per page; the run is a
-    // single page there, so the semantics coincide).
-    const bool huge_run =
-        mappings[i].chunk_id != 0 && huge_chunks_.contains(mappings[i].chunk_id);
-    const UnmapResult r = page_table_->Unmap(run_base, run_pages * kPageSize);
-    HandleReclamation(r);
-    if (r.unmapped_pages < run_pages) {
-      // Some (or all) of the run was already torn down: a duplicate
-      // completion reached this unmap. Report the hard invariant failure
-      // and account only what this call actually unmapped, so the chunk's
-      // books and the IOVA allocator are not corrupted.
-      double_unmap_->Add();
-      if (invariants_ != nullptr) {
-        std::ostringstream os;
-        os << "run base=0x" << std::hex << run_base << std::dec << " pages=" << run_pages
-           << " freshly unmapped=" << r.unmapped_pages;
-        invariants_->ReportFailure("dma.double_unmap", os.str(), at);
-      }
-      if (r.unmapped_pages == 0) {
-        i = j;  // nothing new unmapped: no invalidation, no IOVA free
-        continue;
-      }
-    }
-    if (oracle_ != nullptr) {
-      oracle_->OnUnmap(run_base, run_pages);
-    }
-    unmap_ops_->Add();
-    // A huge mapping clears one PT-L3 leaf entry; 4 KB runs clear one PTE
-    // per page.
-    t += huge_run ? config_.unmap_page_cpu_ns : config_.unmap_page_cpu_ns * run_pages;
-
-    // One invalidation-queue request per run; strict Linux issues one per
-    // page because its IOVAs are not contiguous. Lost or stalled requests
-    // are retried with backoff (see SubmitInvalidationWithRetry) so the
-    // completion below is guaranteed.
-    const bool leaf_only =
-        preserve && (!r.reclaimed_any() || config_.inject_skip_reclaim_invalidation);
-    const TimeNs hw = SubmitInvalidationWithRetry(run_base, run_pages * kPageSize, leaf_only,
-                                                  &t, &out.invalidation_requests);
-    if (hw > out.hw_done) {
-      out.hw_done = hw;
-    }
-
-    // Release the IOVAs.
-    if (mappings[i].chunk_id != 0) {
-      AccountChunkUnmap(core, mappings[i].chunk_id,
-                        static_cast<std::uint32_t>(r.unmapped_pages));
-    } else {
-      for (std::size_t k = i; k < j; ++k) {
-        iova_->Free(FreeTarget(core), mappings[k].iova, 1);
-      }
-    }
-    i = j;
-  }
-  out.cpu_ns = t - at;
-  cpu_ns_total_->Add(out.cpu_ns);
-  if (trace_.enabled() && t > at) {
-    trace_.Complete("driver", "unmap", at, t, "pages",
-                    static_cast<double>(mappings.size()), "inv_reqs",
-                    static_cast<double>(out.invalidation_requests));
-  }
-  return out;
 }
 
 }  // namespace fsio

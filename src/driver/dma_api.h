@@ -6,7 +6,9 @@
 // at once), MapOnePage() per Tx buffer page, and UnmapDescriptor() when the
 // NIC signals descriptor completion. Every call returns the CPU time it
 // consumed on the calling core — strict-mode invalidation waits are the
-// dominant term and what F&S's batched invalidations amortize.
+// dominant term and what F&S's batched invalidations amortize. Each entry
+// point switches on UnmapSemanticsFor(mode) (protection.h); placement and
+// invalidation scope come from UsesContiguousIovas and PreservesPtCaches.
 #ifndef FASTSAFE_SRC_DRIVER_DMA_API_H_
 #define FASTSAFE_SRC_DRIVER_DMA_API_H_
 
@@ -16,7 +18,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/capability/capability_table.h"
@@ -157,9 +158,6 @@ class DmaApi {
   DeviceCheckResult DeviceCheckCapability(Iova base, std::uint64_t pages, TimeNs now,
                                           bool enforce = true);
 
-  // The capability table backing kCapability mode (null in other modes).
-  CapabilityTable* capability_table() { return captable_.get(); }
-
   // Attaches a tracker recording the PTcache-L3 tag of every page mapped on
   // the Rx/Tx datapaths, in allocation order (Figures 2e/3e/7e/8e).
   void SetL3Tracker(ReuseDistanceTracker* tracker) { l3_tracker_ = tracker; }
@@ -200,24 +198,71 @@ class DmaApi {
     std::uint32_t mapped = 0;    // cursor for Tx packing
     std::uint32_t unmapped = 0;
     std::uint32_t core = 0;
+    bool huge = false;  // mapped by one 2 MB entry (F&S + hugepages)
+  };
+  // Per-core driver state, indexed by core.
+  struct PerCore {
+    std::uint64_t tx_chunk = 0;  // Tx packing cursor chunk (contiguous modes), 0 = none
+    // kHugepagePersistent: pooled, permanently-mapped Rx descriptors and
+    // Tx pages.
+    std::deque<std::vector<DmaMapping>> rx_pool;
+    std::deque<DmaMapping> tx_pool;
+  };
+  struct DeferredIova {
+    Iova iova = 0;
+    std::uint64_t pages = 0;
+    std::uint32_t core = 0;
   };
 
+  UnmapSemantics semantics() const { return UnmapSemanticsFor(config_.mode); }
+  PerCore& Core(std::uint32_t core);
   // Allocates IOVA space with bounded retries against injected exhaustion.
   // Returns IovaAllocator::kInvalidIova only after all retries fail.
   Iova AllocIova(std::uint32_t core, std::uint64_t pages, TimeNs* cpu_ns);
+  // Allocates a descriptor-sized contiguous IOVA chunk for `core`. Returns
+  // its id, or 0 when IOVA space is exhausted.
+  std::uint64_t NewChunk(std::uint32_t core, TimeNs* cpu_ns);
+  // The one place the IO page table gains a mapping: a 4 KB PTE, or with
+  // `huge` one 2 MB PT-L3 leaf, plus the oracle's map and backing records.
+  // Datapath maps also record the PTcache-L3 tag, count dma.map_ops and
+  // charge map_page_cpu_ns to *cpu_ns; ring maps pass cpu_ns = nullptr and
+  // skip all three.
+  void MapRange(Iova iova, PhysAddr frame, bool huge, TimeNs* cpu_ns);
+  // Tells the oracle about `pages` identity-addressed pages a capability
+  // grant opened to the device.
+  void RecordGrant(PhysAddr base, std::uint64_t pages);
+  // Charges a map call's CPU time to dma.cpu_ns and dma.map_cpu_ns.
+  void ChargeMap(TimeNs cpu_ns);
+  DmaMapping MapIntoChunk(std::uint32_t core, PhysAddr frame, TimeNs* cpu_ns);
+  DmaMapping MapStandalone(std::uint32_t core, PhysAddr frame, TimeNs* cpu_ns);
+  // True if `frames` is one 2 MB-aligned physically contiguous huge frame.
+  static bool IsHugeBacked(const std::vector<PhysAddr>& frames);
+
+  // UnmapDescriptor's datapaths; each returns the CPU time the call ends at.
+  TimeNs RevokeCapabilities(const std::vector<DmaMapping>& mappings, TimeNs at);
+  // Tears down the IO page-table entries; synchronous modes invalidate and
+  // free each run's IOVAs, deferred mode queues them for the batched flush.
+  TimeNs UnmapAndInvalidate(std::uint32_t core, const std::vector<DmaMapping>& mappings,
+                            TimeNs at, UnmapResultInfo* out);
+  // Deferred mode: one full flush, then every queued IOVA is freed.
+  TimeNs FlushDeferredQueue(TimeNs t, UnmapResultInfo* out);
   // Submits one invalidation request and waits for completion, retrying
-  // with exponential backoff on timeout and falling back to a global flush
+  // with exponential backoff on timeout and falling back to a full flush
   // when retries are exhausted. Advances *t (CPU time) and *requests.
   TimeNs SubmitInvalidationWithRetry(Iova base, std::uint64_t len, bool leaf_only, TimeNs* t,
                                      std::uint32_t* requests);
-  DmaMapping MapIntoChunk(std::uint32_t core, PhysAddr frame, TimeNs* cpu_ns);
-  // True if `frames` is one 2 MB-aligned physically contiguous huge frame.
-  static bool IsHugeBacked(const std::vector<PhysAddr>& frames);
-  DmaMapping MapStandalone(std::uint32_t core, PhysAddr frame, TimeNs* cpu_ns);
+  // Issues a full flush at `submit`: of this driver's domain for a tenant
+  // driver (blowing away co-resident tenants' cached translations is not its
+  // call to make), of every domain for the host driver.
+  TimeNs FlushScope(TimeNs submit);
+  // The CPU spins from *t until the invalidation hardware acknowledges at
+  // `hw`; the wait is charged to dma.spin_ns.
+  void SpinUntil(TimeNs hw, TimeNs* t);
+  // Counts a duplicate completion and reports the hard invariant failure.
+  void ReportDoubleUnmap(Iova base, std::uint64_t pages, std::uint64_t fresh, TimeNs at);
   // The core whose IOVA cache receives a free issued on `core` (applies the
   // migration fraction).
   std::uint32_t FreeTarget(std::uint32_t core);
-  void TrackAllocation(Iova iova);
   void HandleReclamation(const UnmapResult& result);
   // Releases chunk bookkeeping; frees the chunk IOVA once fully unmapped.
   void AccountChunkUnmap(std::uint32_t core, std::uint64_t chunk_id, std::uint32_t pages);
@@ -236,22 +281,8 @@ class DmaApi {
 
   std::uint64_t next_chunk_id_ = 1;
   std::unordered_map<std::uint64_t, Chunk> chunks_;
-  // Per-core cursor chunk for Tx packing (contiguous modes).
-  std::unordered_map<std::uint32_t, std::uint64_t> tx_cursor_chunk_;
-
-  struct DeferredIova {
-    Iova iova = 0;
-    std::uint64_t pages = 0;
-    std::uint32_t core = 0;
-  };
+  std::vector<PerCore> per_core_;
   std::deque<DeferredIova> deferred_queue_;
-
-  // kHugepagePersistent: pooled, permanently-mapped descriptors per core.
-  std::unordered_map<std::uint32_t, std::deque<std::vector<DmaMapping>>> persistent_pool_;
-  // kHugepagePersistent Tx side: pooled, permanently-mapped single pages.
-  std::unordered_map<std::uint32_t, std::deque<DmaMapping>> persistent_tx_pool_;
-  // Chunks backed by a single huge mapping (F&S + hugepages).
-  std::unordered_set<std::uint64_t> huge_chunks_;
 
   Counter* map_ops_;
   Counter* unmap_ops_;

@@ -117,20 +117,69 @@ inline bool ParseModeToken(std::string_view token, ProtectionMode* mode) {
   return false;
 }
 
+// What a driver unmap means for device visibility, per mode. The five
+// classes below are exhaustive over ProtectionMode: adding a mode without
+// classifying it fails the switch in UnmapSemanticsFor at compile time.
+// DmaApi dispatches its map and unmap datapaths on this classification, and
+// the reference model and the model checker (src/refmodel/, src/check/)
+// execute the same table.
+enum class UnmapSemantics : int {
+  // kOff: there is no translation state to tear down; unmap only ends the
+  // driver's ownership of the buffer.
+  kNoProtection = 0,
+  // Strictly-safe IOMMU modes (strict, strict-preserve, strict-contig,
+  // fast-safe): the unmap call invalidates before returning, so visibility
+  // is revoked in the same op-window. Batching/preservation change the COST
+  // of that invalidation, never the contract.
+  kSyncInvalidate,
+  // Deferred: the unmap returns with the page still device-visible; a later
+  // batched flush collapses visibility to the mapped set.
+  kDeferredInvalidate,
+  // Persistent pools: the mapping is never torn down — unmap is a pure
+  // ownership release, and the device retains the translation forever.
+  kReleaseOnly,
+  // Capability kernel bypass: no IOMMU state exists; unmap synchronously
+  // revokes the page's capability (quiescing armed descriptors), so the
+  // device's next check refuses in the same op-window.
+  kRevokeCapability,
+};
+
+constexpr UnmapSemantics UnmapSemanticsFor(ProtectionMode mode) {
+  switch (mode) {
+    case ProtectionMode::kOff:
+      return UnmapSemantics::kNoProtection;
+    case ProtectionMode::kStrict:
+    case ProtectionMode::kStrictPreserve:
+    case ProtectionMode::kStrictContig:
+    case ProtectionMode::kFastSafe:
+      return UnmapSemantics::kSyncInvalidate;
+    case ProtectionMode::kDeferred:
+      return UnmapSemantics::kDeferredInvalidate;
+    case ProtectionMode::kHugepagePersistent:
+      return UnmapSemantics::kReleaseOnly;
+    case ProtectionMode::kCapability:
+      return UnmapSemantics::kRevokeCapability;
+  }
+  return UnmapSemantics::kNoProtection;
+}
+
 // True if the mode guarantees the strict safety property: a device can never
 // access memory through an IOVA after that IOVA's unmap returns. kCapability
 // qualifies — revocation fails the device's capability check in the same
 // op-window the unmap returns in — even though it does no IOMMU work.
 constexpr bool IsStrictlySafe(ProtectionMode mode) {
-  return mode != ProtectionMode::kOff && mode != ProtectionMode::kDeferred &&
-         mode != ProtectionMode::kHugepagePersistent;
+  const UnmapSemantics semantics = UnmapSemanticsFor(mode);
+  return semantics == UnmapSemantics::kSyncInvalidate ||
+         semantics == UnmapSemantics::kRevokeCapability;
 }
 
 // True if the mode programs the IOMMU at all. kOff disables it outright;
 // kCapability leaves it in pass-through and enforces safety at the NIC's
 // descriptor-enqueue capability check instead.
 constexpr bool UsesIommu(ProtectionMode mode) {
-  return mode != ProtectionMode::kOff && mode != ProtectionMode::kCapability;
+  const UnmapSemantics semantics = UnmapSemanticsFor(mode);
+  return semantics != UnmapSemantics::kNoProtection &&
+         semantics != UnmapSemantics::kRevokeCapability;
 }
 
 // True if IOVAs for a descriptor are allocated as one contiguous chunk.

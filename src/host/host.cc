@@ -93,7 +93,7 @@ Host::Host(const HostConfig& config, EventQueue* ev)
         }
         cores_[core].tx_unmaps.push_back(std::move(mappings));
         ScheduleCore(core);
-        OnTxSegmentComplete(p, core);
+        OnTxSegmentComplete(p);
       });
   nic_->SetWireTx([this](const Packet& p, TimeNs departure) {
     if (wire_out_) {
@@ -382,8 +382,7 @@ DctcpReceiver* Host::AddReceiver(std::uint64_t flow_id, std::uint32_t local_core
 
 std::uint64_t Host::app_bytes_delivered() const { return stats_.Value("host.app_rx_bytes"); }
 
-void Host::OnTxSegmentComplete(const Packet& packet, std::uint32_t core_idx) {
-  (void)core_idx;
+void Host::OnTxSegmentComplete(const Packet& packet) {
   if (packet.payload == 0) {
     return;
   }
@@ -470,17 +469,14 @@ void Host::Recover() {
   // accesses the NIC already validated (they land in still-live frames).
   recovery_step_ = NextRecoveryStep(recovery_step_);  // kQuiesceDevice
   host_trace_.Instant("host", RecoveryStepName(recovery_step_), now);
-  Nic::QuiesceResult q = nic_->Quiesce(now);
+  const TimeNs drain_done = nic_->Quiesce(now);
   recovery_step_ = NextRecoveryStep(recovery_step_);  // kDrainInflight
-  host_trace_.Complete("host", "recovery_drain", now, q.drain_done);
-  ev_->ScheduleAt(q.drain_done, [this, mappings = std::move(q.mappings)]() mutable {
-    FinishRecovery(std::move(mappings));
-  });
+  host_trace_.Complete("host", "recovery_drain", now, drain_done);
+  ev_->ScheduleAt(drain_done, [this] { FinishRecovery(); });
 }
 
-void Host::FinishRecovery(std::vector<DmaMapping> device_mappings) {
+void Host::FinishRecovery() {
   const TimeNs now = ev_->now();
-  (void)device_mappings;  // ownership returned by the quiesce; torn down below
 
   // Step 3 of the ladder: every frame the allocator ever handed out goes
   // back to the (reset) allocator. Safe only because the quiesce/drain steps

@@ -168,7 +168,7 @@ class Host {
   // shape, hugepage descriptors and per-core counts.
   static HostConfig Normalize(HostConfig config);
   void SetupRings();
-  void FinishRecovery(std::vector<DmaMapping> device_mappings);
+  void FinishRecovery();
   Counter* LazyCounter(Counter** slot, const char* name);
   // Vector recycling: NAPI batches and per-packet Tx mapping vectors cycle
   // host -> NIC -> host, so their capacity is pooled instead of reallocated
@@ -184,7 +184,7 @@ class Host {
   void ReplenishRing(std::uint32_t core_idx, TimeNs at, TimeNs* cpu_ns);
   void RouteToTransport(const Packet& packet);
   void TransmitFromCore(const Packet& packet, std::uint32_t core_idx);
-  void OnTxSegmentComplete(const Packet& packet, std::uint32_t core_idx);
+  void OnTxSegmentComplete(const Packet& packet);
 
   HostConfig config_;
   EventQueue* ev_;

@@ -31,21 +31,10 @@ Counter* Nic::LazyCounter(Counter** slot, const char* name) {
   return *slot;
 }
 
-Nic::QuiesceResult Nic::Quiesce(TimeNs now) {
-  QuiesceResult out;
+TimeNs Nic::Quiesce(TimeNs now) {
   quiesced_ = true;
   ++quiesce_epoch_;
   for (RxRing& ring : rings_) {
-    for (const auto& desc : ring.descs) {
-      if (desc->retired) {
-        continue;
-      }
-      // All of a live descriptor's pages go back to the driver, consumed
-      // slots included: their frames stay device-owned until unmapped.
-      for (const DmaMapping& m : desc->mappings) {
-        out.mappings.push_back(m);
-      }
-    }
     ring.descs.clear();
     ring.ring_iova = 0;  // stops descriptor fetch until re-registration
     ring.ring_pages = 0;
@@ -54,11 +43,6 @@ Nic::QuiesceResult Nic::Quiesce(TimeNs now) {
     ring.avail_pages = 0;
   }
   for (TxQueue& q : tx_queues_) {
-    for (std::size_t i = 0; i < q.work.size(); ++i) {
-      for (const DmaMapping& m : q.work[i].mappings) {
-        out.mappings.push_back(m);
-      }
-    }
     q.work.clear();
     q.bytes = 0;
   }
@@ -73,8 +57,7 @@ Nic::QuiesceResult Nic::Quiesce(TimeNs now) {
       drain = t;
     }
   }
-  out.drain_done = drain;
-  return out;
+  return drain;
 }
 
 void Nic::SetRingIova(std::uint32_t core, Iova base, std::uint64_t pages) {
@@ -120,17 +103,6 @@ void Nic::PostRxDescriptor(std::uint32_t core, std::vector<DmaMapping> mappings)
       PumpRx();
     });
   }
-}
-
-std::uint32_t Nic::PostedDescriptors(std::uint32_t core) const {
-  const RxRing& ring = rings_[core % rings_.size()];
-  std::uint32_t n = 0;
-  for (const auto& desc : ring.descs) {
-    if (!desc->retired && !desc->exhausted()) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 std::uint64_t Nic::AvailableRxPages(std::uint32_t core) const {

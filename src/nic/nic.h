@@ -104,8 +104,7 @@ class Nic {
   // Driver posts a fresh Rx descriptor (its pages already mapped).
   void PostRxDescriptor(std::uint32_t core, std::vector<DmaMapping> mappings);
 
-  // Posted descriptors not yet retired, and unused page slots, for `core`.
-  std::uint32_t PostedDescriptors(std::uint32_t core) const;
+  // Unused page slots of `core`'s posted descriptors.
   std::uint64_t AvailableRxPages(std::uint32_t core) const;
 
   // True if `core`'s Tx queue can accept a packet of this wire size.
@@ -123,36 +122,24 @@ class Nic {
   void OnWireArrival(const Packet& packet);
 
   // Host crash-recovery quiesce protocol (driver-side teardown step 1).
-  // Everything the device owns is handed back in one shot: descriptor-fetch
-  // and both DMA engines stop, posted Rx descriptors and queued Tx work are
-  // stripped of their mappings (returned for the driver to unmap), buffered
-  // wire packets are discarded, and scheduled completion callbacks from
-  // before the quiesce are invalidated (epoch guard) so no stale delivery or
-  // CQE lands in the torn-down ring. `drain_done` is the time the last
-  // in-flight PCIe write/read commits: the driver must not reclaim frames
-  // before it. While quiesced, arriving wire packets and Tx enqueues are
-  // dropped (counted lazily as "nic.rx_quiesced_drops" /
-  // "nic.tx_quiesced_drops"); any DMA the device would still issue counts
-  // "nic.dma_while_quiesced" — the cross-host oracle invariant that must
-  // stay zero. Resume() re-enables the engines; the driver re-registers
-  // rings (SetRingIova + PostRxDescriptor) afterwards.
-  struct QuiesceResult {
-    std::vector<DmaMapping> mappings;  // Rx descriptor + queued Tx mappings
-    TimeNs drain_done = 0;
-  };
-  QuiesceResult Quiesce(TimeNs now);
+  // Everything the device owns is dropped in one shot: descriptor-fetch and
+  // both DMA engines stop, posted Rx descriptors and queued Tx work are
+  // discarded with their mappings (the host rebuilds its whole driver
+  // stack, so none is unmapped one by one), buffered wire packets are
+  // discarded, and scheduled completion callbacks from before the quiesce
+  // are invalidated (epoch guard) so no stale delivery or CQE lands in the
+  // torn-down ring. Returns the time the last in-flight PCIe write/read
+  // commits: the driver must not reclaim frames before it. While quiesced,
+  // arriving wire packets and Tx enqueues are dropped (counted lazily as
+  // "nic.rx_quiesced_drops" / "nic.tx_quiesced_drops"); any DMA the device
+  // would still issue counts "nic.dma_while_quiesced" — the cross-host
+  // oracle invariant that must stay zero. Resume() re-enables the engines;
+  // the driver re-registers rings (SetRingIova + PostRxDescriptor)
+  // afterwards.
+  TimeNs Quiesce(TimeNs now);
   void Resume() { quiesced_ = false; }
-  bool quiesced() const { return quiesced_; }
 
-  std::uint64_t rx_drops() const { return drops_buffer_->value() + drops_nodesc_->value(); }
   std::uint64_t rx_buffer_used() const { return rx_buffer_used_; }
-  std::uint64_t tx_queue_bytes() const {
-    std::uint64_t total = 0;
-    for (const TxQueue& q : tx_queues_) {
-      total += q.bytes;
-    }
-    return total;
-  }
 
  private:
   struct RxDesc {

@@ -227,9 +227,11 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
     s.model = std::make_unique<RefModel>(config.mode);
   }
 
-  const bool off = config.mode == ProtectionMode::kOff;
-  const bool persistent = config.mode == ProtectionMode::kHugepagePersistent;
-  const bool capability = config.mode == ProtectionMode::kCapability;
+  const UnmapSemantics semantics = UnmapSemanticsFor(config.mode);
+  const bool off = semantics == UnmapSemantics::kNoProtection;
+  const bool persistent = semantics == UnmapSemantics::kReleaseOnly;
+  const bool capability = semantics == UnmapSemantics::kRevokeCapability;
+  const bool deferred = semantics == UnmapSemantics::kDeferredInvalidate;
   const bool real_unmaps = !off && !persistent;
 
   // Advance past the longest possible walk, plus the plan's largest injected
@@ -460,8 +462,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
             }
             retired.push_back(m.iova);
           }
-        } else if (config.bug == InjectedBug::kSkipInvalidation && real_unmaps &&
-                   config.mode != ProtectionMode::kDeferred) {
+        } else if (config.bug == InjectedBug::kSkipInvalidation && real_unmaps && !deferred) {
           // Injected driver bug: page-table teardown without the IOTLB
           // invalidation the strictly-safe contract requires.
           for (const DmaMapping& m : d.mappings) {
@@ -497,8 +498,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
               model.Unmap(PageNumber(m.iova));
               retired.push_back(m.iova);
             }
-            if (config.mode == ProtectionMode::kDeferred &&
-                dma.deferred_pending() < pending_before + d.mappings.size()) {
+            if (deferred && dma.deferred_pending() < pending_before + d.mappings.size()) {
               model.FlushAll();  // threshold reached: the queue was flushed
             }
           }

@@ -1,6 +1,7 @@
-// Pure per-mode protocol semantics, extracted from RefModel so every
-// verification layer keys off ONE table instead of re-deriving what each
-// ProtectionMode promises:
+// The reference model's contract transitions, one per driver event. The
+// per-mode classification they take, UnmapSemantics and UnmapSemanticsFor(),
+// lives in src/driver/protection.h beside the mode table, so the driver,
+// RefModel and the model checker execute one table:
 //
 //   * RefModel (src/refmodel/ref_model.cc) applies these transitions to its
 //     flat contract state while the differential harness drives the real
@@ -24,49 +25,6 @@
 #include "src/mem/address.h"
 
 namespace fsio {
-
-// What a driver unmap means for device visibility, per mode. The five
-// classes below are exhaustive over ProtectionMode: adding a mode without
-// classifying it fails the switch in UnmapSemanticsFor at compile time.
-enum class UnmapSemantics : int {
-  // kOff: there is no translation state to tear down; unmap only ends the
-  // driver's ownership of the buffer.
-  kNoProtection = 0,
-  // Strictly-safe IOMMU modes (strict, strict-preserve, strict-contig,
-  // fast-safe): the unmap call invalidates before returning, so visibility
-  // is revoked in the same op-window. Batching/preservation change the COST
-  // of that invalidation, never the contract.
-  kSyncInvalidate,
-  // Deferred: the unmap returns with the page still device-visible; a later
-  // batched flush collapses visibility to the mapped set.
-  kDeferredInvalidate,
-  // Persistent pools: the mapping is never torn down — unmap is a pure
-  // ownership release, and the device retains the translation forever.
-  kReleaseOnly,
-  // Capability kernel bypass: no IOMMU state exists; unmap synchronously
-  // revokes the page's capability (quiescing armed descriptors), so the
-  // device's next check refuses in the same op-window.
-  kRevokeCapability,
-};
-
-constexpr UnmapSemantics UnmapSemanticsFor(ProtectionMode mode) {
-  switch (mode) {
-    case ProtectionMode::kOff:
-      return UnmapSemantics::kNoProtection;
-    case ProtectionMode::kStrict:
-    case ProtectionMode::kStrictPreserve:
-    case ProtectionMode::kStrictContig:
-    case ProtectionMode::kFastSafe:
-      return UnmapSemantics::kSyncInvalidate;
-    case ProtectionMode::kDeferred:
-      return UnmapSemantics::kDeferredInvalidate;
-    case ProtectionMode::kHugepagePersistent:
-      return UnmapSemantics::kReleaseOnly;
-    case ProtectionMode::kCapability:
-      return UnmapSemantics::kRevokeCapability;
-  }
-  return UnmapSemantics::kNoProtection;
-}
 
 // The flat contract state RefModel reasons over (see ref_model.h for the
 // container meanings). A plain value type so transitions can be applied to

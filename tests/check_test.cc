@@ -21,8 +21,8 @@
 #include "src/capability/capability_table.h"
 #include "src/check/checker.h"
 #include "src/check/model.h"
+#include "src/driver/protection.h"
 #include "src/faults/recovery_protocol.h"
-#include "src/refmodel/mode_semantics.h"
 #include "tests/test_util.h"
 
 namespace fsio {
@@ -315,6 +315,34 @@ TEST(ProtocolTableTest, UnmapSemanticsShapes) {
   for (ProtectionMode mode : test::kStrictlySafeTearingModes) {
     EXPECT_EQ(UnmapSemanticsFor(mode), UnmapSemantics::kSyncInvalidate)
         << ProtectionModeName(mode);
+  }
+}
+
+TEST(ProtocolTableTest, ModePredicatesMatchExpectedTable) {
+  struct Row {
+    ProtectionMode mode;
+    bool strictly_safe;
+    bool uses_iommu;
+    bool contiguous;
+    bool preserves;
+  };
+  constexpr Row kExpected[] = {
+      {ProtectionMode::kOff, false, false, false, false},
+      {ProtectionMode::kStrict, true, true, false, false},
+      {ProtectionMode::kDeferred, false, true, false, false},
+      {ProtectionMode::kStrictPreserve, true, true, false, true},
+      {ProtectionMode::kStrictContig, true, true, true, false},
+      {ProtectionMode::kFastSafe, true, true, true, true},
+      {ProtectionMode::kHugepagePersistent, false, true, false, false},
+      {ProtectionMode::kCapability, true, false, false, false},
+  };
+  static_assert(std::size(kExpected) == kAllModes.size());
+  for (const Row& row : kExpected) {
+    SCOPED_TRACE(ProtectionModeName(row.mode));
+    EXPECT_EQ(IsStrictlySafe(row.mode), row.strictly_safe);
+    EXPECT_EQ(UsesIommu(row.mode), row.uses_iommu);
+    EXPECT_EQ(UsesContiguousIovas(row.mode), row.contiguous);
+    EXPECT_EQ(PreservesPtCaches(row.mode), row.preserves);
   }
 }
 

@@ -30,7 +30,7 @@ class DriverTest : public ::testing::Test {
     MemoryConfig mem_config;
     memory_ = std::make_unique<MemorySystem>(mem_config, stats_.get());
     page_table_ = std::make_unique<IoPageTable>();
-    iommu_ = std::make_unique<Iommu>(IommuConfig{}, memory_.get(), page_table_.get(),
+    iommu_ = std::make_unique<Iommu>(iommu_config_, memory_.get(), page_table_.get(),
                                      stats_.get());
     IovaAllocatorConfig iova_config;
     iova_config.num_cores = 4;
@@ -47,6 +47,7 @@ class DriverTest : public ::testing::Test {
     return frames;
   }
 
+  IommuConfig iommu_config_;
   std::unique_ptr<StatsRegistry> stats_;
   std::unique_ptr<MemorySystem> memory_;
   std::unique_ptr<IoPageTable> page_table_;
@@ -293,6 +294,87 @@ TEST_F(DriverTest, PersistentMappingsSurvive) {
   const Iova ring = dma_->MapPersistent(0, Frames(8));
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(page_table_->IsMapped(ring + static_cast<Iova>(i) * kPageSize));
+  }
+}
+
+// Every map and unmap entry point charges what it returns: dma.cpu_ns is the
+// sum of the returned cpu_ns, dma.map_cpu_ns the maps' share of it, and an
+// invalidating unmap's CPU time is its PTE work, its submits and the
+// dma.spin_ns waits. Each datapath map counts one dma.map_ops and records one
+// PTcache-L3 tag; descriptor-ring maps do neither.
+TEST_F(DriverTest, CountersMatchReturnedCostsInEveryMode) {
+  constexpr int kRxPages = 64;
+  constexpr int kTxPages = 16;
+  for (ProtectionMode mode : kAllModes) {
+    SCOPED_TRACE(ProtectionModeName(mode));
+    const UnmapSemantics semantics = UnmapSemanticsFor(mode);
+    const bool invalidates = semantics == UnmapSemantics::kSyncInvalidate ||
+                             semantics == UnmapSemantics::kDeferredInvalidate;
+    DmaApiConfig config;
+    config.deferred_flush_threshold = kRxPages;  // the Rx unmap flushes
+    iommu_config_.invalidation_hw_ns = 1'000;    // every invalidation makes the CPU wait
+    Build(mode, config);
+    ReuseDistanceTracker tracker;
+    dma_->SetL3Tracker(&tracker);
+    TimeNs map_cpu = 0;
+    TimeNs unmap_cpu = 0;
+
+    // One Rx descriptor: 64 4 KB maps, one capability grant, or one 2 MB
+    // pooled hugepage map.
+    DmaApi::MapResult rx;
+    std::uint64_t rx_maps = kRxPages;
+    if (semantics == UnmapSemantics::kReleaseOnly) {
+      rx = dma_->AcquirePersistentDescriptor(0, [] { return PhysAddr{0x40000000}; });
+      rx_maps = 1;
+    } else {
+      rx = dma_->MapPages(0, Frames(kRxPages));
+    }
+    if (semantics == UnmapSemantics::kRevokeCapability) {
+      rx_maps = 1;
+    }
+    if (semantics == UnmapSemantics::kNoProtection) {
+      rx_maps = 0;
+    }
+    map_cpu += rx.cpu_ns;
+    ASSERT_FALSE(rx.mappings.empty());
+    EXPECT_EQ(stats_->Value("dma.map_ops"), rx_maps);
+    EXPECT_EQ(tracker.accesses(), UsesIommu(mode) ? rx_maps : 0u);
+
+    // Tx pages, one map call each.
+    std::vector<DmaMapping> tx;
+    for (PhysAddr frame : Frames(kTxPages, 0x20000000)) {
+      const DmaApi::PageMapResult page = dma_->MapOnePage(1, frame);
+      ASSERT_TRUE(page.ok());
+      map_cpu += page.cpu_ns;
+      tx.push_back(page.mapping);
+    }
+    const std::uint64_t tx_maps = semantics == UnmapSemantics::kNoProtection ? 0 : kTxPages;
+    EXPECT_EQ(stats_->Value("dma.map_ops"), rx_maps + tx_maps);
+    EXPECT_EQ(tracker.accesses(), UsesIommu(mode) ? rx_maps + tx_maps : 0u);
+
+    // A descriptor ring: mapped, but neither counted, tracked nor charged.
+    dma_->MapPersistent(2, Frames(8, 0x30000000));
+    EXPECT_EQ(stats_->Value("dma.map_ops"), rx_maps + tx_maps);
+    EXPECT_EQ(tracker.accesses(), UsesIommu(mode) ? rx_maps + tx_maps : 0u);
+    EXPECT_EQ(stats_->Value("dma.map_cpu_ns"), map_cpu);
+    EXPECT_EQ(stats_->Value("dma.cpu_ns"), map_cpu);
+
+    if (semantics == UnmapSemantics::kReleaseOnly) {
+      dma_->ReleasePersistentDescriptor(0, rx.mappings);
+    } else {
+      unmap_cpu += dma_->UnmapDescriptor(0, rx.mappings, 1'000'000).cpu_ns;
+    }
+    unmap_cpu += dma_->UnmapDescriptor(1, tx, 2'000'000).cpu_ns;
+    EXPECT_EQ(stats_->Value("dma.cpu_ns"), map_cpu + unmap_cpu);
+    EXPECT_EQ(stats_->Value("dma.map_cpu_ns"), map_cpu);
+    if (invalidates) {
+      EXPECT_GT(stats_->Value("dma.spin_ns"), 0u);
+      EXPECT_EQ(unmap_cpu, config.unmap_page_cpu_ns * (kRxPages + kTxPages) +
+                               config.inv_submit_cpu_ns * stats_->Value("dma.inv_requests") +
+                               stats_->Value("dma.spin_ns"));
+    } else {
+      EXPECT_EQ(stats_->Value("dma.spin_ns"), 0u);
+    }
   }
 }
 
