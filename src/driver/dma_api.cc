@@ -425,6 +425,20 @@ DmaApi::DeviceCheckResult DmaApi::DeviceCheckCapability(Iova base, std::uint64_t
   return out;
 }
 
+DmaApi::DeviceCheckResult DmaApi::DeviceCheckCapability(const std::vector<DmaMapping>& mappings,
+                                                        TimeNs now, bool enforce) {
+  DeviceCheckResult out;
+  out.allowed = true;
+  out.granted = true;
+  for (const DmaMapping& m : mappings) {
+    const DeviceCheckResult r = DeviceCheckCapability(m.iova, 1, now, enforce);
+    out.check_ns += r.check_ns;
+    out.allowed = out.allowed && r.allowed;
+    out.granted = out.granted && r.granted;
+  }
+  return out;
+}
+
 DmaApi::UnmapResultInfo DmaApi::UnmapDescriptor(std::uint32_t core,
                                                 const std::vector<DmaMapping>& mappings,
                                                 TimeNs at) {
@@ -588,14 +602,9 @@ TimeNs DmaApi::UnmapAndInvalidate(std::uint32_t core, const std::vector<DmaMappi
 
 TimeNs DmaApi::FlushDeferredQueue(TimeNs t, UnmapResultInfo* out) {
   const TimeNs flush_start = t;
-  // The deferred flush-queue drain is a full flush in Linux; it is issued
-  // at `t` and the CPU pays the submit cost while the hardware works.
-  const TimeNs hw = FlushScope(t);
-  inv_requests_submitted_->Add();
-  ++out->invalidation_requests;
-  t += config_.inv_submit_cpu_ns;
-  SpinUntil(hw, &t);
-  out->hw_done = hw;
+  // The deferred flush-queue drain is a full flush in Linux, and the drain
+  // waits for it to complete before the IOVAs are reused.
+  out->hw_done = SubmitFlushAndWait(&t, &out->invalidation_requests);
   if (trace_.enabled()) {
     trace_.Complete("driver", "deferred_flush", flush_start, t, "iovas",
                     static_cast<double>(deferred_queue_.size()));
@@ -642,17 +651,17 @@ TimeNs DmaApi::SubmitInvalidationWithRetry(Iova base, std::uint64_t len, bool le
   // per-range request was lost.
   inv_fallback_flushes_->Add();
   trace_.Instant("driver", "inv_fallback_flush", *t);
+  return SubmitFlushAndWait(t, requests);
+}
+
+TimeNs DmaApi::SubmitFlushAndWait(TimeNs* t, std::uint32_t* requests) {
   *t += config_.inv_submit_cpu_ns;
-  const TimeNs hw = FlushScope(*t);
+  const TimeNs hw = config_.domain.value != 0 ? iommu_->InvalidateDomain(config_.domain, *t)
+                                              : iommu_->InvalidateAll(*t);
   inv_requests_submitted_->Add();
   ++*requests;
   SpinUntil(hw, t);
   return hw;
-}
-
-TimeNs DmaApi::FlushScope(TimeNs submit) {
-  return config_.domain.value != 0 ? iommu_->InvalidateDomain(config_.domain, submit)
-                                   : iommu_->InvalidateAll(submit);
 }
 
 void DmaApi::SpinUntil(TimeNs hw, TimeNs* t) {

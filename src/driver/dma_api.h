@@ -157,6 +157,11 @@ class DmaApi {
   // In non-capability modes the IOMMU is the gate and this always allows.
   DeviceCheckResult DeviceCheckCapability(Iova base, std::uint64_t pages, TimeNs now,
                                           bool enforce = true);
+  // The same check over a descriptor's mappings, one page each: the gate a
+  // device runs when a descriptor enters its queues. Allowed only if every
+  // mapping is; `check_ns` sums the lookups.
+  DeviceCheckResult DeviceCheckCapability(const std::vector<DmaMapping>& mappings, TimeNs now,
+                                          bool enforce = true);
 
   // Attaches a tracker recording the PTcache-L3 tag of every page mapped on
   // the Rx/Tx datapaths, in allocation order (Figures 2e/3e/7e/8e).
@@ -251,10 +256,12 @@ class DmaApi {
   // when retries are exhausted. Advances *t (CPU time) and *requests.
   TimeNs SubmitInvalidationWithRetry(Iova base, std::uint64_t len, bool leaf_only, TimeNs* t,
                                      std::uint32_t* requests);
-  // Issues a full flush at `submit`: of this driver's domain for a tenant
-  // driver (blowing away co-resident tenants' cached translations is not its
-  // call to make), of every domain for the host driver.
-  TimeNs FlushScope(TimeNs submit);
+  // Submits a full flush once the CPU has paid the submit cost, counts the
+  // request and spins until the IOMMU acknowledges; advances *t and
+  // *requests and returns the completion. The flush covers this driver's
+  // domain for a tenant driver (blowing away co-resident tenants' cached
+  // translations is not its call to make), every domain for the host driver.
+  TimeNs SubmitFlushAndWait(TimeNs* t, std::uint32_t* requests);
   // The CPU spins from *t until the invalidation hardware acknowledges at
   // `hw`; the wait is charged to dma.spin_ns.
   void SpinUntil(TimeNs hw, TimeNs* t);

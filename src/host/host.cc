@@ -42,16 +42,7 @@ Host::Host(const HostConfig& config, EventQueue* ev)
     // capability table — descriptors from before the crash fail the check).
     nic_->SetCapabilityCheck(
         [this](const std::vector<DmaMapping>& mappings, TimeNs now, bool enforce) {
-          Nic::CapCheckResult out;
-          for (const DmaMapping& m : mappings) {
-            const DmaApi::DeviceCheckResult r =
-                dma().DeviceCheckCapability(m.iova, 1, now, enforce);
-            out.check_ns += r.check_ns;
-            if (!r.allowed) {
-              out.allowed = false;
-            }
-          }
-          return out;
+          return dma().DeviceCheckCapability(mappings, now, enforce);
         });
   }
 

@@ -71,7 +71,7 @@ bool Nic::GateOnCapability(const std::vector<DmaMapping>& mappings, TimeNs* engi
     return true;  // not in capability mode: the IOMMU is the gate
   }
   const TimeNs now = ev_->now();
-  const CapCheckResult c = cap_check_(mappings, now, !config_.skip_capability_check);
+  const DmaApi::DeviceCheckResult c = cap_check_(mappings, now, !config_.skip_capability_check);
   // The validating engine stalls for the table lookup(s).
   *engine_free = (*engine_free > now ? *engine_free : now) + c.check_ns;
   if (!c.allowed) {

@@ -77,12 +77,8 @@ class Nic {
   // observes the access (so the oracle sees it) but the verdict is ignored.
   // Returns whether the enqueue may proceed plus the device-side lookup
   // cost, which the NIC charges to the owning engine.
-  struct CapCheckResult {
-    bool allowed = true;
-    TimeNs check_ns = 0;
-  };
-  using CapCheckFn =
-      std::function<CapCheckResult(const std::vector<DmaMapping>&, TimeNs now, bool enforce)>;
+  using CapCheckFn = std::function<DmaApi::DeviceCheckResult(const std::vector<DmaMapping>&,
+                                                             TimeNs now, bool enforce)>;
   void SetCapabilityCheck(CapCheckFn fn) { cap_check_ = std::move(fn); }
 
   // Optional fault injection: kDescCompletionReorder delays a descriptor

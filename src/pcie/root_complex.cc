@@ -119,11 +119,12 @@ void RootComplex::ReleaseAt(TimeNs when, std::uint32_t bytes) {
   rc_buffer_occupancy_ += bytes;
 }
 
-TimeNs RootComplex::TranslateAt(DomainId domain, Iova iova, TimeNs at, bool* fault) {
-  if (iommu_ == nullptr) {
+TimeNs RootComplex::TranslateAt(Iommu* iommu, DomainId domain, Iova iova, TimeNs at,
+                                bool* fault) {
+  if (iommu == nullptr) {
     return at;
   }
-  const TranslationResult tr = iommu_->Translate(domain, iova, at);
+  const TranslationResult tr = iommu->Translate(domain, iova, at);
   if (tr.fault) {
     *fault = true;
     faults_->Add();
@@ -139,6 +140,7 @@ DmaTiming RootComplex::DmaWrite(TimeNs start, const std::vector<DmaSegment>& seg
   const std::uint64_t tlps_before = write_tlps_->value();
   for (const DmaSegment& seg : segments) {
     total_bytes += seg.len;
+    Iommu* const iommu = seg.passthrough ? nullptr : iommu_;  // once per segment
     std::uint32_t off = 0;
     while (off < seg.len) {
       const Iova iova = seg.iova + off;
@@ -154,7 +156,7 @@ DmaTiming RootComplex::DmaWrite(TimeNs start, const std::vector<DmaSegment>& seg
       // Lookahead translation: starts at arrival, independent of the commit
       // pointer.
       bool fault = false;
-      const TimeNs translated = TranslateAt(seg.domain, iova, arrival, &fault);
+      const TimeNs translated = TranslateAt(iommu, seg.domain, iova, arrival, &fault);
       if (fault) {
         timing.fault = true;
         // Faulted transaction is dropped by the IOMMU; it occupies no
@@ -195,6 +197,7 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
   TimeNs t = start;
   TimeNs last_completion = start;
   for (const DmaSegment& seg : segments) {
+    Iommu* const iommu = seg.passthrough ? nullptr : iommu_;  // once per segment
     std::uint32_t off = 0;
     while (off < seg.len) {
       const Iova iova = seg.iova + off;
@@ -220,7 +223,7 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
       t = arrival;
 
       bool fault = false;
-      const TimeNs translated = TranslateAt(seg.domain, iova, arrival, &fault);
+      const TimeNs translated = TranslateAt(iommu, seg.domain, iova, arrival, &fault);
       if (fault) {
         timing.fault = true;
         off += payload;

@@ -53,10 +53,13 @@ struct PcieConfig {
 // boundaries when produced by the NIC (one descriptor page per segment).
 // `domain` is the protection domain the issuing function belongs to (the
 // PASID carried in the TLP prefix); host-domain traffic leaves it default.
+// `passthrough` marks a function whose domain bypasses the IOMMU (kOff,
+// kCapability): its addresses are physical and go to memory untranslated.
 struct DmaSegment {
   Iova iova = 0;
   std::uint32_t len = 0;
   DomainId domain{};
+  bool passthrough = false;
 };
 
 // Timing of one DMA operation.
@@ -99,7 +102,7 @@ class RootComplex {
   // the admission time.
   TimeNs WaitForBufferSpace(TimeNs t, std::uint32_t bytes);
   void ReleaseAt(TimeNs when, std::uint32_t bytes);
-  TimeNs TranslateAt(DomainId domain, Iova iova, TimeNs at, bool* fault);
+  TimeNs TranslateAt(Iommu* iommu, DomainId domain, Iova iova, TimeNs at, bool* fault);
 
   // Payload of the TLP at `iova` with `remaining` bytes left in its segment:
   // at most max_payload_bytes, and never across a 4 KB boundary.

@@ -31,12 +31,44 @@ TenantSystem::TenantSystem(const TenantSystemConfig& config) : config_(config) {
     tenant.domain = std::make_unique<ProtectionDomain>(
         pd, iommu_.get(), ProtectionDomain::Binding::kNewDomain, &stats_);
     tenant.domain->SetOracle(tenant.oracle.get());
-    tenant.function = std::make_unique<NicFunction>(tenant.domain->id(), tc.weight);
     tenants_.push_back(std::move(tenant));
+    arbiter_.Add(tc.weight);
   }
-  for (Tenant& tenant : tenants_) {
-    arbiter_.Register(tenant.function.get());
+}
+
+void FunctionArbiter::Add(std::uint32_t weight) {
+  const std::uint32_t w = weight == 0 ? 1 : weight;
+  functions_.push_back(Function{w, w});
+}
+
+std::optional<std::size_t> FunctionArbiter::Next() {
+  bool any_work = false;
+  // At most two sweeps: one with current credits, one after a refill.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (std::size_t i = 0; i < functions_.size(); ++i) {
+      const std::size_t idx = (cursor_ + i) % functions_.size();
+      Function& fn = functions_[idx];
+      if (fn.queued == 0) {
+        continue;
+      }
+      any_work = true;
+      if (fn.credits > 0) {
+        --fn.credits;
+        --fn.queued;
+        cursor_ = (idx + 1) % functions_.size();
+        return idx;
+      }
+    }
+    if (!any_work) {
+      return std::nullopt;
+    }
+    // Work exists but every backlogged function is out of credits: start a
+    // new credit cycle.
+    for (Function& fn : functions_) {
+      fn.credits = fn.weight;
+    }
   }
+  return std::nullopt;  // unreachable with positive weights; defensive
 }
 
 void TenantSystem::RetireInFlight(Tenant* tenant, TimeNs* t) {
@@ -57,101 +89,76 @@ void TenantSystem::RetireInFlight(Tenant* tenant, TimeNs* t) {
 void TenantSystem::RunOp(Tenant* tenant) {
   const std::uint32_t pages =
       tenant->config.latency_critical ? config_.rpc_pages : config_.churn_pages;
-  const DomainId did = tenant->domain->id();
+  DmaApi& dma = tenant->domain->dma();
   const TimeNs start = now_;
   TimeNs t = start;
-  std::vector<DmaSegment> segments;
-  segments.reserve(pages);
 
-  if (tenant->config.mode == ProtectionMode::kOff) {
-    // Passthrough: the buffer pool is identity-mapped once and reused for
-    // every op — zero per-op protection work, permanent device access.
-    while (tenant->off_pool.size() < pages) {
-      const PhysAddr f = frames_->AllocFrame();
-      tenant->domain->page_table().Map(f, f);
-      tenant->oracle->OnMap(f, 1);
-      tenant->oracle->OnMapBacking(f, 1, f);
-      tenant->off_pool.push_back(DmaMapping{f, f, 0});
+  // Make room in the pipeline first, then map, check and DMA this op's
+  // descriptor.
+  RetireInFlight(tenant, &t);
+  Desc desc;
+  desc.mappings.reserve(pages);
+  desc.frames.reserve(pages);
+  for (std::uint32_t i = 0; i < pages; ++i) {
+    const PhysAddr f = frames_->AllocFrame();
+    const DmaApi::PageMapResult mr = dma.MapOnePage(0, f);
+    t += mr.cpu_ns;
+    if (!mr.ok()) {
+      frames_->FreeFrame(f);
+      continue;
     }
-    const std::uint64_t base = tenant->op_seq % tenant->off_pool.size();
-    for (std::uint32_t i = 0; i < pages; ++i) {
-      const DmaMapping& m = tenant->off_pool[(base + i) % tenant->off_pool.size()];
-      segments.push_back(DmaSegment{m.iova, static_cast<std::uint32_t>(kPageSize), did});
+    desc.frames.push_back(f);
+    desc.mappings.push_back(mr.mapping);
+  }
+  const DmaApi::DeviceCheckResult check = dma.DeviceCheckCapability(desc.mappings, t);
+  t += check.check_ns;
+  if (!check.allowed) {
+    ++tenant->faulted_dmas;
+  } else if (!desc.mappings.empty()) {
+    const bool passthrough = !UsesIommu(tenant->config.mode);
+    std::vector<DmaSegment> segments;
+    segments.reserve(desc.mappings.size());
+    for (const DmaMapping& m : desc.mappings) {
+      segments.push_back(DmaSegment{m.iova, static_cast<std::uint32_t>(kPageSize),
+                                    tenant->domain->id(), passthrough});
     }
     const DmaTiming w = root_complex_->DmaWrite(t, segments);
+    if (w.fault) {
+      ++tenant->faulted_dmas;
+    }
     if (tenant->config.latency_critical) {
+      // Synchronous RPC: latency covers the DMA completion.
       if (w.commit_done > t) {
         t = w.commit_done;
       }
     } else {
+      // Fire-and-forget churn: the clock advances only past the CPU work;
+      // the walks stay queued on the shared walker where the victim's next
+      // translation will find them.
       tenant->busy_until = w.commit_done;
     }
-  } else {
-    // Make room in the pipeline first, then map and DMA this op's descriptor.
-    RetireInFlight(tenant, &t);
-    std::vector<DmaMapping> mappings;
-    mappings.reserve(pages);
-    std::vector<PhysAddr> op_frames;
-    op_frames.reserve(pages);
-    for (std::uint32_t i = 0; i < pages; ++i) {
-      const PhysAddr f = frames_->AllocFrame();
-      const DmaApi::PageMapResult mr = tenant->domain->dma().MapOnePage(0, f);
-      t += mr.cpu_ns;
-      if (!mr.ok()) {
-        frames_->FreeFrame(f);
-        continue;
-      }
-      op_frames.push_back(f);
-      mappings.push_back(mr.mapping);
-    }
-    for (const DmaMapping& m : mappings) {
-      segments.push_back(DmaSegment{m.iova, static_cast<std::uint32_t>(kPageSize), did});
-    }
-    if (!segments.empty()) {
-      const DmaTiming w = root_complex_->DmaWrite(t, segments);
-      if (tenant->config.latency_critical) {
-        // Synchronous RPC: latency covers the DMA completion.
-        if (w.commit_done > t) {
-          t = w.commit_done;
-        }
-      } else {
-        // Fire-and-forget churn: the clock advances only past the CPU work;
-        // the walks stay queued on the shared walker where the victim's
-        // next translation will find them.
-        tenant->busy_until = w.commit_done;
-      }
-    }
-    Desc desc;
-    desc.mappings = std::move(mappings);
-    desc.frames = std::move(op_frames);
-    tenant->in_flight.push_back(std::move(desc));
   }
+  tenant->in_flight.push_back(std::move(desc));
 
   tenant->latency.Record(static_cast<std::uint64_t>(t - start));
-  ++tenant->op_seq;
   now_ = t;
 }
 
 void TenantSystem::RunRounds(std::uint64_t rounds) {
   for (std::uint64_t r = 0; r < rounds; ++r) {
-    for (Tenant& tenant : tenants_) {
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      const Tenant& tenant = tenants_[i];
       // Async tenants whose last DMA is still in flight skip the round:
       // outstanding device work stays bounded near the clock instead of
       // queueing unboundedly far ahead of it.
       if (!tenant.crashed &&
           (tenant.config.latency_critical || tenant.busy_until <= now_)) {
-        tenant.function->EnqueueJobs(tenant.config.weight);
+        arbiter_.Enqueue(i, tenant.config.weight);
       }
     }
-    while (NicFunction* fn = arbiter_.Next()) {
-      fn->PopJob();
-      for (Tenant& tenant : tenants_) {
-        if (tenant.function.get() == fn) {
-          if (!tenant.crashed) {
-            RunOp(&tenant);
-          }
-          break;
-        }
+    while (const std::optional<std::size_t> i = arbiter_.Next()) {
+      if (!tenants_[*i].crashed) {
+        RunOp(&tenants_[*i]);
       }
     }
   }
@@ -189,7 +196,6 @@ void TenantSystem::RecoverTenant(std::size_t idx) {
     }
   }
   tenant.in_flight.clear();
-  tenant.off_pool.clear();
   tenant.domain->Rebuild();
 
   // kInvalidateCaches: a domain-selective flush evicts every translation
@@ -212,6 +218,7 @@ TenantReport TenantSystem::Report(std::size_t idx) const {
   report.p999_ns = tenant.latency.Percentile(99.9);
   report.violations = tenant.oracle->total_violations();
   report.cross_domain = tenant.oracle->count(SafetyViolationKind::kCrossDomainHit);
+  report.faulted_dmas = tenant.faulted_dmas;
   return report;
 }
 

@@ -196,6 +196,19 @@ TEST_F(DriverTest, DeferredModeLeavesStaleWindowThenFlushes) {
   EXPECT_TRUE(after.fault);
 }
 
+TEST_F(DriverTest, DeferredFlushWaitsForTheIommu) {
+  // Default IOMMU timing: the flush is issued after its submit cost, so the
+  // drain spins for the hardware's acknowledgement like every other request.
+  DmaApiConfig config;
+  config.deferred_flush_threshold = 64;
+  Build(ProtectionMode::kDeferred, config);
+  const auto result = dma_->MapPages(0, Frames(64));
+  const DmaApi::UnmapResultInfo u = dma_->UnmapDescriptor(0, result.mappings, 1000);
+  EXPECT_EQ(stats_->Value("dma.deferred_flushes"), 1u);
+  EXPECT_GT(stats_->Value("dma.spin_ns"), 0u);
+  EXPECT_EQ(u.hw_done, 1000 + u.cpu_ns) << "the CPU returns when the flush completes";
+}
+
 TEST_F(DriverTest, FastSafePreservesPtcachesAcrossDescriptorCycles) {
   Build(ProtectionMode::kFastSafe);
   // First descriptor cycle warms PTcache-L3.

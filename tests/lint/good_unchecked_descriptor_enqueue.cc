@@ -10,15 +10,7 @@ namespace fsio {
 void GoodWiredEnqueue(Nic* nic, DmaApi* dma, std::vector<DmaMapping> mappings) {
   nic->SetCapabilityCheck(
       [dma](const std::vector<DmaMapping>& ms, TimeNs now, bool enforce) {
-        Nic::CapCheckResult out;
-        for (const DmaMapping& m : ms) {
-          const DmaApi::DeviceCheckResult r = dma->DeviceCheckCapability(m.iova, 1, now, enforce);
-          out.check_ns += r.check_ns;
-          if (!r.allowed) {
-            out.allowed = false;
-          }
-        }
-        return out;
+        return dma->DeviceCheckCapability(ms, now, enforce);
       });
   nic->PostRxDescriptor(0, std::move(mappings));
 }

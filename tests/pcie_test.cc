@@ -245,6 +245,24 @@ TEST_F(PcieTest, FaultedTransactionsAreDroppedAndCounted) {
   EXPECT_EQ(stats_->Value("pcie.faults"), 16u);
 }
 
+TEST_F(PcieTest, PassthroughSegmentsBypassTheIommu) {
+  // Unmapped addresses from a passthrough function: no translation, no
+  // fault, and the same timing as a root complex without an IOMMU.
+  std::vector<DmaSegment> seg = {{0x7000, 4096, DomainId{}, /*passthrough=*/true}};
+  Build(false);
+  const DmaTiming bypass_write = rc_->DmaWrite(0, seg);
+  const DmaTiming bypass_read = rc_->DmaRead(bypass_write.commit_done, seg);
+  Build(true);
+  const DmaTiming write = rc_->DmaWrite(0, seg);
+  const DmaTiming read = rc_->DmaRead(write.commit_done, seg);
+  EXPECT_FALSE(write.fault);
+  EXPECT_FALSE(read.fault);
+  EXPECT_EQ(write.commit_done, bypass_write.commit_done);
+  EXPECT_EQ(read.commit_done, bypass_read.commit_done);
+  EXPECT_EQ(stats_->Value("iommu.translations"), 0u);
+  EXPECT_EQ(stats_->Value("pcie.faults"), 0u);
+}
+
 TEST_F(PcieTest, OutstandingReadLimitThrottles) {
   PcieConfig few;
   few.max_outstanding_reads = 1;

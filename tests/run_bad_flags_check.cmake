@@ -15,7 +15,8 @@
 # exit 0, and so must the topology, multi-tenant and capability paths of
 # fsio_sim end to end (the --jobs=4 sweep is why this test is also labelled
 # threaded). The capability run must do its checks on the NIC and leave the
-# IOMMU idle: nonzero capability.checks, no iommu.* counter at all.
+# IOMMU idle: nonzero capability.checks, no iommu.* counter at all. So must
+# off and capability tenants on a shared IOMMU: no tenant.<id>.translations.
 # Invoked by ctest as
 #   cmake -DSIM=<fsio_sim> -DDIFF=<fsio_diff> -DMODEL=<fsio_model>
 #         -DSIDECHAN=<fsio_sidechan> -DCHAOS=<fsio_chaos>
@@ -96,6 +97,7 @@ set(valid
     "SIM|--mode=fastsafe --hosts=4 --switches=2 --sweep-flows=1,5,10 --jobs=4 --warmup-ms=2 --window-ms=3"
     "SIM|--tenants=3 --tenant-modes=strict,fastsafe --iotlb-partition=per_domain --tenant-rounds=500"
     "SIM|--mode=capability --flows=5 --warmup-ms=2 --window-ms=3 --counters|capability\\.checks +[1-9]|iommu\\."
+    "SIM|--tenants=2 --tenant-modes=off,capability --tenant-rounds=50 --counters|tenant\\.2\\.translations +0|tenant\\.[12]\\.translations +[1-9]"
     "DIFF|--seeds 1 --ops 100 --mode fastsafe --quiet"
     "DIFF|--seeds=1 --ops=100 --mode=strict-contig --rcache=on"
     "DIFF|--seeds 1 --ops 100 --mode strict --fault-plan inv-stall-drop --quiet"
