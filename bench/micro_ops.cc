@@ -208,29 +208,40 @@ void BM_IommuTranslateWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_IommuTranslateWarm);
 
-// The strict-mode page cycle: a fresh IOTLB miss whose walk hits
-// PTcache-L3 (all 512 pages share one PT-L4 page), then a leaf-only
-// invalidation of that page.
+// The strict-mode page cycle: a fresh IOTLB miss, then a leaf-only
+// invalidation of that page, for each entry of the PTcache ladder.
+// Arg 0: 4 KB leaves sharing one PT-L4 page (PTcache-L3 hit, 1 read).
+// Arg 1: 2 MB leaves under two PT-L3 pages (PTcache-L2 hit, 1 read).
+// Arg 2: 4 KB leaves with PTcaches disabled (every level misses, 4 reads).
 void BM_IommuTranslateMiss(benchmark::State& state) {
+  const bool huge = state.range(0) == 1;
   StatsRegistry stats;
   MemorySystem memory(MemoryConfig{}, &stats);
   IoPageTable pt;
-  Iommu iommu(IommuConfig{}, &memory, &pt, &stats);
+  IommuConfig config;
+  config.ptcache_enabled = state.range(0) != 2;
+  Iommu iommu(config, &memory, &pt, &stats);
   constexpr std::uint64_t kPages = 512;
+  constexpr Iova kBase = 0x1000000;
+  const std::uint64_t stride = huge ? LevelEntrySpan(3) : kPageSize;
   for (std::uint64_t i = 0; i < kPages; ++i) {
-    pt.Map(0x1000000 + i * kPageSize, 0x1000);
+    if (huge) {
+      pt.MapHuge(kBase + i * stride, LevelEntrySpan(3));
+    } else {
+      pt.Map(kBase + i * stride, 0x1000);
+    }
   }
   TimeNs t = 0;
   std::uint64_t i = 0;
   for (auto _ : state) {
-    const Iova iova = 0x1000000 + (i++ % kPages) * kPageSize;
+    const Iova iova = kBase + (i++ % kPages) * stride;
     t = iommu.Translate(iova, t).done;
     t = iommu.InvalidateRange(iova, kPageSize, /*leaf_only=*/true, t);
   }
   benchmark::DoNotOptimize(t);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IommuTranslateMiss);
+BENCHMARK(BM_IommuTranslateMiss)->Arg(0)->Arg(1)->Arg(2);
 
 // The Rx commit pattern on the default 8 banks: a 256 B posted write every
 // 16 ns, and every fourth one a 64 B walk read issued behind them.

@@ -1,5 +1,6 @@
 #include "src/iommu/iommu.h"
 
+#include <algorithm>
 #include <string>
 
 namespace fsio {
@@ -8,6 +9,22 @@ namespace {
 // WalkAndFill prunes completed walks once the pending-walk table holds more
 // keys than this.
 constexpr std::size_t kPendingWalkPruneAbove = 8192;
+// IO page table caches. Sizes are not public; the paper estimates 64-128
+// for PTcache-L3 (Fig. 2e thresholds) and small L1/L2 caches suffice.
+constexpr std::uint32_t kPtcacheL1Entries = 32;
+constexpr std::uint32_t kPtcacheL2Entries = 32;
+constexpr std::uint32_t kPtcacheL3Entries = 128;
+// Per-entry PTE read size (a 64-bit entry; memory rounds up to a line).
+constexpr std::uint64_t kPteReadBytes = 8;
+// IOMMU-side processing per walk step (request issue, entry decode), on
+// top of the DRAM access. Calibrated so the effective per-read walk cost
+// matches the paper's fitted lm ≈ 197 ns.
+constexpr TimeNs kWalkStepOverheadNs = 90;
+
+// IOTLB tag of `iova`'s 4 KB entry, or of its 2 MB entry when `huge`.
+std::uint64_t IotlbTag(std::uint64_t tag_bits, Iova iova, bool huge) {
+  return huge ? kHugeIotlbTagBit | tag_bits | LevelTag(iova, 3) : tag_bits | PageNumber(iova);
+}
 }  // namespace
 
 Iommu::PendingWalkTable::PendingWalkTable(std::size_t buckets) : buckets_(buckets) {}
@@ -105,27 +122,23 @@ Iommu::Iommu(const IommuConfig& config, MemorySystem* memory, IoPageTable* page_
       stats_(stats),
       domains_(page_table),
       iotlb_(config.iotlb_sets, config.iotlb_ways),
-      ptcache_l1_(1, config.ptcache_l1_entries),
-      ptcache_l2_(1, config.ptcache_l2_entries),
-      ptcache_l3_(1, config.ptcache_l3_entries),
+      ptcaches_{SetAssocCache(1, kPtcacheL1Entries), SetAssocCache(1, kPtcacheL2Entries),
+                SetAssocCache(1, kPtcacheL3Entries)},
       walker_free_(config.num_walkers == 0 ? 1 : config.num_walkers, 0),
       pending_walks_(2 * (kPendingWalkPruneAbove + 1)),
       translations_(stats->Get("iommu.translations")),
       iotlb_miss_(stats->Get("iommu.iotlb_miss")),
-      l1_miss_(stats->Get("iommu.ptcache_l1_miss")),
-      l2_miss_(stats->Get("iommu.ptcache_l2_miss")),
-      l3_miss_(stats->Get("iommu.ptcache_l3_miss")),
+      ptcache_miss_{stats->Get("iommu.ptcache_l1_miss"), stats->Get("iommu.ptcache_l2_miss"),
+                    stats->Get("iommu.ptcache_l3_miss")},
       mem_reads_(stats->Get("iommu.mem_reads")),
       faults_(stats->Get("iommu.faults")),
       inv_requests_(stats->Get("iommu.inv_requests")),
       stale_iotlb_use_(stats->Get("iommu.stale_iotlb_use")),
       stale_ptcache_use_(stats->Get("iommu.stale_ptcache_use")),
-      inv_queue_wait_ns_(stats->Get("iommu.inv_queue_wait_ns")),
       inv_dropped_(stats->Get("iommu.inv_dropped")),
       inv_stall_ns_(stats->Get("iommu.inv_stall_ns")),
       walk_stall_ns_(stats->Get("iommu.walk_stall_ns")),
       cross_domain_hits_(stats->Get("iommu.cross_domain_hits")) {
-  ptcaches_ = {&ptcache_l1_, &ptcache_l2_, &ptcache_l3_};
   if (config_.iotlb_partitions > 1) {
     iotlb_.EnableWayPartitioning(config_.iotlb_partitions, kDomainTagShift, kMaxDomains - 1);
   }
@@ -175,8 +188,8 @@ void Iommu::NoteIotlbInsert(std::uint64_t tag, DomainId domain,
                             const std::optional<std::uint64_t>& evicted) {
   if (evicted.has_value()) {
     if (auto it = iotlb_owner_.find(*evicted); it != iotlb_owner_.end()) {
-      if (it->second.value < domain_counters_.size()) {
-        CountersFor(it->second).iotlb_evictions->Add();
+      if (DomainCounters* owner = CountersOf(it->second); owner != nullptr) {
+        owner->iotlb_evictions->Add();
       }
       iotlb_owner_.erase(it);
     }
@@ -185,13 +198,7 @@ void Iommu::NoteIotlbInsert(std::uint64_t tag, DomainId domain,
   if (iotlb_owner_.size() > 4 * iotlb_.capacity() + 1024) {
     // Entries dropped by range invalidations are not unregistered eagerly;
     // prune the ones no longer resident when the map outgrows the cache.
-    for (auto it = iotlb_owner_.begin(); it != iotlb_owner_.end();) {
-      if (!iotlb_.Peek(it->first).has_value()) {
-        it = iotlb_owner_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(iotlb_owner_, [this](const auto& e) { return !iotlb_.Peek(e.first); });
   }
 }
 
@@ -214,9 +221,9 @@ void Iommu::NotifyOracle(SafetyOracle* oracle, Iova iova, TimeNs now,
 
 TranslationResult Iommu::ReplayRepeat(DomainId domain, Iova iova, TimeNs start) {
   translations_->Add();
-  const bool multi = domains_.multi_domain();
-  if (multi) {
-    CountersFor(domain).translations->Add();
+  if (DomainCounters* counters = CountersOf(domain); counters != nullptr) {
+    counters->translations->Add();
+    counters->iotlb_hits->Add();
   }
   TranslationResult out;
   out.iotlb_hit = true;
@@ -226,9 +233,6 @@ TranslationResult Iommu::ReplayRepeat(DomainId domain, Iova iova, TimeNs start) 
     iotlb_.NoteRepeatMiss();  // the 4 KB-granularity probe misses again
   }
   iotlb_.RepeatHit(repeat_.entry);
-  if (multi) {
-    CountersFor(domain).iotlb_hits->Add();
-  }
   if (repeat_.cross_domain) {
     out.cross_domain = true;
     cross_domain_hits_->Add();
@@ -242,119 +246,97 @@ TranslationResult Iommu::ReplayRepeat(DomainId domain, Iova iova, TimeNs start) 
   return out;
 }
 
+TranslationResult Iommu::IotlbHit(DomainId domain, const DomainTable::Entry& dom,
+                                  DomainCounters* counters, Iova iova, TimeNs start,
+                                  std::uint64_t tag, SetAssocCache::HitHandle handle,
+                                  PhysAddr base, bool huge) {
+  const std::uint64_t offset_mask = (huge ? LevelEntrySpan(3) : kPageSize) - 1;
+  TranslationResult out;
+  out.iotlb_hit = true;
+  out.phys = base + (iova & offset_mask);
+  out.done = start;
+  // A foreign-owned entry is an isolation breach (possible only under the
+  // injected tagging bug); otherwise apply the single-domain stale-mapping
+  // check.
+  DomainId owner = domain;
+  if (counters != nullptr) {
+    counters->iotlb_hits->Add();
+    const auto it = iotlb_owner_.find(tag);
+    owner = it != iotlb_owner_.end() ? it->second : DomainOfTag(tag);
+  }
+  if (owner != domain) {
+    out.cross_domain = true;
+    cross_domain_hits_->Add();
+    trace_.Instant("iommu", "cross_domain_hit", start);
+  } else if (!dom.page_table->IsMapped(iova)) {
+    // Deferred-mode hazard: the device just used a mapping that the OS
+    // already tore down.
+    out.stale_iotlb = true;
+    out.stale_use = true;
+    stale_iotlb_use_->Add();
+    trace_.Instant("iommu", "stale_iotlb_use", start);
+  }
+  repeat_.page = PageNumber(iova);
+  repeat_.entry = handle;
+  repeat_.base = base;
+  repeat_.offset_mask = offset_mask;
+  repeat_.huge = huge;
+  repeat_.stale = out.stale_iotlb;
+  repeat_.cross_domain = out.cross_domain;
+  repeat_.plain = !huge && !out.stale_iotlb && !out.cross_domain && counters == nullptr &&
+                  dom.oracle == nullptr;
+  repeat_.domain = domain;
+  repeat_.pt = dom.page_table;
+  repeat_.iotlb_version = iotlb_.mutation_version();
+  repeat_.pt_version = dom.page_table->mutation_version();
+  NotifyOracle(dom.oracle, iova, start, out);
+  return out;
+}
+
 TranslationResult Iommu::TranslateMemoMiss(DomainId domain, Iova iova, TimeNs start) {
   translations_->Add();
-  TranslationResult out;
-  DomainTable::Entry* dom = domains_.Find(domain);
-  if (dom == nullptr || !dom->live) {
+  const DomainTable::Entry* dom = domains_.Find(domain);
+  if (dom == nullptr) {
     // Translation against a dead/unknown domain: the context entry is gone,
     // so the IOMMU faults the access (a safe outcome; nothing is cached).
+    TranslationResult out;
     out.fault = true;
     out.done = start;
     faults_->Add();
     return out;
   }
-  IoPageTable* const pt = dom->page_table;
-  SafetyOracle* const oracle = dom->oracle;
-  const bool multi = domains_.multi_domain();
-  if (multi) {
-    CountersFor(domain).translations->Add();
+  DomainCounters* const counters = CountersOf(domain);
+  if (counters != nullptr) {
+    counters->translations->Add();
   }
-  const std::uint64_t dbits = DomainTagBits(domain);
-  // The injected tagging bug drops the domain id from IOTLB tags only; the
-  // PTcache tags stay qualified (a walk never crosses domains — the breach
-  // the bug models is a shared-TLB lookup matching a foreign entry).
-  const std::uint64_t iotlb_dbits = config_.inject_untagged_iotlb ? 0 : dbits;
-  const std::uint64_t page = PageNumber(iova);
-
-  // Classifies an IOTLB hit on `tag`: a foreign-owned entry is an isolation
-  // breach (possible only under the injected tagging bug); otherwise apply
-  // the single-domain stale-mapping check.
-  const auto classify_hit = [&](std::uint64_t tag, bool* cross, bool* stale) {
-    *cross = false;
-    *stale = false;
-    if (multi) {
-      DomainId owner = DomainOfTag(tag);
-      if (auto it = iotlb_owner_.find(tag); it != iotlb_owner_.end()) {
-        owner = it->second;
-      }
-      if (owner != domain) {
-        *cross = true;
-        cross_domain_hits_->Add();
-        trace_.Instant("iommu", "cross_domain_hit", start);
-        return;
-      }
-    }
-    if (!pt->IsMapped(iova)) {
-      // Deferred-mode hazard: the device just used a mapping that the OS
-      // already tore down.
-      *stale = true;
-      stale_iotlb_use_->Add();
-      trace_.Instant("iommu", "stale_iotlb_use", start);
-    }
-  };
-  const auto memoize = [&](SetAssocCache::HitHandle handle, PhysAddr base,
-                           std::uint64_t offset_mask, bool huge, bool stale, bool cross) {
-    repeat_.page = page;
-    repeat_.entry = handle;
-    repeat_.base = base;
-    repeat_.offset_mask = offset_mask;
-    repeat_.huge = huge;
-    repeat_.stale = stale;
-    repeat_.cross_domain = cross;
-    repeat_.plain = !huge && !stale && !cross && !multi && oracle == nullptr;
-    repeat_.domain = domain;
-    repeat_.pt = pt;
-    repeat_.iotlb_version = iotlb_.mutation_version();
-    repeat_.pt_version = pt->mutation_version();
-  };
-
+  const std::uint64_t iotlb_bits = IotlbTagBits(domain);
   SetAssocCache::HitHandle handle = 0;
-  if (auto hit = iotlb_.Lookup(iotlb_dbits | page, &handle); hit.has_value()) {
-    out.iotlb_hit = true;
-    out.phys = *hit + (iova & (kPageSize - 1));
-    out.done = start;
-    if (multi) {
-      CountersFor(domain).iotlb_hits->Add();
+  // The 4 KB entry first, then the 2 MB one (hugepage mappings).
+  for (const bool huge : {false, true}) {
+    const std::uint64_t tag = IotlbTag(iotlb_bits, iova, huge);
+    if (huge && !huge_iotlb_used_) {
+      iotlb_.NoteRepeatMiss();  // the empty 2 MB namespace misses
+    } else if (auto hit = iotlb_.Lookup(tag, &handle); hit.has_value()) {
+      return IotlbHit(domain, *dom, counters, iova, start, tag, handle, *hit, huge);
     }
-    classify_hit(iotlb_dbits | page, &out.cross_domain, &out.stale_iotlb);
-    out.stale_use = out.stale_iotlb;
-    memoize(handle, *hit, kPageSize - 1, false, out.stale_iotlb, out.cross_domain);
-    NotifyOracle(oracle, iova, start, out);
-    return out;
-  }
-  // 2 MB-granularity IOTLB entries (hugepage mappings).
-  const std::uint64_t huge_tag = kHugeIotlbTagBit | iotlb_dbits | LevelTag(iova, 3);
-  if (!huge_iotlb_used_) {
-    iotlb_.NoteRepeatMiss();  // the empty 2 MB namespace misses
-  } else if (auto hit = iotlb_.Lookup(huge_tag, &handle); hit.has_value()) {
-    out.iotlb_hit = true;
-    out.phys = *hit + (iova & (LevelEntrySpan(3) - 1));
-    out.done = start;
-    if (multi) {
-      CountersFor(domain).iotlb_hits->Add();
-    }
-    classify_hit(huge_tag, &out.cross_domain, &out.stale_iotlb);
-    out.stale_use = out.stale_iotlb;
-    memoize(handle, *hit, LevelEntrySpan(3) - 1, true, out.stale_iotlb, out.cross_domain);
-    NotifyOracle(oracle, iova, start, out);
-    return out;
   }
 
   // Coalesce with an in-flight walk for the same (domain, page), if any: the
   // request waits for that walk instead of starting its own.
-  if (const PendingWalk* w = pending_walks_.Find(dbits | page); w != nullptr && w->done > start) {
+  TranslationResult out;
+  const std::uint64_t walk_key = DomainTagBits(domain) | PageNumber(iova);
+  if (const PendingWalk* w = pending_walks_.Find(walk_key); w != nullptr && w->done > start) {
     out.phys = w->phys + (iova & (kPageSize - 1));
     out.done = w->done;
-    NotifyOracle(oracle, iova, start, out);
+    NotifyOracle(dom->oracle, iova, start, out);
     return out;
   }
 
   iotlb_miss_->Add();
-  if (multi) {
-    CountersFor(domain).iotlb_misses->Add();
+  if (counters != nullptr) {
+    counters->iotlb_misses->Add();
   }
-  out = WalkAndFill(domain, pt, iova, start);
+  out = WalkAndFill(domain, dom->page_table, counters, iova, start);
   if (trace_.enabled()) {
     // One span per page walk: duration covers walker queueing plus the
     // sequential PTE reads, so clustered misses render as stacked spans.
@@ -368,120 +350,61 @@ TranslationResult Iommu::TranslateMemoMiss(DomainId domain, Iova iova, TimeNs st
       trace_.Instant("iommu", "stale_ptcache_use", start);
     }
   }
-  NotifyOracle(oracle, iova, start, out);
+  NotifyOracle(dom->oracle, iova, start, out);
   return out;
 }
 
-TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova,
-                                     TimeNs start) {
+TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, DomainCounters* counters,
+                                     Iova iova, TimeNs start) {
   TranslationResult out;
-  const bool multi = domains_.multi_domain();
   const std::uint64_t dbits = DomainTagBits(domain);
-  const std::uint64_t iotlb_dbits = config_.inject_untagged_iotlb ? 0 : dbits;
-  const std::uint64_t page = PageNumber(iova);
   const WalkResult walk = pt->Walk(iova);
+  bool* const missed[3] = {&out.l1_missed, &out.l2_missed, &out.l3_missed};
 
-  // Consult the page-table caches, deepest level first; the first hit
-  // determines how many sequential PTE reads the walk needs.
-  int reads = 1;  // the leaf entry read is unavoidable
-  bool stale = false;
-  // A PTcache-L3 hit is refilled below through its handle: nothing touches
+  // Climb the page-table caches from the deepest usable level: PTcache-L3
+  // points at the PT-L4 page, but a 2 MB mapping's leaf is its PT-L3 entry,
+  // so there the deepest usable cache is PTcache-L2. Every level above the
+  // first hit misses (all of them when PTcaches are disabled) and costs one
+  // more sequential PTE read on top of the unavoidable leaf read.
+  const int deepest = walk.huge ? 2 : 3;
+  int reads = 1;
+  int hit_level = 0;
+  // The hit entry is refilled below through its handle: nothing touches
   // that cache between the lookup and the refill.
-  bool l3_hit = false;
-  SetAssocCache::HitHandle l3_handle = 0;
-  // A cached pointer that disagrees with the current walk path is stale; if
-  // its target table page was reclaimed, hardware would walk freed memory —
-  // the gravest class the safety oracle distinguishes. Payloads carry the
-  // owning domain in the same field as the tag, so page-id comparisons are
-  // immune to cross-instance page-id collisions between tenants' tables.
-  auto note_stale_ptcache = [&](std::uint64_t cached_payload) {
-    stale = true;
-    out.stale_ptcache = true;
-    if (!pt->IsLiveTablePage(StripDomainTag(cached_payload))) {
-      out.stale_ptcache_reclaimed = true;
+  SetAssocCache::HitHandle hit_handle = 0;
+  for (int level = deepest; level >= 1; --level) {
+    std::optional<std::uint64_t> cached;
+    if (config_.ptcache_enabled) {
+      cached = ptcaches_[level - 1].Lookup(dbits | LevelTag(iova, level), &hit_handle);
     }
-    stale_ptcache_use_->Add();
-  };
-  if (walk.huge) {
-    // 2 MB mapping: the PT-L3 entry IS the leaf, so the deepest usable
-    // cache is PTcache-L2.
-    if (!config_.ptcache_enabled) {
-      out.l2_missed = true;
-      out.l1_missed = true;
-      l2_miss_->Add();
-      l1_miss_->Add();
-      reads = 3;
-    } else if (auto l2 = ptcache_l2_.Lookup(dbits | LevelTag(iova, 2)); l2.has_value()) {
-      if (*l2 != (dbits | walk.path_page_id[2])) {
-        note_stale_ptcache(*l2);
-      }
-    } else {
-      out.l2_missed = true;
-      l2_miss_->Add();
-      reads = 2;
-      if (auto l1 = ptcache_l1_.Lookup(dbits | LevelTag(iova, 1)); l1.has_value()) {
-        if (*l1 != (dbits | walk.path_page_id[1])) {
-          note_stale_ptcache(*l1);
-        }
-      } else {
-        out.l1_missed = true;
-        l1_miss_->Add();
-        reads = 3;
-      }
+    if (!cached.has_value()) {
+      *missed[level - 1] = true;
+      ptcache_miss_[level - 1]->Add();
+      ++reads;
+      continue;
     }
-  } else if (config_.ptcache_enabled) {
-    if (auto l3 = ptcache_l3_.Lookup(dbits | LevelTag(iova, 3), &l3_handle); l3.has_value()) {
-      l3_hit = true;
-      if (*l3 != (dbits | walk.path_page_id[3])) {
-        // The cached pointer leads to a reclaimed (or replaced) PT-L4 page:
-        // hardware would read a stale entry.
-        note_stale_ptcache(*l3);
-      }
-    } else {
-      out.l3_missed = true;
-      l3_miss_->Add();
-      reads = 2;
-      if (auto l2 = ptcache_l2_.Lookup(dbits | LevelTag(iova, 2)); l2.has_value()) {
-        if (*l2 != (dbits | walk.path_page_id[2])) {
-          note_stale_ptcache(*l2);
-        }
-      } else {
-        out.l2_missed = true;
-        l2_miss_->Add();
-        reads = 3;
-        if (auto l1 = ptcache_l1_.Lookup(dbits | LevelTag(iova, 1)); l1.has_value()) {
-          if (*l1 != (dbits | walk.path_page_id[1])) {
-            note_stale_ptcache(*l1);
-          }
-        } else {
-          out.l1_missed = true;
-          l1_miss_->Add();
-          reads = 4;
-        }
-      }
+    hit_level = level;
+    // A cached pointer that disagrees with the current walk path is stale;
+    // if its target table page was reclaimed, hardware would walk freed
+    // memory — the gravest class the safety oracle distinguishes. Payloads
+    // carry the owning domain in the same field as the tag, so page-id
+    // comparisons are immune to cross-instance page-id collisions between
+    // tenants' tables.
+    if (*cached != (dbits | walk.path_page_id[level])) {
+      out.stale_use = true;
+      out.stale_ptcache = true;
+      out.stale_ptcache_reclaimed = !pt->IsLiveTablePage(StripDomainTag(*cached));
+      stale_ptcache_use_->Add();
     }
-  } else {
-    out.l3_missed = true;
-    out.l2_missed = true;
-    out.l1_missed = true;
-    l3_miss_->Add();
-    l2_miss_->Add();
-    l1_miss_->Add();
-    reads = 4;
+    break;
   }
 
   // Claim the earliest-free walker and perform the sequential PTE reads.
-  std::size_t walker = 0;
-  for (std::size_t i = 1; i < walker_free_.size(); ++i) {
-    if (walker_free_[i] < walker_free_[walker]) {
-      walker = i;
-    }
-  }
-  TimeNs t = walker_free_[walker] > start ? walker_free_[walker] : start;
+  const auto walker = std::min_element(walker_free_.begin(), walker_free_.end());
+  TimeNs t = std::max(*walker, start);
   // Non-leaf table reads: cold, from DRAM — one grouped memory-model call
   // for the whole dependent sequence instead of a call per PTE.
-  t = memory_->ReadWalkSequence(t, reads - 1, config_.walk_step_overhead_ns,
-                                config_.pte_read_bytes);
+  t = memory_->ReadWalkSequence(t, reads - 1, kWalkStepOverheadNs, kPteReadBytes);
   // Leaf read: served from the cache hierarchy (recently written PTE).
   t += config_.leaf_pte_read_ns;
   if (fault_injector_ != nullptr) {
@@ -492,14 +415,13 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
       walk_stall_ns_->Add(d.magnitude_ns);
     }
   }
-  walker_free_[walker] = t;
+  *walker = t;
   out.mem_reads = reads;
   mem_reads_->Add(static_cast<std::uint64_t>(reads));
   out.done = t;
-  out.stale_use = stale;
 
   if (!walk.present) {
-    if (stale) {
+    if (out.stale_use) {
       // A stale cached pointer may expose the old mapping to the device; we
       // model it as a (flagged) successful translation to "somewhere".
       out.phys = 0;
@@ -512,30 +434,24 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
 
   out.phys = walk.phys;
   if (config_.ptcache_enabled) {
-    ptcache_l1_.Insert(dbits | LevelTag(iova, 1), dbits | walk.path_page_id[1]);
-    ptcache_l2_.Insert(dbits | LevelTag(iova, 2), dbits | walk.path_page_id[2]);
-    if (l3_hit) {
-      ptcache_l3_.Refresh(l3_handle, dbits | walk.path_page_id[3]);
-    } else if (!walk.huge) {
-      ptcache_l3_.Insert(dbits | LevelTag(iova, 3), dbits | walk.path_page_id[3]);
+    for (int level = 1; level <= deepest; ++level) {
+      const std::uint64_t payload = dbits | walk.path_page_id[level];
+      if (level == hit_level) {
+        ptcaches_[level - 1].Refresh(hit_handle, payload);
+      } else {
+        ptcaches_[level - 1].Insert(dbits | LevelTag(iova, level), payload);
+      }
     }
   }
-  if (walk.huge) {
-    // One IOTLB entry covers the whole 2 MB mapping.
-    const std::uint64_t tag = kHugeIotlbTagBit | iotlb_dbits | LevelTag(iova, 3);
-    auto evicted = iotlb_.Insert(tag, walk.phys & ~(LevelEntrySpan(3) - 1));
-    huge_iotlb_used_ = true;
-    if (multi) {
-      NoteIotlbInsert(tag, domain, evicted);
-    }
-  } else {
-    const std::uint64_t tag = iotlb_dbits | page;
-    auto evicted = iotlb_.Insert(tag, walk.phys & ~(kPageSize - 1));
-    if (multi) {
-      NoteIotlbInsert(tag, domain, evicted);
-    }
+  // One IOTLB entry covers the whole 4 KB or 2 MB mapping.
+  const std::uint64_t tag = IotlbTag(IotlbTagBits(domain), iova, walk.huge);
+  const std::uint64_t span = walk.huge ? LevelEntrySpan(3) : kPageSize;
+  auto evicted = iotlb_.Insert(tag, walk.phys & ~(span - 1));
+  huge_iotlb_used_ = huge_iotlb_used_ || walk.huge;
+  if (counters != nullptr) {
+    NoteIotlbInsert(tag, domain, evicted);
   }
-  pending_walks_.Put(dbits | page, PendingWalk{t, walk.phys & ~(kPageSize - 1)});
+  pending_walks_.Put(dbits | PageNumber(iova), PendingWalk{t, walk.phys & ~(kPageSize - 1)});
   if (pending_walks_.size() > kPendingWalkPruneAbove) {
     // Prune completed walks so the table stays small.
     pending_walks_.EraseIf(
@@ -544,14 +460,35 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
   return out;
 }
 
+TimeNs Iommu::CompleteInvalidation(TimeNs at) {
+  // The hardware invalidation queue has hundreds of entries and a per-
+  // request service time far below the CPU-side submit cost (~200 ns), so it
+  // is never a serialization bottleneck; requests complete a fixed hardware
+  // latency after submission. (Cores submit at out-of-order simulated times,
+  // so a serialized free-pointer would create artificial cross-core waits.)
+  TimeNs done = at + config_.invalidation_hw_ns;
+  if (fault_injector_ != nullptr) {
+    // Injected queue stall: the completion (wait descriptor write-back) is
+    // delayed, e.g. by the walker/invalidation contention of "Bermuda
+    // Triangle" fame. The caches were already invalidated — only the
+    // CPU-visible completion is late. Every request kind can stall (a
+    // global flush, the retry path's fallback, is not magically immune).
+    if (const FaultDecision d = fault_injector_->Sample(FaultKind::kInvalidationStall, at); d.fire) {
+      done += d.magnitude_ns;
+      inv_stall_ns_->Add(d.magnitude_ns);
+    }
+  }
+  return done;
+}
+
 TimeNs Iommu::InvalidateRange(DomainId domain, Iova start, std::uint64_t len, bool leaf_only,
                               TimeNs at) {
   inv_requests_->Add();
   if (len == 0) {
     return at;
   }
-  if (domains_.multi_domain() && domain.value < domain_counters_.size()) {
-    CountersFor(domain).inv_requests->Add();
+  if (DomainCounters* counters = CountersOf(domain); counters != nullptr) {
+    counters->inv_requests->Add();
   }
   if (fault_injector_ != nullptr) {
     // Injected queue fault: the request is lost before the hardware services
@@ -564,39 +501,23 @@ TimeNs Iommu::InvalidateRange(DomainId domain, Iova start, std::uint64_t len, bo
     }
   }
   const std::uint64_t dbits = DomainTagBits(domain);
-  const std::uint64_t iotlb_dbits = config_.inject_untagged_iotlb ? 0 : dbits;
+  const std::uint64_t iotlb_bits = IotlbTagBits(domain);
   const Iova end = start + len - 1;
-  iotlb_.InvalidateRange(iotlb_dbits | PageNumber(start), iotlb_dbits | PageNumber(end));
+  iotlb_.InvalidateRange(IotlbTag(iotlb_bits, start, false), IotlbTag(iotlb_bits, end, false));
   if (huge_iotlb_used_) {
     // Hugepage-granularity IOTLB entries covering the range.
-    iotlb_.InvalidateRange(kHugeIotlbTagBit | iotlb_dbits | LevelTag(start, 3),
-                           kHugeIotlbTagBit | iotlb_dbits | LevelTag(end, 3));
+    iotlb_.InvalidateRange(IotlbTag(iotlb_bits, start, true), IotlbTag(iotlb_bits, end, true));
   }
   for (std::uint64_t page = PageNumber(start); page <= PageNumber(end); ++page) {
     pending_walks_.Erase(dbits | page);
   }
   if (!leaf_only) {
     for (int level = 1; level <= 3; ++level) {
-      ptcaches_[level - 1]->InvalidateRange(dbits | LevelTag(start, level),
-                                            dbits | LevelTag(end, level));
+      ptcaches_[level - 1].InvalidateRange(dbits | LevelTag(start, level),
+                                           dbits | LevelTag(end, level));
     }
   }
-  // The hardware invalidation queue has hundreds of entries and a per-
-  // request service time far below the CPU-side submit cost (~200 ns), so it
-  // is never a serialization bottleneck; requests complete a fixed hardware
-  // latency after submission. (Cores submit at out-of-order simulated times,
-  // so a serialized free-pointer would create artificial cross-core waits.)
-  TimeNs done = at + config_.invalidation_hw_ns;
-  if (fault_injector_ != nullptr) {
-    // Injected queue stall: the completion (wait descriptor write-back) is
-    // delayed, e.g. by the walker/invalidation contention of "Bermuda
-    // Triangle" fame. The caches were already invalidated above — only the
-    // CPU-visible completion is late.
-    if (const FaultDecision d = fault_injector_->Sample(FaultKind::kInvalidationStall, at); d.fire) {
-      done += d.magnitude_ns;
-      inv_stall_ns_->Add(d.magnitude_ns);
-    }
-  }
+  const TimeNs done = CompleteInvalidation(at);
   if (trace_.enabled()) {
     trace_.Complete("iommu", leaf_only ? "invalidate_leaf" : "invalidate_full", at, done,
                     "pages", static_cast<double>((len + kPageSize - 1) / kPageSize));
@@ -605,31 +526,22 @@ TimeNs Iommu::InvalidateRange(DomainId domain, Iova start, std::uint64_t len, bo
 }
 
 TimeNs Iommu::InvalidateAll(TimeNs at) {
+  // A global flush is one invalidation-queue request; unlike a range request
+  // it is never dropped — the wait descriptor always completes eventually.
   inv_requests_->Add();
   iotlb_.InvalidateAll();
-  ptcache_l1_.InvalidateAll();
-  ptcache_l2_.InvalidateAll();
-  ptcache_l3_.InvalidateAll();
+  for (SetAssocCache& pc : ptcaches_) {
+    pc.InvalidateAll();
+  }
   pending_walks_.Clear();
   iotlb_owner_.clear();
-  TimeNs done = at + config_.invalidation_hw_ns;
-  if (fault_injector_ != nullptr) {
-    // A global flush is still one invalidation-queue request: its completion
-    // can stall like any other (the retry path's fallback flush is not
-    // magically immune), but it is never dropped — the wait descriptor
-    // always completes eventually.
-    if (const FaultDecision d = fault_injector_->Sample(FaultKind::kInvalidationStall, at); d.fire) {
-      done += d.magnitude_ns;
-      inv_stall_ns_->Add(d.magnitude_ns);
-    }
-  }
+  const TimeNs done = CompleteInvalidation(at);
   trace_.Complete("iommu", "invalidate_all", at, done);
   return done;
 }
 
 TimeNs Iommu::InvalidateDomain(DomainId domain, TimeNs at) {
-  const DomainTable::Entry* dom = domains_.Find(domain);
-  if (dom == nullptr || !dom->live) {
+  if (!domains_.IsLive(domain)) {
     // Unknown or retired id: no live context can install entries under it
     // and none of its lingering entries can ever be hit (translations by a
     // dead domain fault before the lookup). Safe no-op, by contract: no
@@ -639,32 +551,20 @@ TimeNs Iommu::InvalidateDomain(DomainId domain, TimeNs at) {
   inv_requests_->Add();
   const std::uint64_t dbits = DomainTagBits(domain);
   const std::uint64_t dropped = iotlb_.InvalidateMasked(kDomainFieldMask, dbits);
-  for (SetAssocCache* pc : ptcaches_) {
-    pc->InvalidateMasked(kDomainFieldMask, dbits);
+  for (SetAssocCache& pc : ptcaches_) {
+    pc.InvalidateMasked(kDomainFieldMask, dbits);
   }
   pending_walks_.EraseIf(
       [dbits](std::uint64_t key, const PendingWalk&) { return (key & kDomainFieldMask) == dbits; });
-  for (auto it = iotlb_owner_.begin(); it != iotlb_owner_.end();) {
-    if (it->second == domain) {
-      it = iotlb_owner_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(iotlb_owner_, [domain](const auto& e) { return e.second == domain; });
   if (repeat_.domain == domain) {
     ForgetRepeat();
   }
-  if (domain.value < domain_counters_.size()) {
-    CountersFor(domain).inv_requests->Add();
-    CountersFor(domain).iotlb_invalidated->Add(dropped);
+  if (DomainCounters* counters = CountersOf(domain); counters != nullptr) {
+    counters->inv_requests->Add();
+    counters->iotlb_invalidated->Add(dropped);
   }
-  TimeNs done = at + config_.invalidation_hw_ns;
-  if (fault_injector_ != nullptr) {
-    if (const FaultDecision d = fault_injector_->Sample(FaultKind::kInvalidationStall, at); d.fire) {
-      done += d.magnitude_ns;
-      inv_stall_ns_->Add(d.magnitude_ns);
-    }
-  }
+  const TimeNs done = CompleteInvalidation(at);
   if (trace_.enabled()) {
     trace_.Complete("iommu", "invalidate_domain", at, done, "domain",
                     static_cast<double>(domain.value), "dropped",
@@ -678,7 +578,7 @@ void Iommu::OnTablePageReclaimed(DomainId domain, const ReclaimedTablePage& page
   // domain-qualified, so only this domain's pointers to the page are dropped
   // (another tenant's table may reuse the same per-instance page id).
   if (page.level >= 2 && page.level <= 4) {
-    ptcaches_[page.level - 2]->InvalidateByPayload(DomainTagBits(domain) | page.page_id);
+    ptcaches_[page.level - 2].InvalidateByPayload(DomainTagBits(domain) | page.page_id);
   }
 }
 

@@ -2,11 +2,15 @@
 // the invalidation-queue interface.
 //
 // Translation follows §2.1 of the paper exactly:
-//   * IOTLB hit → no memory access.
-//   * IOTLB miss → the IOMMU consults PTcache-L3/L2/L1 (deepest first) and
-//     walks only the uncached suffix of the path, so a miss costs between 1
-//     (PTcache-L3 hit: read the PT-L4 entry) and 4 (all PTcaches miss)
-//     sequential memory reads.
+//   * IOTLB hit → no memory access. The 4 KB entry is probed first, then the
+//     2 MB one; both kinds of hit share one path (count, classify, memoize,
+//     notify the oracle).
+//   * IOTLB miss → the IOMMU climbs the PTcache ladder once, from the
+//     deepest usable level (PTcache-L3, or PTcache-L2 when the leaf is a
+//     2 MB PT-L3 entry) down to PTcache-L1, and walks only the uncached
+//     suffix of the path, so a miss costs between 1 (PTcache-L3 hit: read
+//     the PT-L4 entry) and 4 (all PTcaches miss) sequential memory reads.
+//     With PTcaches disabled every level misses.
 // Miss counters use the paper's hierarchical semantics: a level-i miss is
 // counted only when all deeper levels also missed, so that
 //   memory reads = m_IOTLB + m1 + m2 + m3.
@@ -35,6 +39,7 @@
 #ifndef FASTSAFE_SRC_IOMMU_IOMMU_H_
 #define FASTSAFE_SRC_IOMMU_IOMMU_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -57,22 +62,11 @@ struct IommuConfig {
   // IOTLB geometry (default 64 entries, within the paper's likely range).
   std::uint32_t iotlb_sets = 16;
   std::uint32_t iotlb_ways = 4;
-  // IO page table caches. Sizes are not public; the paper estimates 64-128
-  // for PTcache-L3 (Fig. 2e thresholds) and small L1/L2 caches suffice.
-  std::uint32_t ptcache_l1_entries = 32;
-  std::uint32_t ptcache_l2_entries = 32;
-  std::uint32_t ptcache_l3_entries = 128;
   bool ptcache_enabled = true;  // false models pre-PTcache IOMMUs (4 reads/miss)
   // Concurrent page-table walk contexts. The paper's fitted per-read cost
   // (lm ≈ 197 ns, close to a full DRAM access plus IOMMU processing)
   // indicates walks serialize through a single translation context.
   std::uint32_t num_walkers = 1;
-  // Per-entry PTE read size (a 64-bit entry; memory rounds up to a line).
-  std::uint64_t pte_read_bytes = 8;
-  // IOMMU-side processing per walk step (request issue, entry decode), on
-  // top of the DRAM access. Calibrated so the effective per-read walk cost
-  // matches the paper's fitted lm ≈ 197 ns.
-  TimeNs walk_step_overhead_ns = 90;
   // Cost of the final (PT-L4 leaf) entry read. Leaf PTEs are written by the
   // CPU during dma_map microseconds before the DMA, so the IOMMU's snooped
   // read is typically served from the cache hierarchy, cheaper than the
@@ -175,10 +169,9 @@ class Iommu {
   // hardware caches persist — exactly the hazard recovery must invalidate).
   void SetDomainPageTable(DomainId domain, IoPageTable* page_table);
   void SetDomainOracle(DomainId domain, SafetyOracle* oracle);
-  const DomainTable& domains() const { return domains_; }
 
   const SetAssocCache& iotlb() const { return iotlb_; }
-  const SetAssocCache& ptcache(int level) const { return *ptcaches_[level - 1]; }
+  const SetAssocCache& ptcache(int level) const { return ptcaches_[level - 1]; }
 
   // Optional fault injection (invalidation stalls/drops, walker latency
   // spikes). Safety-oracle observation is per domain (SetDomainOracle).
@@ -265,7 +258,16 @@ class Iommu {
   // Replays a memoized hit that is not plain (2 MB entry, stale or cross-
   // domain outcome, per-domain counters, safety oracle).
   TranslationResult ReplayRepeat(DomainId domain, Iova iova, TimeNs start);
-  TranslationResult WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova, TimeNs start);
+  // An IOTLB probe of `tag` (a 4 KB or, when `huge`, a 2 MB entry) hit
+  // `handle` holding `base`: counts, classifies, memoizes and notifies.
+  TranslationResult IotlbHit(DomainId domain, const DomainTable::Entry& dom,
+                             DomainCounters* counters, Iova iova, TimeNs start,
+                             std::uint64_t tag, SetAssocCache::HitHandle handle, PhysAddr base,
+                             bool huge);
+  TranslationResult WalkAndFill(DomainId domain, IoPageTable* pt, DomainCounters* counters,
+                                Iova iova, TimeNs start);
+  // Completion time of an invalidation-queue request submitted at `at`.
+  TimeNs CompleteInvalidation(TimeNs at);
   // Reports the translation to a safety oracle (no-op when null).
   static void NotifyOracle(SafetyOracle* oracle, Iova iova, TimeNs now,
                            const TranslationResult& result);
@@ -275,7 +277,17 @@ class Iommu {
   void NoteIotlbInsert(std::uint64_t tag, DomainId domain,
                        const std::optional<std::uint64_t>& evicted);
   void EnsureDomainCounters();
-  DomainCounters& CountersFor(DomainId domain) { return domain_counters_[domain.value]; }
+  // `domain`'s "tenant.<id>" counters; null in single-domain operation.
+  DomainCounters* CountersOf(DomainId domain) {
+    return domain.value < domain_counters_.size() ? &domain_counters_[domain.value] : nullptr;
+  }
+  // Domain field of `domain`'s IOTLB tags. The injected tagging bug drops it
+  // from IOTLB tags only; the PTcache tags stay qualified (a walk never
+  // crosses domains — the breach the bug models is a shared-TLB lookup
+  // matching a foreign entry).
+  std::uint64_t IotlbTagBits(DomainId domain) const {
+    return config_.inject_untagged_iotlb ? 0 : DomainTagBits(domain);
+  }
 
   IommuConfig config_;
   MemorySystem* memory_;
@@ -286,10 +298,7 @@ class Iommu {
   DomainTable domains_;
 
   SetAssocCache iotlb_;
-  std::vector<SetAssocCache*> ptcaches_;  // [0]=L1, [1]=L2, [2]=L3
-  SetAssocCache ptcache_l1_;
-  SetAssocCache ptcache_l2_;
-  SetAssocCache ptcache_l3_;
+  std::array<SetAssocCache, 3> ptcaches_;  // [0]=L1, [1]=L2, [2]=L3
 
   std::vector<TimeNs> walker_free_;
   PendingWalkTable pending_walks_;
@@ -308,15 +317,12 @@ class Iommu {
 
   Counter* translations_;
   Counter* iotlb_miss_;
-  Counter* l1_miss_;
-  Counter* l2_miss_;
-  Counter* l3_miss_;
+  std::array<Counter*, 3> ptcache_miss_;  // [0]=L1, [1]=L2, [2]=L3
   Counter* mem_reads_;
   Counter* faults_;
   Counter* inv_requests_;
   Counter* stale_iotlb_use_;
   Counter* stale_ptcache_use_;
-  Counter* inv_queue_wait_ns_;
   Counter* inv_dropped_;
   Counter* inv_stall_ns_;
   Counter* walk_stall_ns_;

@@ -4,15 +4,31 @@
 
 namespace fsio {
 
-void RefModel::Map(std::uint64_t page, PhysAddr phys) { ContractMap(&state_, page, phys); }
+void RefModel::Map(std::uint64_t page, PhysAddr phys) {
+  mapped_[page] = phys;
+  visible_[page] = phys;
+  owned_.insert(page);
+}
 
-void RefModel::Reacquire(std::uint64_t page) { ContractReacquire(&state_, page); }
+void RefModel::Reacquire(std::uint64_t page) { owned_.insert(page); }
 
-void RefModel::Unmap(std::uint64_t page) { ContractUnmap(&state_, semantics_, page); }
+void RefModel::Unmap(std::uint64_t page) {
+  mapped_.erase(page);
+  owned_.erase(page);
+  // Deferred mode leaves the page device-visible until FlushAll; every other
+  // mode revokes it now (persistent pools keep it visible by calling Release
+  // instead).
+  if (semantics_ != UnmapSemantics::kDeferredInvalidate) {
+    visible_.erase(page);
+  }
+}
 
-void RefModel::Release(std::uint64_t page) { ContractRelease(&state_, page); }
+void RefModel::Release(std::uint64_t page) { owned_.erase(page); }
 
-void RefModel::FlushAll() { ContractFlushAll(&state_); }
+void RefModel::FlushAll() {
+  visible_.clear();
+  visible_.insert(mapped_.begin(), mapped_.end());
+}
 
 std::optional<std::string> RefModel::CheckTranslation(Iova iova, const TranslationResult& result) {
   const std::uint64_t page = PageNumber(iova);
@@ -37,7 +53,7 @@ std::optional<std::string> RefModel::CheckTranslation(Iova iova, const Translati
     return diverge("stale PTcache pointer consumed — reclamation invalidation lost");
   }
 
-  if (auto it = state_.mapped.find(page); it != state_.mapped.end()) {
+  if (auto it = mapped_.find(page); it != mapped_.end()) {
     if (result.fault) {
       return diverge("fault for a mapped page");
     }
@@ -49,7 +65,7 @@ std::optional<std::string> RefModel::CheckTranslation(Iova iova, const Translati
       os << "wrong phys for a mapped page, expected 0x" << std::hex << it->second + offset;
       return diverge(os.str());
     }
-    if (!state_.owned.contains(page)) {
+    if (!owned_.contains(page)) {
       // Persistent pools: the translation is legal but the driver released
       // the buffer — the safety oracle must count a use-after-unmap.
       ++predicted_use_after_unmap_;
@@ -57,7 +73,7 @@ std::optional<std::string> RefModel::CheckTranslation(Iova iova, const Translati
     return std::nullopt;
   }
 
-  if (auto it = state_.visible.find(page); it != state_.visible.end()) {
+  if (auto it = visible_.find(page); it != visible_.end()) {
     // Deferred-mode stale window: the IOTLB may still serve the unmapped
     // translation (flagged stale), or the entry was evicted and the walk
     // faults cleanly. Nothing else is legal.
@@ -100,11 +116,11 @@ std::optional<std::string> RefModel::CheckCapability(Iova iova, bool allowed) {
     return std::optional<std::string>(os.str());
   };
 
-  if (state_.mapped.contains(page)) {
+  if (mapped_.contains(page)) {
     if (!allowed) {
       return diverge("check refused a granted page");
     }
-    if (!state_.owned.contains(page)) {
+    if (!owned_.contains(page)) {
       // Released-but-still-granted buffer (persistent-style reuse): legal
       // check outcome, but the landing access is a use-after-unmap.
       ++predicted_use_after_unmap_;

@@ -24,21 +24,21 @@
 #define FASTSAFE_SRC_REFMODEL_REF_MODEL_H_
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "src/driver/protection.h"
 #include "src/iommu/iommu.h"
 #include "src/mem/address.h"
-#include "src/refmodel/mode_semantics.h"
 
 namespace fsio {
 
 class RefModel {
  public:
-  // The per-mode transition semantics live in mode_semantics.h as pure
-  // functions over ContractState; RefModel is the stateful wrapper the
-  // differential harness drives, the model checker applies them directly.
+  // The mode enters only through its UnmapSemantics (src/driver/protection.h),
+  // the one per-mode table the driver and the model checker also execute.
   explicit RefModel(ProtectionMode mode) : semantics_(UnmapSemanticsFor(mode)) {}
 
   // Driver maps `page` to `phys` (map + immediate device visibility).
@@ -54,11 +54,11 @@ class RefModel {
   // Deferred-mode batched flush: visibility collapses to the mapped set.
   void FlushAll();
 
-  bool IsMapped(std::uint64_t page) const { return state_.mapped.contains(page); }
-  bool IsVisible(std::uint64_t page) const { return state_.visible.contains(page); }
-  bool IsOwned(std::uint64_t page) const { return state_.owned.contains(page); }
-  std::uint64_t mapped_pages() const { return state_.mapped.size(); }
-  std::uint64_t visible_pages() const { return state_.visible.size(); }
+  bool IsMapped(std::uint64_t page) const { return mapped_.contains(page); }
+  bool IsVisible(std::uint64_t page) const { return visible_.contains(page); }
+  bool IsOwned(std::uint64_t page) const { return owned_.contains(page); }
+  std::uint64_t mapped_pages() const { return mapped_.size(); }
+  std::uint64_t visible_pages() const { return visible_.size(); }
 
   // Judges one real translation against the contract. Returns a divergence
   // description, or nullopt when the outcome is legal. On legal stale use
@@ -79,7 +79,9 @@ class RefModel {
 
  private:
   UnmapSemantics semantics_;
-  ContractState state_;
+  std::map<std::uint64_t, PhysAddr> mapped_;
+  std::map<std::uint64_t, PhysAddr> visible_;
+  std::set<std::uint64_t> owned_;
   std::uint64_t predicted_use_after_unmap_ = 0;
 };
 

@@ -132,6 +132,68 @@ TEST_F(IommuTest, PtcacheDisabledAlwaysWalksFour) {
   EXPECT_EQ(r.mem_reads, 4);
 }
 
+// The miss ladder over {4 KB leaf, 2 MB leaf} x {PTcaches on, off} x the
+// deepest PTcache level a warm-up walk left holding the target's path. A
+// 4 KB leaf is read below PTcache-L3, a 2 MB leaf (the PT-L3 entry) below
+// PTcache-L2, so reads = 1 + the missed levels and a 2 MB walk never sets
+// the L3 flag or counter.
+TEST_F(IommuTest, PtcacheLadderReadsAndMissFlags) {
+  constexpr Iova kTarget = (1ULL << 40) + (1ULL << 31) + (1ULL << 22);
+  struct Case {
+    bool huge;
+    bool ptcache_enabled;
+    int cached_level;  // deepest PTcache level sharing the target's path; 0 = none
+    int reads;
+    bool l3, l2, l1;
+  };
+  const Case cases[] = {
+      {false, true, 3, 1, false, false, false},
+      {false, true, 2, 2, true, false, false},
+      {false, true, 1, 3, true, true, false},
+      {false, true, 0, 4, true, true, true},
+      {true, true, 2, 1, false, false, false},
+      {true, true, 1, 2, false, true, false},
+      {true, true, 0, 3, false, true, true},
+      {false, false, 3, 4, true, true, true},
+      {false, false, 2, 4, true, true, true},
+      {false, false, 1, 4, true, true, true},
+      {false, false, 0, 4, true, true, true},
+      {true, false, 2, 3, false, true, true},
+      {true, false, 1, 3, false, true, true},
+      {true, false, 0, 3, false, true, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "huge=" << c.huge << " ptcache=" << c.ptcache_enabled
+                                      << " cached_level=" << c.cached_level);
+    IommuConfig config;
+    config.ptcache_enabled = c.ptcache_enabled;
+    Rebuild(config);
+    // A 4 KB neighbor sharing the target's table pages down to PT-L(k+1):
+    // its walk fills PTcache-L1..Lk with the target's own path pointers.
+    // Level 0 shares nothing below the root (a different 512 GB region).
+    const Iova neighbor = c.cached_level == 3 ? kTarget + kPageSize
+                                              : kTarget + LevelEntrySpan(c.cached_level + 1);
+    ASSERT_TRUE(page_table_->Map(neighbor, 0xaa000));
+    ASSERT_TRUE(c.huge ? page_table_->MapHuge(kTarget, 0x600000)
+                       : page_table_->Map(kTarget, 0xbb000));
+    iommu_->Translate(neighbor, 0);
+    const std::uint64_t l3 = stats_->Value("iommu.ptcache_l3_miss");
+    const std::uint64_t l2 = stats_->Value("iommu.ptcache_l2_miss");
+    const std::uint64_t l1 = stats_->Value("iommu.ptcache_l1_miss");
+    const TranslationResult r = iommu_->Translate(kTarget + 0x40, 10000);
+    EXPECT_FALSE(r.iotlb_hit);
+    EXPECT_FALSE(r.fault);
+    EXPECT_EQ(r.phys, (c.huge ? 0x600000u : 0xbb000u) + 0x40);
+    EXPECT_EQ(r.mem_reads, c.reads);
+    EXPECT_EQ(r.l3_missed, c.l3);
+    EXPECT_EQ(r.l2_missed, c.l2);
+    EXPECT_EQ(r.l1_missed, c.l1);
+    EXPECT_EQ(stats_->Value("iommu.ptcache_l3_miss") - l3, c.l3 ? 1u : 0u);
+    EXPECT_EQ(stats_->Value("iommu.ptcache_l2_miss") - l2, c.l2 ? 1u : 0u);
+    EXPECT_EQ(stats_->Value("iommu.ptcache_l1_miss") - l1, c.l1 ? 1u : 0u);
+  }
+}
+
 TEST_F(IommuTest, ConcurrentMissesOnSamePageCoalesce) {
   ASSERT_TRUE(page_table_->Map(0x1000, 0xaa000));
   const TranslationResult first = iommu_->Translate(0x1000, 0);
