@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/cli/repro.h"
-#include "src/refmodel/shrink.h"
 
 namespace fsio {
 namespace check {
@@ -35,6 +34,26 @@ std::vector<ModelStep> ReconstructTrace(const std::vector<Node>& nodes,
 }
 
 }  // namespace
+
+bool BugApplies(InjectedBug bug, ProtectionMode mode) {
+  switch (bug) {
+    case InjectedBug::kNone:
+      return false;
+    case InjectedBug::kUseAfterUnmap:
+    case InjectedBug::kSkipInvalidation:
+    case InjectedBug::kEarlyReclaim:
+      // Persistent pools never invalidate or reclaim, so the unmap-path
+      // bugs have nothing to break there.
+      return UsesIommu(mode) && mode != ProtectionMode::kHugepagePersistent;
+    case InjectedBug::kUntaggedIotlb:
+      // Tag-blind lookups breach isolation in every IOMMU datapath mode,
+      // persistent pools included — no unmap is needed for the cross hit.
+      return UsesIommu(mode);
+    case InjectedBug::kSkipCapabilityCheck:
+      return mode == ProtectionMode::kCapability;
+  }
+  return false;
+}
 
 CheckOutcome RunModelCheck(const CheckConfig& config) {
   CheckOutcome out;
@@ -126,22 +145,6 @@ ReplayOutcome ReplayTrace(const CheckModelConfig& config,
   return out;
 }
 
-ShrunkTrace ShrinkTrace(const CheckModelConfig& config, std::vector<ModelStep> steps,
-                        const ReplayOutcome& first) {
-  const ModelViolation kind = first.violation;
-  ShrunkSequence<ModelStep, ReplayOutcome> shrunk = ShrinkSequence(
-      std::move(steps), first.fail_index, first,
-      [&](const std::vector<ModelStep>& candidate) {
-        return ReplayTrace(config, candidate);
-      },
-      [kind](const ReplayOutcome& r) { return r.violation == kind; });
-  ShrunkTrace out;
-  out.steps = std::move(shrunk.ops);
-  out.result = shrunk.result;
-  out.runs = shrunk.runs;
-  return out;
-}
-
 namespace {
 
 // The trace file's settings, bound to *config and *violation: the one table
@@ -205,6 +208,25 @@ bool ParseTrace(const std::string& text, CheckModelConfig* config,
     }
   }
   return true;
+}
+
+ReproChecker<ModelStep, ReplayOutcome> TraceChecker(const CheckModelConfig& config,
+                                                    ModelViolation kind, TraceRepro* repro) {
+  repro->violation = kind;
+  return {"fsio_model",
+          [config](const std::vector<ModelStep>& steps) { return ReplayTrace(config, steps); },
+          [repro](const ReplayOutcome& r) {
+            return r.violation != ModelViolation::kNone && r.violation == repro->violation;
+          },
+          [config, kind](const std::vector<ModelStep>& steps) {
+            return SerializeTrace(config, kind, steps);
+          },
+          [repro](const std::string& text, std::string* error) -> std::optional<ReplayOutcome> {
+            if (!ParseTrace(text, &repro->config, &repro->violation, &repro->steps, error)) {
+              return std::nullopt;
+            }
+            return ReplayTrace(repro->config, repro->steps);
+          }};
 }
 
 }  // namespace check

@@ -23,10 +23,10 @@
 //
 // Search stops at the first violating step; the counterexample is
 // reconstructed from BFS parent pointers (near-minimal by construction) and
-// then minimized with the SAME shrinking machinery the differential harness
-// uses (src/refmodel/shrink.h) — disabled steps replay as no-ops, so any
-// subsequence of a trace is executable, which is exactly the shrinker's
-// requirement.
+// then minimized, written and replayed through the SAME counterexample path
+// the differential harness uses (src/refmodel/shrink.h, via TraceChecker) —
+// disabled steps replay as no-ops, so any subsequence of a trace is
+// executable, which is exactly the shrinker's requirement.
 #ifndef FASTSAFE_SRC_CHECK_CHECKER_H_
 #define FASTSAFE_SRC_CHECK_CHECKER_H_
 
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/check/model.h"
+#include "src/refmodel/shrink.h"
 
 namespace fsio {
 namespace check {
@@ -59,6 +60,11 @@ struct CheckOutcome {
   CheckStats stats;
 };
 
+// A bug only has power where its protocol machinery exists: the IOTLB bugs
+// need the IOMMU datapath, the capability bug needs the capability check.
+// Modes outside a bug's reach must still verify CLEAN under it.
+bool BugApplies(InjectedBug bug, ProtectionMode mode);
+
 // Explores the full reachable state space (to `depth`) and returns on the
 // first invariant violation, or clean with exploration stats.
 CheckOutcome RunModelCheck(const CheckConfig& config);
@@ -73,15 +79,22 @@ struct ReplayOutcome {
 ReplayOutcome ReplayTrace(const CheckModelConfig& config,
                           const std::vector<ModelStep>& steps);
 
-struct ShrunkTrace {
+// A trace file's contents. `violation` is also the kind a replay must show
+// to reproduce: the shrunk violation until a trace is read back, then the
+// file's.
+struct TraceRepro {
+  CheckModelConfig config;
+  ModelViolation violation = ModelViolation::kNone;
   std::vector<ModelStep> steps;
-  ReplayOutcome result;
-  std::uint32_t runs = 0;
 };
 
-// Minimizes a violating trace, preserving the violation KIND `first` found.
-ShrunkTrace ShrinkTrace(const CheckModelConfig& config, std::vector<ModelStep> steps,
-                        const ReplayOutcome& first);
+// The model checker's side of the shared counterexample path
+// (src/refmodel/shrink.h): replays candidate steps under `config`, preserving
+// the violation KIND `kind` (stored in repro->violation), writes
+// SerializeTrace text and reads text back through ParseTrace and
+// ReplayTrace into *repro.
+ReproChecker<ModelStep, ReplayOutcome> TraceChecker(const CheckModelConfig& config,
+                                                    ModelViolation kind, TraceRepro* repro);
 
 // Replayable counterexample files in the shared repro format
 // (src/cli/repro.h): header "fsio-model-trace v1", the mode, bug, domains,

@@ -22,6 +22,12 @@ std::vector<std::string> SplitFields(const std::string& line) {
   return fields;
 }
 
+// Prints why a repro was refused; returns false.
+bool BadRepro(std::string_view program, const std::string& error) {
+  std::fprintf(stderr, "%s: bad repro file: %s\n", std::string(program).c_str(), error.c_str());
+  return false;
+}
+
 }  // namespace
 
 std::string WriteRepro(const ReproFormat& format, const std::vector<std::string>& records) {
@@ -109,18 +115,19 @@ bool ReadRepro(std::string_view text, const ReproFormat& format,
   return true;
 }
 
-bool ReadReproFile(const std::string& path, std::string_view program,
-                   const std::function<bool(const std::string& text, std::string* error)>& parse) {
-  std::string error = "cannot open " + path;
-  if (std::ifstream in(path); in) {
-    std::stringstream text;
-    text << in.rdbuf();
-    if (parse(text.str(), &error)) {
-      return true;
-    }
+bool ReadReproText(const std::string& text, std::string_view program, const ReproParser& parse) {
+  std::string error;
+  return parse(text, &error) || BadRepro(program, error);
+}
+
+bool ReadReproFile(const std::string& path, std::string_view program, const ReproParser& parse) {
+  std::ifstream in(path);
+  if (!in) {
+    return BadRepro(program, "cannot open " + path);
   }
-  std::fprintf(stderr, "%s: bad repro file: %s\n", std::string(program).c_str(), error.c_str());
-  return false;
+  std::stringstream text;
+  text << in.rdbuf();
+  return ReadReproText(text.str(), program, parse);
 }
 
 std::string FormatFields(const std::vector<Flag>& rows, std::size_t bare) {

@@ -52,11 +52,13 @@ std::string WriteRepro(const ReproFormat& format, const std::vector<std::string>
 bool ReadRepro(std::string_view text, const ReproFormat& format,
                const RecordReader& read_record, std::string* error);
 
-// Hands the text of the file at `path` to `parse` (a harness's ReadRepro
-// wrapper). On failure prints "<program>: bad repro file: <reason>" to
-// stderr and returns false; the tools then exit 2.
-bool ReadReproFile(const std::string& path, std::string_view program,
-                   const std::function<bool(const std::string& text, std::string* error)>& parse);
+// Hands `text` to `parse` (a harness's ReadRepro wrapper). On failure prints
+// "<program>: bad repro file: <reason>" to stderr and returns false; the
+// tools then exit 2. ReadReproFile does the same with the text of the file
+// at `path`.
+using ReproParser = std::function<bool(const std::string& text, std::string* error)>;
+bool ReadReproText(const std::string& text, std::string_view program, const ReproParser& parse);
+bool ReadReproFile(const std::string& path, std::string_view program, const ReproParser& parse);
 
 // A record's fields, one per row in order: the first `bare` as the plain
 // value, the rest as "name=value".

@@ -426,12 +426,12 @@ DmaApi::DeviceCheckResult DmaApi::DeviceCheckCapability(Iova base, std::uint64_t
 }
 
 DmaApi::DeviceCheckResult DmaApi::DeviceCheckCapability(const std::vector<DmaMapping>& mappings,
-                                                        TimeNs now, bool enforce) {
+                                                        TimeNs now) {
   DeviceCheckResult out;
   out.allowed = true;
   out.granted = true;
   for (const DmaMapping& m : mappings) {
-    const DeviceCheckResult r = DeviceCheckCapability(m.iova, 1, now, enforce);
+    const DeviceCheckResult r = DeviceCheckCapability(m.iova, 1, now);
     out.check_ns += r.check_ns;
     out.allowed = out.allowed && r.allowed;
     out.granted = out.granted && r.granted;

@@ -150,7 +150,8 @@ class DmaApi {
   };
   // kCapability device-side validation of `pages` device addresses starting
   // at `base` (descriptor fetch, Tx enqueue, or a harness's synthetic DMA).
-  // `enforce = false` models the skip_capability_check bug: the verdict is
+  // `enforce = false` models the skip-capability-check device bug (the
+  // injected bug of fsio_diff --bug skip-capability-check): the verdict is
   // ignored and the access proceeds anyway. Every access that proceeds is
   // reported to the safety oracle, so a post-revoke access records a
   // use-after-unmap the "capability.dma_after_revoke" invariant rejects.
@@ -160,8 +161,7 @@ class DmaApi {
   // The same check over a descriptor's mappings, one page each: the gate a
   // device runs when a descriptor enters its queues. Allowed only if every
   // mapping is; `check_ns` sums the lookups.
-  DeviceCheckResult DeviceCheckCapability(const std::vector<DmaMapping>& mappings, TimeNs now,
-                                          bool enforce = true);
+  DeviceCheckResult DeviceCheckCapability(const std::vector<DmaMapping>& mappings, TimeNs now);
 
   // Attaches a tracker recording the PTcache-L3 tag of every page mapped on
   // the Rx/Tx datapaths, in allocation order (Figures 2e/3e/7e/8e).

@@ -2,6 +2,11 @@
 
 namespace fsio {
 
+constexpr TimeNs kRxPacketNs = 350;  // base stack cost per received packet
+constexpr double kRxByteNs = 0.02;   // per-byte processing (copy/GRO) cost
+constexpr TimeNs kTxPacketNs = 250;  // base stack cost per transmitted packet
+constexpr std::uint32_t kNapiBudget = 64;
+
 HostConfig Host::Normalize(HostConfig config) {
   config.dma.mode = config.mode;
   if (config.mode == ProtectionMode::kHugepagePersistent) {
@@ -41,8 +46,8 @@ Host::Host(const HostConfig& config, EventQueue* ev)
     // across crash recovery (the rebuilt DmaApi carries a fresh, empty
     // capability table — descriptors from before the crash fail the check).
     nic_->SetCapabilityCheck(
-        [this](const std::vector<DmaMapping>& mappings, TimeNs now, bool enforce) {
-          return dma().DeviceCheckCapability(mappings, now, enforce);
+        [this](const std::vector<DmaMapping>& mappings, TimeNs now) {
+          return dma().DeviceCheckCapability(mappings, now);
         });
   }
 
@@ -234,11 +239,10 @@ void Host::RunCore(std::uint32_t core_idx) {
 
   // NAPI: process up to a budget of received packets.
   std::vector<Packet> batch = TakeBatchVec();
-  std::uint32_t budget = config_.cpu.napi_budget;
+  std::uint32_t budget = kNapiBudget;
   while (!core.rx_queue.empty() && budget-- > 0) {
     const Packet& p = core.rx_queue.front();
-    cpu += config_.cpu.rx_packet_ns +
-           static_cast<TimeNs>(static_cast<double>(p.payload) * config_.cpu.rx_byte_ns);
+    cpu += kRxPacketNs + static_cast<TimeNs>(static_cast<double>(p.payload) * kRxByteNs);
     batch.push_back(p);
     core.rx_queue.pop_front();
   }
@@ -304,7 +308,7 @@ void Host::TransmitFromCore(const Packet& packet, std::uint32_t core_idx) {
   const std::uint32_t pages =
       static_cast<std::uint32_t>((bytes + kPageSize - 1) / kPageSize);
   std::vector<DmaMapping> mappings = TakeMapVec();
-  TimeNs cpu = config_.cpu.tx_packet_ns;
+  TimeNs cpu = kTxPacketNs;
   mappings.reserve(pages);
   for (std::uint32_t i = 0; i < pages; ++i) {
     const PhysAddr frame = frames_.AllocFrame();

@@ -42,10 +42,6 @@
 namespace fsio {
 
 struct HostCpuConfig {
-  TimeNs rx_packet_ns = 350;   // base stack cost per received packet
-  double rx_byte_ns = 0.02;    // per-byte processing (copy/GRO) cost
-  TimeNs tx_packet_ns = 250;   // base stack cost per transmitted packet
-  std::uint32_t napi_budget = 64;
   // TCP-Small-Queues limit: bytes one flow may hold in the local NIC Tx path
   // before further segments wait in the stack (resumed on Tx completion).
   std::uint64_t tsq_limit_bytes = 128 * 1024;

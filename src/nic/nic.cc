@@ -71,7 +71,7 @@ bool Nic::GateOnCapability(const std::vector<DmaMapping>& mappings, TimeNs* engi
     return true;  // not in capability mode: the IOMMU is the gate
   }
   const TimeNs now = ev_->now();
-  const DmaApi::DeviceCheckResult c = cap_check_(mappings, now, !config_.skip_capability_check);
+  const DmaApi::DeviceCheckResult c = cap_check_(mappings, now);
   // The validating engine stalls for the table lookup(s).
   *engine_free = (*engine_free > now ? *engine_free : now) + c.check_ns;
   if (!c.allowed) {
@@ -134,7 +134,7 @@ void Nic::MaybeFetchDescriptors(RxRing* ring, TimeNs at) {
   if (!config_.model_descriptor_fetch || ring->ring_pages == 0) {
     return;
   }
-  if (++ring->packets_since_fetch < config_.desc_fetch_every_packets) {
+  if (++ring->packets_since_fetch < kDescFetchEveryPackets) {
     return;
   }
   ring->packets_since_fetch = 0;
@@ -345,7 +345,7 @@ bool Nic::EnqueueTx(const Packet& packet, std::vector<DmaMapping> mappings, std:
     return false;  // refused enqueue: qdisc-style loss, transport recovers
   }
   TxQueue& q = tx_queues_[core % tx_queues_.size()];
-  if (q.bytes + packet.wire_size() > config_.tx_queue_limit_bytes) {
+  if (q.bytes + packet.wire_size() > kTxQueueLimitBytes) {
     tx_drops_->Add();
     trace_.Instant("nic", "tx_drop", ev_->now());
     return false;
@@ -391,7 +391,7 @@ void Nic::PumpTx() {
     }
     return;
   }
-  while (!TxQueuesEmpty() && tx_inflight_ < config_.tx_max_inflight) {
+  while (!TxQueuesEmpty() && tx_inflight_ < kTxMaxInflight) {
     const TimeNs now = ev_->now();
     if (tx_engine_free_ > now) {
       if (!tx_pump_scheduled_) {
@@ -442,7 +442,7 @@ void Nic::PumpTx() {
       wire.seq = work.packet.seq + off;
       wire.payload = chunk;
       TimeNs depart = timing.commit_done > egress_free_ ? timing.commit_done : egress_free_;
-      depart += SerializationDelayNs(wire.wire_size(), config_.line_gbps);
+      depart += SerializationDelayNs(wire.wire_size(), kLineGbps);
       egress_free_ = depart;
       tx_packets_->Add();
       if (wire_tx_) {

@@ -34,26 +34,11 @@
 namespace fsio {
 
 struct NicConfig {
-  double line_gbps = 100.0;
   std::uint64_t rx_buffer_bytes = 1ull << 20;
   // Wire MTU (headers included). TSO segments handed to the Tx engine are
   // cut into MTU-sized wire packets on egress.
   std::uint32_t mtu_bytes = 4096;
   bool model_descriptor_fetch = true;
-  std::uint32_t desc_fetch_every_packets = 16;  // one 512 B fetch per N packets
-  // Tx DMA pipeline depth: packets whose payload fetch may be in flight
-  // concurrently. Bounds how far the engine runs ahead of completions.
-  std::uint32_t tx_max_inflight = 8;
-  // Per-core Tx queue bound (NIC ring + qdisc backlog). When exceeded the
-  // segment is dropped locally, the loss signal that keeps sender cwnd
-  // bounded. Queues are served round-robin (one hardware TX queue per core,
-  // XPS-style), so a latency-sensitive core is not stuck behind bulk cores.
-  std::uint64_t tx_queue_limit_bytes = 1ull << 20;
-  // kCapability injected device bug: the capability check still runs (and is
-  // observed by the safety oracle) but its verdict is ignored — descriptors
-  // whose capability was revoked enqueue anyway. The dma_after_revoke
-  // invariant must catch the resulting accesses.
-  bool skip_capability_check = false;
 };
 
 class Nic {
@@ -72,13 +57,11 @@ class Nic {
       StatsRegistry* stats);
 
   // kCapability protection: validation the device runs when a descriptor's
-  // buffer enters its queues (Rx post/fetch, Tx enqueue). `enforce` is false
-  // when the skip_capability_check bug knob is set — the checker still
-  // observes the access (so the oracle sees it) but the verdict is ignored.
-  // Returns whether the enqueue may proceed plus the device-side lookup
-  // cost, which the NIC charges to the owning engine.
-  using CapCheckFn = std::function<DmaApi::DeviceCheckResult(const std::vector<DmaMapping>&,
-                                                             TimeNs now, bool enforce)>;
+  // buffer enters its queues (Rx post/fetch, Tx enqueue). Returns whether
+  // the enqueue may proceed plus the device-side lookup cost, which the NIC
+  // charges to the owning engine.
+  using CapCheckFn =
+      std::function<DmaApi::DeviceCheckResult(const std::vector<DmaMapping>&, TimeNs now)>;
   void SetCapabilityCheck(CapCheckFn fn) { cap_check_ = std::move(fn); }
 
   // Optional fault injection: kDescCompletionReorder delays a descriptor
@@ -106,7 +89,7 @@ class Nic {
   // True if `core`'s Tx queue can accept a packet of this wire size.
   bool CanAcceptTx(std::uint32_t core, std::uint32_t wire_bytes) const {
     const TxQueue& q = tx_queues_[core % tx_queues_.size()];
-    return q.bytes + wire_bytes <= config_.tx_queue_limit_bytes;
+    return q.bytes + wire_bytes <= kTxQueueLimitBytes;
   }
 
   // Stack hands over a Tx packet whose payload pages are already mapped.
@@ -138,6 +121,17 @@ class Nic {
   std::uint64_t rx_buffer_used() const { return rx_buffer_used_; }
 
  private:
+  static constexpr double kLineGbps = 100.0;
+  static constexpr std::uint32_t kDescFetchEveryPackets = 16;  // one 512 B fetch per N packets
+  // Tx DMA pipeline depth: packets whose payload fetch may be in flight
+  // concurrently. Bounds how far the engine runs ahead of completions.
+  static constexpr std::uint32_t kTxMaxInflight = 8;
+  // Per-core Tx queue bound (NIC ring + qdisc backlog). When exceeded the
+  // segment is dropped locally, the loss signal that keeps sender cwnd
+  // bounded. Queues are served round-robin (one hardware TX queue per core,
+  // XPS-style), so a latency-sensitive core is not stuck behind bulk cores.
+  static constexpr std::uint64_t kTxQueueLimitBytes = 1ull << 20;
+
   struct RxDesc {
     std::vector<DmaMapping> mappings;  // moved into the completion on retirement
     std::uint32_t next_page = 0;

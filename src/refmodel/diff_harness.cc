@@ -17,7 +17,6 @@
 #include "src/mem/frame_allocator.h"
 #include "src/mem/memory_system.h"
 #include "src/pagetable/io_page_table.h"
-#include "src/refmodel/shrink.h"
 #include "src/simcore/rng.h"
 #include "src/stats/counters.h"
 
@@ -566,21 +565,21 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   return out;
 }
 
-DifferentialHarness::ShrinkOutcome DifferentialHarness::Shrink(const DiffConfig& config,
-                                                               std::vector<DiffOp> ops,
-                                                               const DiffResult& first) {
+ReproChecker<DiffOp, DiffResult> DifferentialHarness::Checker(const DiffConfig& config,
+                                                              DiffRepro* repro) {
   // Ops are self-contained (targets are reduced modulo the live pools), so
   // any subsequence still executes and divergence is monotone in the prefix
   // length — exactly the contract the shared shrinker requires.
-  ShrunkSequence<DiffOp, DiffResult> shrunk = ShrinkSequence(
-      std::move(ops), first.fail_index, first,
-      [&](const std::vector<DiffOp>& candidate) { return Run(config, candidate); },
-      [](const DiffResult& r) { return r.diverged; });
-  ShrinkOutcome out;
-  out.ops = std::move(shrunk.ops);
-  out.result = std::move(shrunk.result);
-  out.runs = shrunk.runs;
-  return out;
+  return {"fsio_diff",
+          [config](const std::vector<DiffOp>& ops) { return Run(config, ops); },
+          [](const DiffResult& r) { return r.diverged; },
+          [config](const std::vector<DiffOp>& ops) { return Serialize(config, ops); },
+          [repro](const std::string& text, std::string* error) -> std::optional<DiffResult> {
+            if (!Parse(text, &repro->config, &repro->ops, error)) {
+              return std::nullopt;
+            }
+            return Run(repro->config, repro->ops);
+          }};
 }
 
 std::string DifferentialHarness::Serialize(const DiffConfig& config,

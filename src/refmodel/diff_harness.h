@@ -6,9 +6,10 @@
 // Workloads are generated upfront as self-contained operation vectors:
 // every target reference is `arg % live_count`, so ANY subsequence of a
 // workload is still executable. That is what makes shrinking trivial — on
-// divergence, Shrink() binary-searches the shortest failing prefix and then
-// greedily drops operations until a local minimum, yielding a replayable
-// repro of a handful of ops.
+// divergence, the shared counterexample path (shrink.h, through Checker())
+// binary-searches the shortest failing prefix and then greedily drops
+// operations until a local minimum, yielding a replayable repro of a handful
+// of ops.
 //
 // Injected bugs (reusing the PR-1 fault-injection machinery where the bug
 // lives in the real stack, and harness-level bypasses where the bug is a
@@ -53,6 +54,7 @@
 
 #include "src/driver/protection.h"
 #include "src/refmodel/ref_model.h"
+#include "src/refmodel/shrink.h"
 
 namespace fsio {
 
@@ -165,6 +167,12 @@ struct DiffResult {
   std::uint64_t double_unmaps = 0;          // reported by the driver
 };
 
+// A repro file's contents.
+struct DiffRepro {
+  DiffConfig config;
+  std::vector<DiffOp> ops;
+};
+
 // Token -> value choices for the fsio_diff and fsio_model flags: --bug;
 // --mode as "all" (every mode) or one mode token; --fault-plan as "all"
 // (every plan but none) or one plan token.
@@ -181,14 +189,11 @@ class DifferentialHarness {
   // first divergence.
   static DiffResult Run(const DiffConfig& config, const std::vector<DiffOp>& ops);
 
-  struct ShrinkOutcome {
-    std::vector<DiffOp> ops;  // minimal divergent subsequence
-    DiffResult result;        // result of running the minimal sequence
-    std::uint32_t runs = 0;   // Run() invocations spent shrinking
-  };
-  // Requires `first` to be a divergent result of Run(config, ops).
-  static ShrinkOutcome Shrink(const DiffConfig& config, std::vector<DiffOp> ops,
-                              const DiffResult& first);
+  // The harness's side of the shared counterexample path (shrink.h): runs
+  // candidate ops under `config`, fails on divergence, writes Serialize text
+  // and reads text back through Parse and Run, leaving what it parsed in
+  // *repro.
+  static ReproChecker<DiffOp, DiffResult> Checker(const DiffConfig& config, DiffRepro* repro);
 
   // Replayable repro files in the shared format (src/cli/repro.h): header
   // "fsio-diff-repro v1", one line per DiffConfig key, "ops N", N

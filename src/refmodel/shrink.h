@@ -1,12 +1,9 @@
-// Generic counterexample shrinker: the PR-4 minimization machinery
-// (shortest-failing-prefix binary search + chunked ddmin to a fixpoint),
-// factored out of the differential harness so every harness whose inputs are
-// self-contained sequences can reuse it:
-//
-//   * DifferentialHarness::Shrink — sequences of DiffOps replayed against
-//     the real stack + RefModel (src/refmodel/diff_harness.cc).
-//   * ModelChecker::Shrink — interleaving traces replayed against the
-//     abstract protocol model (src/check/checker.cc).
+// Generic counterexample shrinker (shortest-failing-prefix binary search +
+// chunked ddmin to a fixpoint) and the one counterexample path built on it:
+// ShrinkCounterexample shrinks, bounds, writes and replays a failure, and
+// ReplayReproFile is --replay. Each checker hands both a ReproChecker
+// (DifferentialHarness::Checker, check::TraceChecker, fsio_chaos's
+// ChaosChecker).
 //
 // Requirements on the caller: any subsequence of a failing sequence must
 // still be executable (ops reference targets modulo live pools, or disabled
@@ -17,8 +14,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
+#include <functional>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "src/cli/repro.h"
 
 namespace fsio {
 
@@ -98,6 +101,76 @@ ShrunkSequence<Op, Result> ShrinkSequence(std::vector<Op> ops, std::size_t fail_
   }
   out.ops = std::move(ops);
   return out;
+}
+
+// How a repro's bytes replay; the value is the exit code of --replay.
+enum class ReplayVerdict : int { kReproduced = 0, kNotReproduced = 1, kBadFile = 2 };
+
+// A checker's side of the counterexample path.
+template <typename Op, typename Result>
+struct ReproChecker {
+  std::string program;                                       // for "bad repro file"
+  std::function<Result(const std::vector<Op>&)> run;         // runs a candidate
+  std::function<bool(const Result&)> failed;                 // still shows the failure
+  std::function<std::string(const std::vector<Op>&)> write;  // the repro text
+  // Parses repro text and runs it; nullopt, with *error set, for a bad text.
+  std::function<std::optional<Result>(const std::string&, std::string* error)> read_run;
+
+  // Reads repro text through read_run (the file at `path`, or `text` when
+  // `path` is empty; a bad one prints why) and judges the run.
+  ReplayVerdict Replay(const std::string& path, const std::string& text,
+                       std::optional<Result>* result) const {
+    const auto parse = [&](const std::string& read, std::string* error) {
+      return (*result = read_run(read, error)).has_value();
+    };
+    if (!(path.empty() ? cli::ReadReproText(text, program, parse)
+                       : cli::ReadReproFile(path, program, parse))) {
+      return ReplayVerdict::kBadFile;
+    }
+    return failed(**result) ? ReplayVerdict::kReproduced : ReplayVerdict::kNotReproduced;
+  }
+};
+
+template <typename Op, typename Result>
+struct Counterexample {
+  ShrunkSequence<Op, Result> shrunk;
+  bool over_budget = false;  // more records than the caller's budget
+  ReplayVerdict replay = ReplayVerdict::kBadFile;  // how the bytes written replay
+};
+
+// Shrinks `ops`, known to fail at `fail_index` with result `first`; flags a
+// minimum longer than `budget`; writes its repro text to `path` unless that
+// is empty; and replays the bytes written (the file, or the text without a
+// file) through the same read_run --replay uses.
+template <typename Op, typename Result>
+Counterexample<Op, Result> ShrinkCounterexample(const ReproChecker<Op, Result>& checker,
+                                                std::vector<Op> ops, std::size_t fail_index,
+                                                const Result& first,
+                                                std::optional<std::size_t> budget,
+                                                const std::string& path) {
+  Counterexample<Op, Result> out;
+  out.shrunk = ShrinkSequence(std::move(ops), fail_index, first, checker.run, checker.failed);
+  out.over_budget = budget && out.shrunk.ops.size() > *budget;
+  const std::string text = checker.write(out.shrunk.ops);
+  if (!path.empty()) {
+    std::ofstream(path) << text;
+  }
+  std::optional<Result> replayed;
+  out.replay = checker.Replay(path, text, &replayed);
+  return out;
+}
+
+// --replay FILE: replays the repro at `path`, hands the result and whether
+// it reproduced to `report`, and returns the exit code.
+template <typename Op, typename Result, typename Report>
+int ReplayReproFile(const ReproChecker<Op, Result>& checker, const std::string& path,
+                    Report&& report) {
+  std::optional<Result> result;
+  const ReplayVerdict verdict = checker.Replay(path, "", &result);
+  if (result) {
+    report(*result, verdict == ReplayVerdict::kReproduced);
+  }
+  return static_cast<int>(verdict);
 }
 
 }  // namespace fsio

@@ -2,6 +2,13 @@
 
 namespace fsio {
 
+constexpr std::uint64_t kMaxCwndBytes = 4 << 20;
+constexpr double kG = 1.0 / 16.0;  // DCTCP alpha gain
+// Exponential RTO backoff: each consecutive timeout doubles the next RTO,
+// up to 2^kMaxRtoBackoffShift; any new cumulative ACK resets it.
+constexpr std::uint32_t kMaxRtoBackoffShift = 6;
+constexpr TimeNs kAckDelayNs = 20 * kNsPerUs;  // max ACK coalescing delay
+
 DctcpSender::DctcpSender(std::uint64_t flow_id, const DctcpConfig& config, EventQueue* ev,
                          EmitFn emit, StatsRegistry* stats)
     : flow_id_(flow_id),
@@ -105,7 +112,7 @@ void DctcpSender::OnRto(std::uint64_t armed_epoch) {
   }
   // Go-back-N: rewind and slow-start.
   ++timeouts_;
-  if (rto_backoff_shift_ < config_.max_rto_backoff_shift) {
+  if (rto_backoff_shift_ < kMaxRtoBackoffShift) {
     ++rto_backoff_shift_;
   }
   timeout_events_->Add();
@@ -137,7 +144,7 @@ void DctcpSender::UpdateAlphaWindow() {
   if (window_acked_ > 0) {
     const double f =
         static_cast<double>(window_marked_) / static_cast<double>(window_acked_);
-    alpha_ = (1.0 - config_.g) * alpha_ + config_.g * f;
+    alpha_ = (1.0 - kG) * alpha_ + kG * f;
     if (window_marked_ > 0) {
       cwnd_ = cwnd_ * (1.0 - alpha_ / 2.0);
       if (cwnd_ < config_.mss_bytes) {
@@ -175,8 +182,8 @@ void DctcpSender::OnAck(const Packet& ack) {
     dup_acks_ = 0;
     // Additive increase: one MSS per cwnd of acked bytes.
     cwnd_ += static_cast<double>(config_.mss_bytes) * static_cast<double>(newly) / cwnd_;
-    if (cwnd_ > static_cast<double>(config_.max_cwnd_bytes)) {
-      cwnd_ = static_cast<double>(config_.max_cwnd_bytes);
+    if (cwnd_ > static_cast<double>(kMaxCwndBytes)) {
+      cwnd_ = static_cast<double>(kMaxCwndBytes);
     }
     UpdateAlphaWindow();
     // Progress: reset the timeout backoff and re-arm the timer.
@@ -253,7 +260,7 @@ void DctcpReceiver::ScheduleDelayedAck() {
   }
   ack_timer_armed_ = true;
   const std::uint64_t epoch = ack_epoch_;
-  ev_->ScheduleAfter(config_.ack_delay_ns, [this, epoch] {
+  ev_->ScheduleAfter(kAckDelayNs, [this, epoch] {
     if (epoch == ack_epoch_ && (unacked_bytes_ > 0 || ack_timer_armed_)) {
       SendAck();
     }

@@ -33,18 +33,12 @@ struct DctcpConfig {
   // covers the whole segment (the paper's testbed enables TSO).
   std::uint32_t tso_segments = 16;
   std::uint32_t init_cwnd_packets = 64;
-  std::uint64_t max_cwnd_bytes = 4 << 20;
-  double g = 1.0 / 16.0;                 // DCTCP alpha gain
   TimeNs min_rto_ns = 1 * kNsPerMs;
-  // Exponential RTO backoff: each consecutive timeout doubles the next RTO,
-  // up to 2^max_rto_backoff_shift; any new cumulative ACK resets it.
-  std::uint32_t max_rto_backoff_shift = 6;
   // Peer-death handling: after this many consecutive timeouts with no
   // forward progress the flow aborts (counter "dctcp.flow_aborts") instead
   // of retransmitting forever into a dead host. 0 (default) never aborts —
   // the historical retransmit-forever behaviour.
   std::uint32_t abort_after_timeouts = 0;
-  TimeNs ack_delay_ns = 20 * kNsPerUs;   // max ACK coalescing delay
   std::uint32_t ack_every_bytes = 4;     // ACK at least every N * MSS in-order (GRO)
 };
 

@@ -15,6 +15,7 @@
 //     keep the shapes the model's transition relation assumes.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/check/model.h"
 #include "src/driver/protection.h"
 #include "src/faults/recovery_protocol.h"
+#include "src/refmodel/shrink.h"
 #include "tests/test_util.h"
 
 namespace fsio {
@@ -38,23 +40,6 @@ CheckConfig MakeConfig(ProtectionMode mode, InjectedBug bug, std::uint32_t domai
   config.model.pages = 2;
   config.depth = depth;
   return config;
-}
-
-// Mirrors the tool's applicability matrix: which bug can bite in which mode.
-bool BugApplies(InjectedBug bug, ProtectionMode mode) {
-  switch (bug) {
-    case InjectedBug::kNone:
-      return false;
-    case InjectedBug::kUseAfterUnmap:
-    case InjectedBug::kSkipInvalidation:
-    case InjectedBug::kEarlyReclaim:
-      return UsesIommu(mode) && mode != ProtectionMode::kHugepagePersistent;
-    case InjectedBug::kUntaggedIotlb:
-      return UsesIommu(mode);
-    case InjectedBug::kSkipCapabilityCheck:
-      return mode == ProtectionMode::kCapability;
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -122,23 +107,21 @@ void ExpectBugCaught(const CheckConfig& config, ModelViolation expect_kind,
   ASSERT_EQ(replay.violation, expect_kind);
 
   // Shrinking reaches the hand-derived minimal interleaving length.
-  const ShrunkTrace shrunk = ShrinkTrace(config.model, outcome.trace, replay);
-  EXPECT_EQ(shrunk.result.violation, expect_kind);
-  EXPECT_LE(shrunk.steps.size(), expect_min_steps)
+  TraceRepro parsed;
+  const auto cx = ShrinkCounterexample(TraceChecker(config.model, expect_kind, &parsed),
+                                       outcome.trace, replay.fail_index, replay, std::nullopt, "");
+  EXPECT_EQ(cx.shrunk.result.violation, expect_kind);
+  EXPECT_LE(cx.shrunk.ops.size(), expect_min_steps)
       << "counterexample did not shrink to the known minimum";
 
-  // Serialize -> parse -> replay reproduces the violation.
-  const std::string text = SerializeTrace(config.model, expect_kind, shrunk.steps);
-  CheckModelConfig parsed;
-  ModelViolation parsed_kind = ModelViolation::kNone;
-  std::vector<ModelStep> parsed_steps;
-  std::string error;
-  ASSERT_TRUE(ParseTrace(text, &parsed, &parsed_kind, &parsed_steps, &error)) << error;
-  EXPECT_EQ(parsed.mode, config.model.mode);
-  EXPECT_EQ(parsed.bug, config.model.bug);
-  EXPECT_EQ(parsed_kind, expect_kind);
-  ASSERT_EQ(parsed_steps.size(), shrunk.steps.size());
-  EXPECT_EQ(ReplayTrace(parsed, parsed_steps).violation, expect_kind);
+  // The written trace parses back to the same run and reproduces the
+  // violation.
+  EXPECT_EQ(cx.replay, ReplayVerdict::kReproduced);
+  EXPECT_EQ(parsed.config.mode, config.model.mode);
+  EXPECT_EQ(parsed.config.bug, config.model.bug);
+  EXPECT_EQ(parsed.violation, expect_kind);
+  ASSERT_EQ(parsed.steps.size(), cx.shrunk.ops.size());
+  EXPECT_EQ(ReplayTrace(parsed.config, parsed.steps).violation, expect_kind);
 }
 
 TEST(ModelCheckPowerTest, SkipInvalidationCaughtInEverySyncMode) {

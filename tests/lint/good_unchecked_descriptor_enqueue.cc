@@ -9,8 +9,8 @@ namespace fsio {
 
 void GoodWiredEnqueue(Nic* nic, DmaApi* dma, std::vector<DmaMapping> mappings) {
   nic->SetCapabilityCheck(
-      [dma](const std::vector<DmaMapping>& ms, TimeNs now, bool enforce) {
-        return dma->DeviceCheckCapability(ms, now, enforce);
+      [dma](const std::vector<DmaMapping>& ms, TimeNs now) {
+        return dma->DeviceCheckCapability(ms, now);
       });
   nic->PostRxDescriptor(0, std::move(mappings));
 }

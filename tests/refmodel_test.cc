@@ -16,10 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/cli/repro.h"
 #include "src/refmodel/diff_harness.h"
 #include "src/refmodel/ref_model.h"
 #include "src/refmodel/shrink.h"
@@ -221,22 +225,18 @@ void ExpectBugCaughtAndShrinkable(const DiffConfig& config) {
   const DiffResult result = DifferentialHarness::Run(config, ops);
   ASSERT_TRUE(result.diverged) << "bug " << InjectedBugName(config.bug) << " not detected in "
                                << ModeToken(config.mode);
-  DifferentialHarness::ShrinkOutcome shrunk = DifferentialHarness::Shrink(config, ops, result);
-  EXPECT_LE(shrunk.ops.size(), 20u) << "repro did not shrink: " << shrunk.result.message;
-  EXPECT_TRUE(shrunk.result.diverged);
+  DiffRepro parsed;
+  const auto cx = ShrinkCounterexample(DifferentialHarness::Checker(config, &parsed), ops,
+                                       result.fail_index, result, std::nullopt, "");
+  EXPECT_LE(cx.shrunk.ops.size(), 20u) << "repro did not shrink: " << cx.shrunk.result.message;
+  EXPECT_TRUE(cx.shrunk.result.diverged);
 
-  // Serialize -> Parse -> Run must reproduce.
-  const std::string text = DifferentialHarness::Serialize(config, shrunk.ops);
-  DiffConfig parsed;
-  std::vector<DiffOp> parsed_ops;
-  std::string error;
-  ASSERT_TRUE(DifferentialHarness::Parse(text, &parsed, &parsed_ops, &error)) << error;
-  EXPECT_EQ(parsed.mode, config.mode);
-  EXPECT_EQ(parsed.bug, config.bug);
-  EXPECT_EQ(parsed.fault_plan, config.fault_plan);
-  EXPECT_EQ(parsed_ops.size(), shrunk.ops.size());
-  const DiffResult replay = DifferentialHarness::Run(parsed, parsed_ops);
-  EXPECT_TRUE(replay.diverged) << "shrunken repro did not replay";
+  // The written repro parses back to the same run and reproduces.
+  EXPECT_EQ(cx.replay, ReplayVerdict::kReproduced) << "shrunken repro did not replay";
+  EXPECT_EQ(parsed.config.mode, config.mode);
+  EXPECT_EQ(parsed.config.bug, config.bug);
+  EXPECT_EQ(parsed.config.fault_plan, config.fault_plan);
+  EXPECT_EQ(parsed.ops.size(), cx.shrunk.ops.size());
 }
 
 TEST(BugDetectionTest, UseAfterUnmapIsCaughtInEveryTearingMode) {
@@ -537,6 +537,27 @@ struct SynthHarness {
         [this](const std::vector<int>& candidate) { return Run(candidate); },
         [](const SynthResult& r) { return r.failed; });
   }
+
+  // The checker's side of the shared counterexample path: a repro is one
+  // "n VALUE" record per op.
+  ReproChecker<int, SynthResult> Checker() const {
+    const cli::ReproFormat format{"synth-repro v1", {}, "n"};
+    const auto fields = [](int* n) { return std::vector<cli::Flag>{cli::Unsigned("n", n, "")}; };
+    return {"synth",
+            [this](const std::vector<int>& candidate) { return Run(candidate); },
+            [](const SynthResult& r) { return r.failed; },
+            [format, fields](const std::vector<int>& ops) {
+              return cli::WriteRepro(format, cli::FormatRecords(ops, fields, 1));
+            },
+            [this, format, fields](const std::string& text,
+                                   std::string* error) -> std::optional<SynthResult> {
+              std::vector<int> ops;
+              if (!cli::ReadRepro(text, format, cli::AppendRecords(&ops, fields, 1), error)) {
+                return std::nullopt;
+              }
+              return Run(ops);
+            }};
+  }
 };
 
 TEST(ShrinkEdgeTest, DivergenceAtOpZero) {
@@ -593,6 +614,82 @@ TEST(ShrinkEdgeTest, FailIndexTruncatesTail) {
   // Binary search over a 1-op prefix is free and ddmin needs one pass over
   // one op: far fewer runs than the 7 discarded tail ops would have cost.
   EXPECT_LE(shrunk.runs, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// The shared counterexample path (ShrinkCounterexample, ReplayReproFile) on
+// the same synthetic harness: the bytes written are what gets replayed.
+
+TEST(CounterexampleTest, WrittenFileReplaysTheMinimum) {
+  const SynthHarness harness{{2, 5}};
+  const std::string path = ::testing::TempDir() + "counterexample_synth.txt";
+  const auto cx =
+      ShrinkCounterexample(harness.Checker(), std::vector<int>{1, 2, 3, 4, 5, 6}, 4,
+                           SynthResult{true}, std::size_t{2}, path);
+  EXPECT_EQ(cx.shrunk.ops, (std::vector<int>{2, 5}));
+  EXPECT_FALSE(cx.over_budget);
+  EXPECT_EQ(cx.replay, ReplayVerdict::kReproduced);
+  bool reported = false;
+  EXPECT_EQ(ReplayReproFile(harness.Checker(), path,
+                            [&](const SynthResult& r, bool reproduced) {
+                              reported = true;
+                              EXPECT_TRUE(r.failed);
+                              EXPECT_TRUE(reproduced);
+                            }),
+            0);
+  EXPECT_TRUE(reported);
+  std::remove(path.c_str());
+}
+
+TEST(CounterexampleTest, ReproMissingItsLastRecordDoesNotReplay) {
+  // A writer that loses the failing record writes a well-formed repro of a
+  // passing run: only replaying the bytes written catches it.
+  const SynthHarness harness{{2, 5}};
+  ReproChecker<int, SynthResult> checker = harness.Checker();
+  const auto write = checker.write;
+  checker.write = [write](std::vector<int> ops) {
+    ops.pop_back();
+    return write(ops);
+  };
+  for (const std::string& path :
+       {std::string(), ::testing::TempDir() + "counterexample_drop.txt"}) {
+    SCOPED_TRACE(path);
+    const auto cx = ShrinkCounterexample(checker, std::vector<int>{1, 2, 3, 4, 5, 6}, 4,
+                                         SynthResult{true}, std::nullopt, path);
+    EXPECT_EQ(cx.shrunk.ops, (std::vector<int>{2, 5}));
+    EXPECT_EQ(cx.replay, ReplayVerdict::kNotReproduced);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CounterexampleTest, ReproOverItsBudgetIsReported) {
+  const SynthHarness harness{{1, 2, 3}};
+  const auto cx = ShrinkCounterexample(harness.Checker(), std::vector<int>{1, 9, 2, 9, 3}, 4,
+                                       SynthResult{true}, std::size_t{2}, "");
+  EXPECT_EQ(cx.shrunk.ops.size(), 3u);
+  EXPECT_TRUE(cx.over_budget);
+  EXPECT_EQ(cx.replay, ReplayVerdict::kReproduced);  // over budget, but still a repro
+  EXPECT_FALSE(ShrinkCounterexample(harness.Checker(), std::vector<int>{1, 2, 3}, 2,
+                                    SynthResult{true}, std::size_t{3}, "")
+                   .over_budget);
+}
+
+TEST(CounterexampleTest, UnreadableFileIsABadFile) {
+  const SynthHarness harness{{2}};
+  const std::string missing = ::testing::TempDir() + "no-such-dir/repro.txt";
+  const auto cx = ShrinkCounterexample(harness.Checker(), std::vector<int>{1, 2}, 1,
+                                       SynthResult{true}, std::nullopt, missing);
+  EXPECT_EQ(cx.replay, ReplayVerdict::kBadFile);
+  bool reported = false;
+  EXPECT_EQ(ReplayReproFile(harness.Checker(), missing,
+                            [&](const SynthResult&, bool) { reported = true; }),
+            2);
+  EXPECT_FALSE(reported);
+  // A file that exists but does not parse is a bad file too.
+  const std::string damaged = ::testing::TempDir() + "counterexample_damaged.txt";
+  std::ofstream(damaged) << "synth-repro v1\nns 2\nn 2\nend\n";
+  EXPECT_EQ(ReplayReproFile(harness.Checker(), damaged, [&](const SynthResult&, bool) {}), 2);
+  std::remove(damaged.c_str());
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #    cluster path and on the --tenants path (a silently resized or partly
 #    unreachable IOTLB); --cores=0 (a division by zero), --ring=0 (every
 #    packet dropped), --flows=abc (0 flows), --window-ms=-1, --mtu=10 (the
-#    MSS underflows), an unknown --mode;
+#    MSS underflows), an unknown --mode; --trace, --metrics and --hugepages
+#    on the --tenants path (which has no tracer, time series or hugepage
+#    rings, so they were ignored: no file written);
 #  - fsio_diff --seeds abc ("0 runs"), an unknown fsio_diff --fault-plan,
 #    fsio_model --depth x (depth 0), fsio_sidechan --trials -1 (a huge
 #    allocation), fsio_chaos --window abc (a 0 window), the removed
@@ -51,6 +53,9 @@ list(APPEND cases
      "SIM|--csv=1|--csv: takes no value"
      "SIM|--sweep-flows=1,,3|--sweep-flows"
      "SIM|--tenant-modes=strict,|--tenant-modes"
+     "SIM|--tenants=2 --trace=tenants_trace.json|--trace is not supported with --tenants"
+     "SIM|--tenants=2 --metrics=tenants_metrics.csv|--metrics is not supported with --tenants"
+     "SIM|--tenants=2 --hugepages|--hugepages is not supported with --tenants"
      "SIM|--no-such-flag|--no-such-flag"
      "DIFF|--seeds abc|--seeds"
      "DIFF|--mode fastsafe --bug nope|--bug"

@@ -24,18 +24,20 @@
 // --break-recovery runs a single deliberately broken cell (recovery skips
 // the global IOTLB invalidation) and demonstrates the cross-host oracle
 // catching it; with --expect-violation the harness then SHRINKS the fault
-// event list to a minimal still-failing repro (the shared ShrinkSequence of
-// src/refmodel/shrink.h) and, with --repro-out, writes a replayable text
-// repro that --replay re-executes byte-deterministically.
+// event list to a minimal still-failing repro, writes it (with --repro-out,
+// to a file) and replays the bytes written, through the shared
+// counterexample path of src/refmodel/shrink.h; --replay re-executes such a
+// repro byte-deterministically.
 //
 // All randomness flows from --seed; cells are independent simulations run on
 // the SweepRunner pool with slot-per-cell reports emitted in cell order, so
 // output is byte-identical across reruns and across --jobs values (checked
 // by the chaos_determinism ctest).
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,7 +78,6 @@ struct Scenario {
   std::vector<ClusterFaultEvent> events;
   TimeNs run_until = 0;
   std::uint32_t abort_after_timeouts = 0;  // DCTCP peer-death ceiling (0=off)
-  std::uint32_t crash_host = 0;
   bool expect_link_down = false;
   bool expect_switch_down = false;
   bool expect_corrupted = false;
@@ -172,7 +173,6 @@ std::vector<Scenario> BuildScenarios(TimeNs w) {
     s.name = "host-crash";
     s.run_until = w;
     s.expect_recovery = true;
-    s.crash_host = 0;
     ClusterFaultEvent e;
     e.kind = FaultKind::kHostCrash;
     e.at = w / 3;
@@ -192,7 +192,6 @@ std::vector<Scenario> BuildScenarios(TimeNs w) {
     s.run_until = w / 4 + 10 * kNsPerMs;
     s.abort_after_timeouts = 3;
     s.expect_flow_aborts = true;
-    s.crash_host = 0;
     ClusterFaultEvent e;
     e.kind = FaultKind::kHostCrash;
     e.at = w / 4;
@@ -254,12 +253,16 @@ CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOpt
     cluster.AddBulkFlows(src, /*dst_host=*/0, config.cores);
   }
 
-  // Post-recovery progress probe: snapshot host 0's delivered bytes well
-  // after recovery completes; the final count must exceed it.
+  // The scenario's first crash, if any: its host's counters are reported,
+  // and the post-recovery progress probe snapshots host 0's delivered bytes
+  // well after its recovery completes; the final count must exceed it.
+  const auto crash =
+      std::find_if(scenario.events.begin(), scenario.events.end(),
+                   [](const ClusterFaultEvent& e) { return e.kind == FaultKind::kHostCrash; });
+  const std::uint32_t crash_host = crash == scenario.events.end() ? 0 : crash->host;
   std::uint64_t mark_bytes = 0;
   if (scenario.expect_recovery) {
-    const ClusterFaultEvent& crash = scenario.events.front();
-    const TimeNs mark_at = crash.at + crash.duration_ns + opt.window / 12;
+    const TimeNs mark_at = crash->at + crash->duration_ns + opt.window / 12;
     cluster.ev().ScheduleAt(mark_at, [&cluster, &mark_bytes] {
       mark_bytes = cluster.host(0).app_bytes_delivered();
     });
@@ -299,7 +302,7 @@ CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOpt
       vio << ElideTrace(oracle->TraceString(), 20);
     }
   }
-  StatsRegistry& crash_stats = cluster.host(scenario.crash_host).stats();
+  StatsRegistry& crash_stats = cluster.host(crash_host).stats();
   r.crashes = crash_stats.Value("host.crashes");
   r.recoveries = crash_stats.Value("host.recoveries");
   for (std::uint32_t s = 0; s < cluster.num_switches(); ++s) {
@@ -540,8 +543,8 @@ int RunTenantCrash(std::string* output) {
 // Broken-recovery demonstration: repro files, shrinking, replay.
 
 // The repro file's settings, bound to *opt and *mode: the one table both
-// WriteChaosRepro and ReadChaosRepro use. An event line is the event's
-// ToString(): its kind, then name=value fields in EventFields' order.
+// ChaosChecker's write and read use. An event line is its EventFields (the
+// same text as the event's ToString()): its kind, then name=value fields.
 cli::ReproFormat ChaosReproFormat(ChaosOptions* opt, ProtectionMode* mode) {
   return {"fsio-chaos-repro v1",
           {cli::Unsigned("seed", &opt->seed, ""), cli::Unsigned("window", &opt->window, "", 1),
@@ -564,23 +567,6 @@ std::vector<cli::Flag> EventFields(ClusterFaultEvent* e) {
           cli::Double("p", &e->probability, "")};
 }
 
-std::string WriteChaosRepro(ChaosOptions opt, ProtectionMode mode,
-                            const std::vector<ClusterFaultEvent>& events) {
-  std::vector<std::string> lines;
-  for (const ClusterFaultEvent& e : events) {
-    lines.push_back(e.ToString());
-  }
-  return cli::WriteRepro(ChaosReproFormat(&opt, &mode), lines);
-}
-
-bool ReadChaosRepro(const std::string& path, ChaosOptions* opt, ProtectionMode* mode,
-                    std::vector<ClusterFaultEvent>* events) {
-  return cli::ReadReproFile(path, "fsio_chaos", [&](const std::string& text, std::string* error) {
-    return cli::ReadRepro(text, ChaosReproFormat(opt, mode),
-                          cli::AppendRecords(events, EventFields, 1), error);
-  });
-}
-
 // Runs one broken-recovery cell over an explicit event list.
 CellResult RunBrokenCell(const std::vector<ClusterFaultEvent>& events, ProtectionMode mode,
                          const ChaosOptions& opt) {
@@ -588,24 +574,57 @@ CellResult RunBrokenCell(const std::vector<ClusterFaultEvent>& events, Protectio
   s.name = "host-crash-broken";
   s.events = events;
   s.run_until = opt.window;
-  s.expect_recovery = true;
-  s.crash_host = 0;
-  for (const ClusterFaultEvent& e : events) {
-    if (e.kind == FaultKind::kHostCrash) {
-      s.crash_host = e.host;
-    }
-  }
+  s.expect_recovery = std::any_of(events.begin(), events.end(), [](const ClusterFaultEvent& e) {
+    return e.kind == FaultKind::kHostCrash;
+  });
   static const std::atomic<bool> kNeverCancelled{false};
   return RunCell(mode, s, opt, opt.break_recovery, kNeverCancelled);
 }
 
-// The --break-recovery entry point: crash host 0 with recovery that skips
-// the global invalidation, plus a link flap and a loss burst. The shrinker
-// drops the loss burst; the flap stays in the minimal repro (2 of 3 events)
-// because without it the broken recovery is no longer caught.
+// A repro file's contents.
+struct ChaosRepro {
+  ChaosOptions opt;
+  ProtectionMode mode = ProtectionMode::kFastSafe;
+  std::vector<ClusterFaultEvent> events;
+};
+
+// The broken-recovery cell's side of the shared counterexample path
+// (src/refmodel/shrink.h): runs candidate events in fast-safe mode under
+// `opt`, writes the repro text, and reads text back (settings absent from it
+// keep `opt`'s) into *repro. A repro of a broken recovery reproduces when
+// the oracle reports violations, a repro of a healthy run when it reports
+// none.
+ReproChecker<ClusterFaultEvent, CellResult> ChaosChecker(const ChaosOptions& opt,
+                                                         ChaosRepro* repro) {
+  *repro = {opt, ProtectionMode::kFastSafe, {}};
+  return {"fsio_chaos",
+          [opt](const std::vector<ClusterFaultEvent>& events) {
+            return RunBrokenCell(events, ProtectionMode::kFastSafe, opt);
+          },
+          [repro](const CellResult& r) {
+            return repro->opt.break_recovery ? r.violations > 0 : r.violations == 0;
+          },
+          [bound = ChaosRepro{opt, ProtectionMode::kFastSafe, {}}](
+              const std::vector<ClusterFaultEvent>& events) mutable {
+            return cli::WriteRepro(ChaosReproFormat(&bound.opt, &bound.mode),
+                                   cli::FormatRecords(events, EventFields, 1));
+          },
+          [opt, repro](const std::string& text, std::string* error) -> std::optional<CellResult> {
+            *repro = {opt, ProtectionMode::kFastSafe, {}};
+            if (!cli::ReadRepro(text, ChaosReproFormat(&repro->opt, &repro->mode),
+                                cli::AppendRecords(&repro->events, EventFields, 1), error)) {
+              return std::nullopt;
+            }
+            return RunBrokenCell(repro->events, repro->mode, repro->opt);
+          }};
+}
+
+// The --break-recovery entry point: crash host 0 in fast-safe mode, with
+// recovery that skips the global invalidation, plus a link flap and a loss
+// burst. The shrinker keeps the crash, which the bug needs; at the default
+// seed and window it drops both other events (1 of 3 events remain).
 int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
   const TimeNs w = opt.window;
-  const ProtectionMode mode = ProtectionMode::kFastSafe;
 
   std::vector<ClusterFaultEvent> events;
   {
@@ -615,13 +634,13 @@ int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
     crash.duration_ns = w / 6;
     crash.host = 0;
     events.push_back(crash);
-    ClusterFaultEvent flap;  // kept by the shrinker: the repro needs it
+    ClusterFaultEvent flap;
     flap.kind = FaultKind::kLinkFlap;
     flap.at = w / 8;
     flap.duration_ns = w / 16;
     flap.host = 2;
     events.push_back(flap);
-    ClusterFaultEvent noise_loss;  // irrelevant to the bug; shrink removes it
+    ClusterFaultEvent noise_loss;
     noise_loss.kind = FaultKind::kPacketLossBurst;
     noise_loss.at = w / 2;
     noise_loss.duration_ns = w / 8;
@@ -631,60 +650,54 @@ int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
   }
 
   std::ostringstream all;
-  const CellResult full = RunBrokenCell(events, mode, opt);
+  ChaosRepro repro;
+  const ReproChecker<ClusterFaultEvent, CellResult> checker = ChaosChecker(opt, &repro);
+  const CellResult full = checker.run(events);
   all << full.report;
 
+  // A broken run that passes is an error with or without
+  // --expect-violation; the flag only controls whether we shrink.
   int failures = 0;
-  if (opt.expect_violation) {
-    if (full.violations == 0) {
-      all << "EXPECTATION FAILED: broken recovery must be caught by the oracle\n";
-      ++failures;
-    } else {
-      // Fault events are independent, so every subset is a runnable cell.
-      const auto shrunk = ShrinkSequence(
-          events, events.size() - 1, full,
-          [&](const std::vector<ClusterFaultEvent>& candidate) {
-            return RunBrokenCell(candidate, mode, opt);
-          },
-          [](const CellResult& r) { return r.violations > 0; });
-      const std::vector<ClusterFaultEvent>& minimal = shrunk.ops;
-      all << "minimal repro (" << minimal.size() << " of " << events.size()
-          << " events, " << shrunk.runs << " shrink runs, " << shrunk.result.violations
-          << " violations):\n";
-      for (const ClusterFaultEvent& e : minimal) {
-        all << "  event " << e.ToString() << "\n";
-      }
-      if (!opt.repro_out.empty()) {
-        std::ofstream out(opt.repro_out);
-        out << WriteChaosRepro(opt, mode, minimal);
-        all << "repro written to " << opt.repro_out << "\n";
-      }
-    }
-  } else if (full.violations == 0) {
-    // Without --expect-violation a broken run that somehow passes is an
-    // error too — the flag only controls whether we shrink.
+  if (full.violations == 0) {
     all << "EXPECTATION FAILED: broken recovery must be caught by the oracle\n";
     ++failures;
+  } else if (opt.expect_violation) {
+    // Fault events are independent, so every subset is a runnable cell.
+    const auto cx = ShrinkCounterexample(checker, events, events.size() - 1, full, std::nullopt,
+                                         opt.repro_out);
+    all << "minimal repro (" << cx.shrunk.ops.size() << " of " << events.size() << " events, "
+        << cx.shrunk.runs << " shrink runs, " << cx.shrunk.result.violations
+        << " violations):\n";
+    for (const ClusterFaultEvent& e : cx.shrunk.ops) {
+      all << "  event " << e.ToString() << "\n";
+    }
+    if (!opt.repro_out.empty()) {
+      all << "repro written to " << opt.repro_out << "\n";
+    }
+    if (cx.replay != ReplayVerdict::kReproduced) {
+      all << "EXPECTATION FAILED: the written repro must replay the violation\n";
+      ++failures;
+    }
   }
   all << (failures == 0 ? "BROKEN RECOVERY CAUGHT\n" : "BROKEN RECOVERY MISSED\n");
   *output = all.str();
   return failures;
 }
 
-int RunReplay(const ChaosOptions& opt, ProtectionMode mode,
-              const std::vector<ClusterFaultEvent>& events, std::string* output) {
-  std::ostringstream all;
-  all << "replaying " << events.size() << " event(s), mode=" << ModeToken(mode)
-      << " seed=" << opt.seed << " window=" << opt.window
-      << " break-recovery=" << (opt.break_recovery ? 1 : 0) << "\n";
-  const CellResult r = RunBrokenCell(events, mode, opt);
-  all << r.report;
-  // A repro of a broken recovery must reproduce the violation; a repro of a
-  // healthy run must stay clean.
-  const bool ok = opt.break_recovery ? r.violations > 0 : r.violations == 0;
-  all << (ok ? "REPLAY REPRODUCED\n" : "REPLAY FAILED: behaviour did not reproduce\n");
-  *output = all.str();
-  return ok ? 0 : 1;
+int Replay(const ChaosOptions& opt) {
+  ChaosRepro repro;
+  return ReplayReproFile(
+      ChaosChecker(opt, &repro), opt.replay,
+      [&](const CellResult& r, bool reproduced) {
+        std::printf("replaying %zu event(s), mode=%s seed=%llu window=%llu break-recovery=%d\n"
+                    "%s%s",
+                    repro.events.size(), ModeToken(repro.mode),
+                    static_cast<unsigned long long>(repro.opt.seed),
+                    static_cast<unsigned long long>(repro.opt.window),
+                    repro.opt.break_recovery ? 1 : 0, r.report.c_str(),
+                    reproduced ? "REPLAY REPRODUCED\n"
+                               : "REPLAY FAILED: behaviour did not reproduce\n");
+      });
 }
 
 int Main(int argc, char** argv) {
@@ -708,16 +721,12 @@ int Main(int argc, char** argv) {
           cli::String("replay", &opt.replay, "FILE", "replay a repro file"),
       });
 
+  if (!opt.replay.empty()) {
+    return Replay(opt);
+  }
   std::string output;
   int failures;
-  if (!opt.replay.empty()) {
-    ProtectionMode mode = ProtectionMode::kFastSafe;
-    std::vector<ClusterFaultEvent> events;
-    if (!ReadChaosRepro(opt.replay, &opt, &mode, &events)) {
-      return 2;
-    }
-    failures = RunReplay(opt, mode, events, &output);
-  } else if (opt.tenant_crash) {
+  if (opt.tenant_crash) {
     failures = RunTenantCrash(&output);
   } else if (opt.break_recovery) {
     failures = RunBrokenRecovery(opt, &output);

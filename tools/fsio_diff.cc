@@ -12,23 +12,24 @@
 //                            — oracle self-test: EVERY cell must diverge
 //                              (the injected bug must be caught), the first
 //                              divergence is shrunk and must fit in
-//                              --max-repro-ops, and the serialized repro
-//                              must replay (Serialize -> Parse -> Run still
-//                              diverges). Exit 0 only when all of that holds.
+//                              --max-repro-ops, and the repro bytes written
+//                              (the --repro-out file, if given) must replay
+//                              (Parse -> Run still diverges). Exit 0 only
+//                              when all of that holds.
 //   * --replay FILE          — re-runs a previously written repro file and
 //                              reports whether the divergence reproduces.
 //
 // Output is deterministic for fixed arguments.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/cli/flags.h"
-#include "src/cli/repro.h"
 #include "src/driver/protection.h"
 #include "src/refmodel/diff_harness.h"
+#include "src/refmodel/shrink.h"
 
 namespace fsio {
 namespace {
@@ -51,67 +52,21 @@ struct Options {
   bool quiet = false;
 };
 
-// Shrinks, prints, and (optionally) writes the repro. Returns the shrink
-// outcome so callers can validate size and replayability.
-DifferentialHarness::ShrinkOutcome HandleDivergence(const Options& opt, const DiffConfig& config,
-                                                    const std::vector<DiffOp>& ops,
-                                                    const DiffResult& result) {
-  std::printf("DIVERGENCE mode=%s rcache=%d seed=%llu bug=%s plan=%s at op %zu:\n  %s\n",
-              ModeToken(config.mode), config.enable_rcache ? 1 : 0,
-              static_cast<unsigned long long>(config.seed), InjectedBugName(config.bug),
-              FaultPlanName(config.fault_plan), result.fail_index, result.message.c_str());
-  DifferentialHarness::ShrinkOutcome shrunk = DifferentialHarness::Shrink(config, ops, result);
-  std::printf("shrunk to %zu ops in %u runs:\n", shrunk.ops.size(), shrunk.runs);
-  for (const DiffOp& op : shrunk.ops) {
-    std::printf("  %s core=%u arg=%llu\n", OpKindName(op.kind), op.core,
-                static_cast<unsigned long long>(op.arg));
-  }
-  std::printf("  => %s\n", shrunk.result.message.c_str());
-  if (!opt.repro_out.empty()) {
-    std::ofstream out(opt.repro_out);
-    out << DifferentialHarness::Serialize(config, shrunk.ops);
-    std::printf("repro written to %s\n", opt.repro_out.c_str());
-  }
-  return shrunk;
-}
-
-// Serialize -> Parse -> Run must still diverge, or the repro is useless.
-bool ReproRoundTrips(const DiffConfig& config, const std::vector<DiffOp>& ops) {
-  const std::string text = DifferentialHarness::Serialize(config, ops);
-  DiffConfig parsed;
-  std::vector<DiffOp> parsed_ops;
-  std::string error;
-  if (!DifferentialHarness::Parse(text, &parsed, &parsed_ops, &error)) {
-    std::printf("repro round-trip FAILED to parse: %s\n", error.c_str());
-    return false;
-  }
-  const DiffResult replay = DifferentialHarness::Run(parsed, parsed_ops);
-  if (!replay.diverged) {
-    std::printf("repro round-trip FAILED to reproduce the divergence\n");
-    return false;
-  }
-  return true;
-}
-
 int Replay(const Options& opt) {
-  DiffConfig config;
-  std::vector<DiffOp> ops;
-  const auto parse = [&](const std::string& text, std::string* error) {
-    return DifferentialHarness::Parse(text, &config, &ops, error);
-  };
-  if (!cli::ReadReproFile(opt.replay, "fsio_diff", parse)) {
-    return 2;
-  }
-  const DiffResult result = DifferentialHarness::Run(config, ops);
-  if (result.diverged) {
-    std::printf("replay: DIVERGED at op %zu (%zu ops): %s\n", result.fail_index, ops.size(),
-                result.message.c_str());
-    return 0;
-  }
-  std::printf("replay: no divergence over %zu ops (mode=%s rcache=%d bug=%s plan=%s)\n",
-              ops.size(), ModeToken(config.mode), config.enable_rcache ? 1 : 0,
-              InjectedBugName(config.bug), FaultPlanName(config.fault_plan));
-  return 1;
+  DiffRepro repro;
+  return ReplayReproFile(
+      DifferentialHarness::Checker(DiffConfig{}, &repro), opt.replay,
+      [&](const DiffResult& result, bool diverged) {
+        if (diverged) {
+          std::printf("replay: DIVERGED at op %zu (%zu ops): %s\n", result.fail_index,
+                      repro.ops.size(), result.message.c_str());
+          return;
+        }
+        std::printf("replay: no divergence over %zu ops (mode=%s rcache=%d bug=%s plan=%s)\n",
+                    repro.ops.size(), ModeToken(repro.config.mode),
+                    repro.config.enable_rcache ? 1 : 0, InjectedBugName(repro.config.bug),
+                    FaultPlanName(repro.config.fault_plan));
+      });
 }
 
 int Main(int argc, char** argv) {
@@ -192,31 +147,48 @@ int Main(int argc, char** argv) {
           total_injected += result.faults_injected;
           if (result.diverged) {
             ++diverged;
-            if (!opt.expect_divergence) {
-              DifferentialHarness::ShrinkOutcome shrunk =
-                  HandleDivergence(opt, config, ops, result);
-              ReproRoundTrips(config, shrunk.ops);
-              return 1;
-            }
-            if (!first_divergence_handled) {
-              first_divergence_handled = true;
-              DifferentialHarness::ShrinkOutcome shrunk =
-                  HandleDivergence(opt, config, ops, result);
-              if (shrunk.ops.size() > opt.max_repro_ops) {
-                std::printf("self-test FAILED: repro has %zu ops, budget is %zu\n",
-                            shrunk.ops.size(), opt.max_repro_ops);
-                self_test_ok = false;
-              }
-              if (!ReproRoundTrips(config, shrunk.ops)) {
-                self_test_ok = false;
-              }
-            }
           } else if (opt.expect_divergence) {
             std::printf("self-test FAILED: bug=%s NOT detected (mode=%s rcache=%d seed=%llu "
                         "plan=%s)\n",
                         InjectedBugName(opt.bug), ModeToken(mode), rcache ? 1 : 0,
                         static_cast<unsigned long long>(config.seed), FaultPlanName(plan));
             self_test_ok = false;
+          }
+          if (result.diverged && !first_divergence_handled) {
+            // Shrink, print and write the first divergence; the bytes
+            // written must replay it (and, in the self-test, fit the budget).
+            first_divergence_handled = true;
+            std::printf("DIVERGENCE mode=%s rcache=%d seed=%llu bug=%s plan=%s at op %zu:\n"
+                        "  %s\n",
+                        ModeToken(mode), rcache ? 1 : 0,
+                        static_cast<unsigned long long>(config.seed), InjectedBugName(opt.bug),
+                        FaultPlanName(plan), result.fail_index, result.message.c_str());
+            DiffRepro repro;
+            const auto cx = ShrinkCounterexample(
+                DifferentialHarness::Checker(config, &repro), ops, result.fail_index, result,
+                opt.expect_divergence ? std::optional(opt.max_repro_ops) : std::nullopt,
+                opt.repro_out);
+            std::printf("shrunk to %zu ops in %u runs:\n", cx.shrunk.ops.size(), cx.shrunk.runs);
+            for (const DiffOp& op : cx.shrunk.ops) {
+              std::printf("  %s core=%u arg=%llu\n", OpKindName(op.kind), op.core,
+                          static_cast<unsigned long long>(op.arg));
+            }
+            std::printf("  => %s\n", cx.shrunk.result.message.c_str());
+            if (!opt.repro_out.empty()) {
+              std::printf("repro written to %s\n", opt.repro_out.c_str());
+            }
+            if (cx.over_budget) {
+              std::printf("self-test FAILED: repro has %zu ops, budget is %zu\n",
+                          cx.shrunk.ops.size(), opt.max_repro_ops);
+              self_test_ok = false;
+            }
+            if (cx.replay != ReplayVerdict::kReproduced) {
+              std::printf("repro round-trip FAILED to reproduce the divergence\n");
+              self_test_ok = false;
+            }
+            if (!opt.expect_divergence) {
+              return 1;
+            }
           }
           if (!opt.quiet && !result.diverged) {
             std::printf("ok mode=%s rcache=%d seed=%llu plan=%s ops=%llu maps=%llu unmaps=%llu "

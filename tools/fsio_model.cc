@@ -14,7 +14,8 @@
 //                            — checker power test: EVERY explored mode the
 //                              bug applies to must produce a violation,
 //                              whose shrunk trace must fit --max-trace-steps
-//                              and round-trip (Serialize -> Parse -> Replay
+//                              and whose written bytes (the --trace-out
+//                              file, if given) must replay (Parse -> Replay
 //                              still violates). Exit 0 only when all hold.
 //   * --replay FILE          — re-runs a previously written trace file and
 //                              reports whether the violation reproduces.
@@ -22,16 +23,16 @@
 // Output is deterministic for fixed arguments.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/check/checker.h"
 #include "src/cli/flags.h"
-#include "src/cli/repro.h"
 #include "src/check/model.h"
 #include "src/driver/protection.h"
 #include "src/refmodel/diff_harness.h"
+#include "src/refmodel/shrink.h"
 
 namespace fsio {
 namespace {
@@ -42,7 +43,7 @@ using check::CheckOutcome;
 using check::ModelStep;
 using check::ModelViolation;
 using check::ReplayOutcome;
-using check::ShrunkTrace;
+using check::TraceRepro;
 
 struct Options {
   std::vector<ProtectionMode> modes{kAllModes.begin(), kAllModes.end()};
@@ -58,30 +59,7 @@ struct Options {
   bool quiet = false;
 };
 
-// A bug only has power where its protocol machinery exists: the IOTLB bugs
-// need the IOMMU datapath, the capability bug needs the capability check.
-// Modes outside a bug's reach must still verify CLEAN under it.
-bool BugApplies(InjectedBug bug, ProtectionMode mode) {
-  switch (bug) {
-    case InjectedBug::kNone:
-      return false;
-    case InjectedBug::kUseAfterUnmap:
-    case InjectedBug::kSkipInvalidation:
-    case InjectedBug::kEarlyReclaim:
-      // Persistent pools never invalidate or reclaim, so the unmap-path
-      // bugs have nothing to break there.
-      return UsesIommu(mode) && mode != ProtectionMode::kHugepagePersistent;
-    case InjectedBug::kUntaggedIotlb:
-      // Tag-blind lookups breach isolation in every IOMMU datapath mode,
-      // persistent pools included — no unmap is needed for the cross hit.
-      return UsesIommu(mode);
-    case InjectedBug::kSkipCapabilityCheck:
-      return mode == ProtectionMode::kCapability;
-  }
-  return false;
-}
-
-void PrintTrace(const CheckModelConfig& config, const std::vector<ModelStep>& steps) {
+void PrintTrace(const std::vector<ModelStep>& steps) {
   for (const ModelStep& step : steps) {
     if (step.kind == check::StepKind::kDmaHit) {
       std::printf("  %s domain=%d page=%d entry-owner=%d\n", StepKindName(step.kind),
@@ -91,72 +69,23 @@ void PrintTrace(const CheckModelConfig& config, const std::vector<ModelStep>& st
                   step.page);
     }
   }
-  (void)config;
-}
-
-// Serialize -> Parse -> Replay must still violate, or the trace is useless.
-bool TraceRoundTrips(const CheckModelConfig& config, ModelViolation violation,
-                     const std::vector<ModelStep>& steps) {
-  const std::string text = check::SerializeTrace(config, violation, steps);
-  CheckModelConfig parsed;
-  ModelViolation parsed_violation;
-  std::vector<ModelStep> parsed_steps;
-  std::string error;
-  if (!check::ParseTrace(text, &parsed, &parsed_violation, &parsed_steps, &error)) {
-    std::printf("trace round-trip FAILED to parse: %s\n", error.c_str());
-    return false;
-  }
-  const ReplayOutcome replay = check::ReplayTrace(parsed, parsed_steps);
-  if (replay.violation != violation) {
-    std::printf("trace round-trip FAILED to reproduce the violation\n");
-    return false;
-  }
-  return true;
-}
-
-// Shrinks, prints, and (optionally) writes the counterexample. Returns the
-// shrunk trace so callers can validate size and replayability.
-ShrunkTrace HandleViolation(const Options& opt, const CheckModelConfig& config,
-                            const CheckOutcome& outcome) {
-  std::printf("VIOLATION mode=%s bug=%s domains=%u pages=%u: %s after %zu steps\n",
-              ModeToken(config.mode), InjectedBugName(config.bug), config.domains,
-              config.pages, ModelViolationName(outcome.violation),
-              outcome.trace.size());
-  ReplayOutcome first;
-  first.violation = outcome.violation;
-  first.fail_index = outcome.trace.empty() ? 0 : outcome.trace.size() - 1;
-  ShrunkTrace shrunk = check::ShrinkTrace(config, outcome.trace, first);
-  std::printf("shrunk to %zu steps in %u replays:\n", shrunk.steps.size(), shrunk.runs);
-  PrintTrace(config, shrunk.steps);
-  std::printf("  => %s\n", ModelViolationName(shrunk.result.violation));
-  if (!opt.trace_out.empty()) {
-    std::ofstream out(opt.trace_out);
-    out << check::SerializeTrace(config, shrunk.result.violation, shrunk.steps);
-    std::printf("trace written to %s\n", opt.trace_out.c_str());
-  }
-  return shrunk;
 }
 
 int Replay(const Options& opt) {
-  CheckModelConfig config;
-  ModelViolation violation;
-  std::vector<ModelStep> steps;
-  const auto parse = [&](const std::string& text, std::string* error) {
-    return check::ParseTrace(text, &config, &violation, &steps, error);
-  };
-  if (!cli::ReadReproFile(opt.replay, "fsio_model", parse)) {
-    return 2;
-  }
-  const ReplayOutcome result = check::ReplayTrace(config, steps);
-  if (result.violation != ModelViolation::kNone) {
-    std::printf("replay: VIOLATED %s at step %zu (%zu steps, mode=%s bug=%s)\n",
-                ModelViolationName(result.violation), result.fail_index, steps.size(),
-                ModeToken(config.mode), InjectedBugName(config.bug));
-    return result.violation == violation ? 0 : 1;
-  }
-  std::printf("replay: no violation over %zu steps (mode=%s bug=%s)\n", steps.size(),
-              ModeToken(config.mode), InjectedBugName(config.bug));
-  return 1;
+  TraceRepro repro;
+  return ReplayReproFile(
+      check::TraceChecker(CheckModelConfig{}, ModelViolation::kNone, &repro), opt.replay,
+      [&](const ReplayOutcome& result, bool) {
+        if (result.violation != ModelViolation::kNone) {
+          std::printf("replay: VIOLATED %s at step %zu (%zu steps, mode=%s bug=%s)\n",
+                      ModelViolationName(result.violation), result.fail_index,
+                      repro.steps.size(), ModeToken(repro.config.mode),
+                      InjectedBugName(repro.config.bug));
+          return;
+        }
+        std::printf("replay: no violation over %zu steps (mode=%s bug=%s)\n", repro.steps.size(),
+                    ModeToken(repro.config.mode), InjectedBugName(repro.config.bug));
+      });
 }
 
 int Main(int argc, char** argv) {
@@ -207,7 +136,7 @@ int Main(int argc, char** argv) {
     config.model.pages = opt.pages;
     config.depth = opt.depth;
     config.por = !opt.no_por;
-    const bool applicable = BugApplies(opt.bug, mode);
+    const bool applicable = check::BugApplies(opt.bug, mode);
     const CheckOutcome outcome = check::RunModelCheck(config);
     ++explored_modes;
     total_states += outcome.stats.states;
@@ -215,19 +144,33 @@ int Main(int argc, char** argv) {
 
     if (outcome.violation != ModelViolation::kNone) {
       ++violated_modes;
-      ShrunkTrace shrunk = HandleViolation(opt, config.model, outcome);
-      if (!opt.expect_violation || !applicable) {
-        // A clean protocol (or a mode the bug cannot reach) violated: that
-        // is a genuine protocol or model bug either way.
-        any_unexpected = true;
-        continue;
+      // A clean protocol (or a mode the bug cannot reach) violating is a
+      // genuine protocol or model bug either way; only the power test holds
+      // the counterexample to the budget and to replaying.
+      const bool power_test = opt.expect_violation && applicable;
+      any_unexpected = any_unexpected || !power_test;
+      std::printf("VIOLATION mode=%s bug=%s domains=%u pages=%u: %s after %zu steps\n",
+                  ModeToken(mode), InjectedBugName(opt.bug), opt.domains, opt.pages,
+                  ModelViolationName(outcome.violation), outcome.trace.size());
+      const ReplayOutcome first{outcome.violation, outcome.trace.size() - 1};
+      TraceRepro repro;
+      const auto cx = ShrinkCounterexample(
+          check::TraceChecker(config.model, outcome.violation, &repro), outcome.trace,
+          first.fail_index, first,
+          power_test ? std::optional(opt.max_trace_steps) : std::nullopt, opt.trace_out);
+      std::printf("shrunk to %zu steps in %u replays:\n", cx.shrunk.ops.size(), cx.shrunk.runs);
+      PrintTrace(cx.shrunk.ops);
+      std::printf("  => %s\n", ModelViolationName(cx.shrunk.result.violation));
+      if (!opt.trace_out.empty()) {
+        std::printf("trace written to %s\n", opt.trace_out.c_str());
       }
-      if (shrunk.steps.size() > opt.max_trace_steps) {
+      if (cx.over_budget) {
         std::printf("power test FAILED: trace has %zu steps, budget is %zu\n",
-                    shrunk.steps.size(), opt.max_trace_steps);
+                    cx.shrunk.ops.size(), opt.max_trace_steps);
         power_test_ok = false;
       }
-      if (!TraceRoundTrips(config.model, shrunk.result.violation, shrunk.steps)) {
+      if (power_test && cx.replay != ReplayVerdict::kReproduced) {
+        std::printf("trace round-trip FAILED to reproduce the violation\n");
         power_test_ok = false;
       }
     } else {

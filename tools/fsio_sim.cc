@@ -216,6 +216,15 @@ int RunTenants(const Options& options) {
                  options.tenant_modes.size(), options.tenants);
     return 2;
   }
+  // The shared-IOMMU scenario has no tracer, time series or hugepage rings.
+  const char* unsupported = !options.trace_path.empty()     ? "--trace"
+                            : !options.metrics_path.empty() ? "--metrics"
+                            : options.hugepages             ? "--hugepages"
+                                                            : nullptr;
+  if (unsupported != nullptr) {
+    std::fprintf(stderr, "%s is not supported with --tenants\n", unsupported);
+    return 2;
+  }
 
   fsio::TenantSystemConfig config;
   config.iommu.num_walkers = options.walkers;
