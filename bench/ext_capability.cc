@@ -54,7 +54,7 @@ int main() {
     }
     Testbed testbed(config);
     testbed.cluster().EnableFaultHarness();
-    StartIperf(&testbed, 5);
+    testbed.AddBulkFlows(0, 1, 5);
     auto rpc = std::make_unique<RequestResponseApp>(
         &testbed, NetperfRpcConfig(/*size=*/4096, /*rpc_core=*/5));
     rpc->Start();

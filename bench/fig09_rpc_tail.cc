@@ -36,7 +36,7 @@ int main() {
     config.mode = points[i].mode;
     config.cores = 6;  // 5 iperf + 1 RPC core
     Testbed testbed(config);
-    StartIperf(&testbed, 5);
+    testbed.AddBulkFlows(0, 1, 5);
     std::vector<std::unique_ptr<RequestResponseApp>> rpcs;
     for (int r = 0; r < 4; ++r) {
       rpcs.push_back(std::make_unique<RequestResponseApp>(

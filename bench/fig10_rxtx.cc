@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench/figure_common.h"
+#include "src/apps/iperf.h"
 
 int main() {
   using namespace fsio;
@@ -37,7 +38,7 @@ int main() {
     config.cores = 8;  // larger-core-count server (Icelake-style)
     Testbed testbed(config);
     // Forward direction (host0 -> host1) on cores [0, dir_cores).
-    StartIperf(&testbed, points[i].dir_cores);
+    testbed.AddBulkFlows(0, 1, points[i].dir_cores);
     // Reverse direction (host1 -> host0) on cores [4, 4 + dir_cores).
     StartReverseIperf(&testbed, points[i].dir_cores, config.cores, /*core_offset=*/4);
 

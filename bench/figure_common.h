@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/iperf.h"
 #include "src/apps/request_response.h"
 #include "src/core/sweep_runner.h"
 #include "src/core/testbed.h"
@@ -113,9 +112,9 @@ inline IperfRun RunIperf(TestbedConfig config, std::uint32_t flows,
   if (window == 0) {
     window = WindowNs();
   }
-  config.track_l3_locality = true;
+  config.track_l3_locality_hosts = {1};
   Testbed testbed(config);
-  StartIperf(&testbed, flows);
+  testbed.AddBulkFlows(0, 1, flows);
   IperfRun run;
   run.window = testbed.RunWindow(warmup, window);
   run.locality = SummarizeLocality(testbed.receiver_host().l3_tracker());

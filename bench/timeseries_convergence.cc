@@ -31,7 +31,7 @@ int main() {
         config.mode = modes[i];
         config.cores = 5;
         Testbed testbed(config);
-        StartIperf(&testbed, 10);
+        testbed.AddBulkFlows(0, 1, 10);
         std::vector<Sample> out;
         for (int ms = 1; ms <= total_ms; ++ms) {
           const WindowResult r = testbed.MeasureWindow(1, 1 * kNsPerMs);

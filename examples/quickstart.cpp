@@ -6,7 +6,6 @@
 //   ./build/examples/quickstart
 #include <iostream>
 
-#include "src/apps/iperf.h"
 #include "src/core/testbed.h"
 #include "src/stats/table.h"
 
@@ -22,7 +21,7 @@ int main() {
     config.cores = 5;
 
     fsio::Testbed testbed(config);
-    fsio::StartIperf(&testbed, /*flows=*/5);
+    testbed.AddBulkFlows(0, 1, /*flows=*/5);
 
     // 20 ms of warmup, then a 30 ms measurement window on the receiver.
     const fsio::WindowResult r =

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "src/apps/iperf.h"
 #include "src/apps/rpc.h"
 #include "src/core/testbed.h"
 #include "src/stats/table.h"
@@ -25,7 +24,7 @@ int main(int argc, char** argv) {
     config.cores = 6;  // 5 iperf cores + 1 dedicated RPC core
 
     fsio::Testbed testbed(config);
-    fsio::StartIperf(&testbed, /*flows=*/5);  // cores 0..4 (and 5 wraps)
+    testbed.AddBulkFlows(0, 1, /*flows=*/5);  // cores 0..4 (and 5 wraps)
 
     // The RPC application runs on its own core (5) on both hosts.
     std::vector<std::unique_ptr<fsio::RequestResponseApp>> rpcs;

@@ -1,29 +1,23 @@
 // iperf-style bulk throughput workload (paper §2.2 / §4.1 microbenchmarks).
 //
-// Unbounded DCTCP flows, one per core by default, from the sender host to
-// the receiver host. Thin convenience wrapper over Testbed::AddBulkFlows for
-// symmetry with the other applications.
+// Forward bulk flows (host 0 -> host 1) are Cluster::AddBulkFlows; this
+// header adds the reverse direction for Rx/Tx interference experiments.
 #ifndef FASTSAFE_SRC_APPS_IPERF_H_
 #define FASTSAFE_SRC_APPS_IPERF_H_
 
 #include <cstdint>
 
-#include "src/core/testbed.h"
+#include "src/core/cluster.h"
 
 namespace fsio {
 
-// Starts `flows` bulk flows (flow i pinned to core i % cores on both hosts).
-inline void StartIperf(Testbed* testbed, std::uint32_t flows) {
-  testbed->AddBulkFlows(flows);
-}
-
 // Reverse-direction bulk flows (host 1 -> host 0) for Rx/Tx interference
 // experiments (paper Fig. 10).
-inline void StartReverseIperf(Testbed* testbed, std::uint32_t flows, std::uint32_t cores,
+inline void StartReverseIperf(Cluster* cluster, std::uint32_t flows, std::uint32_t cores,
                               std::uint32_t core_offset = 0) {
   for (std::uint32_t i = 0; i < flows; ++i) {
     const std::uint32_t core = (core_offset + i) % cores;
-    DctcpSender* sender = testbed->AddFlow(1, 0, core, core);
+    DctcpSender* sender = cluster->AddFlow(1, 0, core, core);
     sender->EnqueueAppBytes(1ULL << 62);
   }
 }

@@ -2,12 +2,12 @@
 
 namespace fsio {
 
-RequestResponseApp::RequestResponseApp(Testbed* testbed, const RequestResponseConfig& config)
-    : testbed_(testbed), config_(config) {
-  request_sender_ = testbed_->AddFlow(
+RequestResponseApp::RequestResponseApp(Cluster* cluster, const RequestResponseConfig& config)
+    : cluster_(cluster), config_(config) {
+  request_sender_ = cluster_->AddFlow(
       config_.client_host, config_.server_host, config_.client_core, config_.server_core,
       [this](std::uint64_t bytes) { OnServerDelivery(bytes); });
-  response_sender_ = testbed_->AddFlow(
+  response_sender_ = cluster_->AddFlow(
       config_.server_host, config_.client_host, config_.server_core, config_.client_core,
       [this](std::uint64_t bytes) { OnClientDelivery(bytes); });
 }
@@ -19,7 +19,7 @@ void RequestResponseApp::Start() {
 }
 
 void RequestResponseApp::IssueRequest() {
-  issue_times_.push_back(testbed_->ev().now());
+  issue_times_.push_back(cluster_->ev().now());
   request_sender_->EnqueueAppBytes(config_.request_bytes);
 }
 
@@ -39,9 +39,9 @@ void RequestResponseApp::SendResponse() {
       config_.server_cpu_per_request_ns +
       static_cast<TimeNs>(static_cast<double>(config_.response_bytes) *
                           config_.server_cpu_per_byte_ns);
-  Host& server = testbed_->host(config_.server_host);
+  Host& server = cluster_->host(config_.server_host);
   server.ChargeCpu(config_.server_core, think);
-  testbed_->ev().ScheduleAfter(think, [this] {
+  cluster_->ev().ScheduleAfter(think, [this] {
     response_sender_->EnqueueAppBytes(config_.response_bytes);
   });
 }
@@ -55,15 +55,15 @@ void RequestResponseApp::OnClientDelivery(std::uint64_t bytes) {
     if (!issue_times_.empty()) {
       const TimeNs issued = issue_times_.front();
       issue_times_.pop_front();
-      latency_.Record(testbed_->ev().now() - issued);
+      latency_.Record(cluster_->ev().now() - issued);
     }
-    Host& client = testbed_->host(config_.client_host);
+    Host& client = cluster_->host(config_.client_host);
     client.ChargeCpu(config_.client_core, config_.client_cpu_per_response_ns);
     IssueRequest();  // closed loop
   }
 }
 
-std::vector<std::unique_ptr<RequestResponseApp>> MakeApps(Testbed* testbed,
+std::vector<std::unique_ptr<RequestResponseApp>> MakeApps(Cluster* cluster,
                                                           RequestResponseConfig config,
                                                           std::uint32_t n,
                                                           std::uint32_t cores) {
@@ -72,7 +72,7 @@ std::vector<std::unique_ptr<RequestResponseApp>> MakeApps(Testbed* testbed,
   for (std::uint32_t i = 0; i < n; ++i) {
     config.client_core = i % cores;
     config.server_core = i % cores;
-    apps.push_back(std::make_unique<RequestResponseApp>(testbed, config));
+    apps.push_back(std::make_unique<RequestResponseApp>(cluster, config));
   }
   return apps;
 }

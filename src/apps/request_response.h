@@ -1,4 +1,4 @@
-// Generic closed-loop request/response application over the testbed.
+// Generic closed-loop request/response application over a Cluster.
 //
 // One client endpoint issues fixed-size requests with a bounded number in
 // flight (pipelining); one server endpoint consumes requests, spends
@@ -20,7 +20,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/testbed.h"
+#include "src/core/cluster.h"
 #include "src/stats/histogram.h"
 
 namespace fsio {
@@ -43,7 +43,7 @@ struct RequestResponseConfig {
 
 class RequestResponseApp {
  public:
-  RequestResponseApp(Testbed* testbed, const RequestResponseConfig& config);
+  RequestResponseApp(Cluster* cluster, const RequestResponseConfig& config);
 
   // Issues the initial pipeline of requests. Call before running the sim.
   void Start();
@@ -67,7 +67,7 @@ class RequestResponseApp {
   void OnClientDelivery(std::uint64_t bytes);
   void SendResponse();
 
-  Testbed* testbed_;
+  Cluster* cluster_;
   RequestResponseConfig config_;
   DctcpSender* request_sender_ = nullptr;   // client -> server
   DctcpSender* response_sender_ = nullptr;  // server -> client
@@ -83,7 +83,7 @@ class RequestResponseApp {
 
 // Convenience: create `n` identical app instances spread round-robin over
 // `cores` cores on both ends.
-std::vector<std::unique_ptr<RequestResponseApp>> MakeApps(Testbed* testbed,
+std::vector<std::unique_ptr<RequestResponseApp>> MakeApps(Cluster* cluster,
                                                           RequestResponseConfig config,
                                                           std::uint32_t n,
                                                           std::uint32_t cores);

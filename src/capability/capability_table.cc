@@ -46,8 +46,7 @@ CapabilityTable::GrantResult CapabilityTable::GrantPages(std::vector<std::uint64
   e.pages = std::move(pages);
   ++live_count_;
   out.id = CapabilityId{slot, e.epoch};
-  out.cpu_ns = config_.grant_cpu_ns +
-               config_.grant_page_cpu_ns * static_cast<TimeNs>(e.pages.size());
+  out.cpu_ns = kGrantCpuNs + kGrantPageCpuNs * static_cast<TimeNs>(e.pages.size());
   if (grants_ != nullptr) {
     grants_->Add();
   }
@@ -90,12 +89,12 @@ CapabilityTable::RevokeResult CapabilityTable::Revoke(CapabilityId id) {
     return out;
   }
   out.revoked = true;
-  out.cpu_ns = config_.revoke_cpu_ns;
+  out.cpu_ns = kRevokeCpuNs;
   if (e.armed) {
     // The device validated descriptors against this entry: the revoke waits
     // out the bounded in-flight window before the entry dies.
     out.quiesced = true;
-    out.cpu_ns += config_.quiesce_cpu_ns;
+    out.cpu_ns += kQuiesceCpuNs;
     if (quiesces_ != nullptr) {
       quiesces_->Add();
     }

@@ -34,14 +34,6 @@
 namespace fsio {
 
 struct CapabilityConfig {
-  // CPU cost model (per operation, on the granting/revoking core).
-  TimeNs grant_cpu_ns = 90;       // install one capability entry
-  TimeNs grant_page_cpu_ns = 4;   // per covered page (descriptor-list setup)
-  TimeNs revoke_cpu_ns = 110;     // retire the entry + doorbell the device
-  // Bounded in-flight drain charged when revoking an ARMED capability (one
-  // the device checked since grant): the revoke must wait out descriptors
-  // already validated against the dying entry.
-  TimeNs quiesce_cpu_ns = 600;
   // Device-side lookup cost per capability check (the kCapability analogue
   // of an IOTLB hit / page-table walk).
   TimeNs check_ns = 40;
@@ -71,6 +63,15 @@ static_assert(!CapabilityCheckPasses(true, 4, 3),
 
 class CapabilityTable {
  public:
+  // CPU cost model (per operation, on the granting/revoking core).
+  static constexpr TimeNs kGrantCpuNs = 90;      // install one capability entry
+  static constexpr TimeNs kGrantPageCpuNs = 4;   // per covered page (descriptor-list setup)
+  static constexpr TimeNs kRevokeCpuNs = 110;    // retire the entry + doorbell the device
+  // Bounded in-flight drain charged when revoking an ARMED capability (one
+  // the device checked since grant): the revoke must wait out descriptors
+  // already validated against the dying entry.
+  static constexpr TimeNs kQuiesceCpuNs = 600;
+
   // `stats` may be null; when provided, grant/revoke/check/reject counters
   // are published under "capability.*".
   explicit CapabilityTable(const CapabilityConfig& config, StatsRegistry* stats = nullptr);

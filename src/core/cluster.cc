@@ -142,12 +142,10 @@ void Cluster::EnableFaultHarness() {
 
 void Cluster::RunUntil(TimeNs until) { ev_.RunUntil(until); }
 
-WindowResult Cluster::ComputeResult(std::uint32_t host_id,
-                                    const std::map<std::string, std::uint64_t>& before,
-                                    TimeNs window_ns) const {
-  const Host& host = *hosts_[host_id];
-  const auto after = const_cast<Host&>(host).stats().Snapshot();
-  const auto delta = StatsRegistry::Delta(before, after);
+WindowResult Cluster::ComputeResult(std::uint32_t host_id, const WindowStart& start,
+                                    TimeNs window_ns) {
+  Host& host = *hosts_[host_id];
+  const auto delta = StatsRegistry::Delta(start.counters, host.stats().Snapshot());
   auto value = [&delta](const std::string& name) -> std::uint64_t {
     auto it = delta.find(name);
     return it == delta.end() ? 0 : it->second;
@@ -168,6 +166,9 @@ WindowResult Cluster::ComputeResult(std::uint32_t host_id,
   const std::uint64_t drops = value("nic.drops_buffer") + value("nic.drops_nodesc");
   const std::uint64_t arrived = value("nic.rx_packets") + drops;
   out.drop_rate = arrived > 0 ? static_cast<double>(drops) / static_cast<double>(arrived) : 0.0;
+  const TimeNs busy = host.total_cpu_busy_ns() - start.cpu_busy_ns;
+  out.cpu_utilization = static_cast<double>(busy) /
+                        (static_cast<double>(window_ns) * config_.cores);
   out.safety_violations = value("iommu.stale_iotlb_use") + value("iommu.stale_ptcache_use");
   out.raw_rx_host = delta;
   return out;
@@ -186,36 +187,26 @@ void Cluster::UpdateEvqStats() {
 }
 
 WindowResult Cluster::MeasureWindow(std::uint32_t host_id, TimeNs duration) {
-  const auto before = hosts_[host_id]->stats().Snapshot();
-  const TimeNs busy_before = hosts_[host_id]->total_cpu_busy_ns();
-  ev_.RunUntil(ev_.now() + duration);
-  UpdateEvqStats();
-  WindowResult result = ComputeResult(host_id, before, duration);
-  const TimeNs busy = hosts_[host_id]->total_cpu_busy_ns() - busy_before;
-  result.cpu_utilization = static_cast<double>(busy) /
-                           (static_cast<double>(duration) * config_.cores);
-  return result;
+  return MeasureHosts(host_id, host_id + 1, duration).front();
 }
 
 std::vector<WindowResult> Cluster::MeasureWindowAll(TimeNs duration) {
-  std::vector<std::map<std::string, std::uint64_t>> before;
-  std::vector<TimeNs> busy_before;
-  before.reserve(hosts_.size());
-  busy_before.reserve(hosts_.size());
-  for (auto& host : hosts_) {
-    before.push_back(host->stats().Snapshot());
-    busy_before.push_back(host->total_cpu_busy_ns());
+  return MeasureHosts(0, num_hosts(), duration);
+}
+
+std::vector<WindowResult> Cluster::MeasureHosts(std::uint32_t first, std::uint32_t last,
+                                                TimeNs duration) {
+  std::vector<WindowStart> starts;
+  starts.reserve(last - first);
+  for (std::uint32_t id = first; id < last; ++id) {
+    starts.push_back({hosts_[id]->stats().Snapshot(), hosts_[id]->total_cpu_busy_ns()});
   }
   ev_.RunUntil(ev_.now() + duration);
   UpdateEvqStats();
   std::vector<WindowResult> results;
-  results.reserve(hosts_.size());
-  for (std::uint32_t id = 0; id < hosts_.size(); ++id) {
-    WindowResult result = ComputeResult(id, before[id], duration);
-    const TimeNs busy = hosts_[id]->total_cpu_busy_ns() - busy_before[id];
-    result.cpu_utilization = static_cast<double>(busy) /
-                             (static_cast<double>(duration) * config_.cores);
-    results.push_back(std::move(result));
+  results.reserve(starts.size());
+  for (std::uint32_t id = first; id < last; ++id) {
+    results.push_back(ComputeResult(id, starts[id - first], duration));
   }
   return results;
 }

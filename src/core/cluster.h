@@ -8,10 +8,10 @@
 // extra store-and-forward hop. Forwarding is destination-keyed on every
 // switch (see NetworkSwitch::SetRoute).
 //
-// This is what multi-host experiments — N→1 incast, multi-tenant IOMMU
-// contention, large aggregate flow counts — run on. The two-host `Testbed`
-// facade (testbed.h) is a thin wrapper over a 2-host Cluster and keeps the
-// historical API and results byte-for-byte.
+// Every experiment runs on a Cluster: the paper's two-server testbed is the
+// default config (2 hosts, 1 switch; `Testbed` in testbed.h), and N→1
+// incast, multi-tenant IOMMU contention and large aggregate flow counts set
+// more hosts. The applications in src/apps attach to any Cluster.
 //
 // Quickstart (8→1 incast):
 //   ClusterConfig config;
@@ -154,9 +154,15 @@ class Cluster {
   void BuildFabric();
   void WireHosts();
   void UpdateEvqStats();
-  WindowResult ComputeResult(std::uint32_t host_id,
-                             const std::map<std::string, std::uint64_t>& before,
-                             TimeNs window_ns) const;
+  // A host's counters and CPU time when a measurement window opens.
+  struct WindowStart {
+    std::map<std::string, std::uint64_t> counters;
+    TimeNs cpu_busy_ns = 0;
+  };
+  // Runs the simulation for `duration` and reports hosts [first, last).
+  std::vector<WindowResult> MeasureHosts(std::uint32_t first, std::uint32_t last,
+                                         TimeNs duration);
+  WindowResult ComputeResult(std::uint32_t host_id, const WindowStart& start, TimeNs window_ns);
 
   ClusterConfig config_;
   EventQueue ev_;

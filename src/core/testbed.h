@@ -1,89 +1,42 @@
-// Testbed: the two-host convenience facade over the Cluster topology layer.
+// Testbed: the paper's two-server setup, a Cluster under its historical name.
 //
 // A Testbed is the two-server setup the paper evaluates on: two hosts with
 // 100 Gbps NICs connected through one switch, with a chosen memory-protection
-// mode on each host. Applications (iperf bulk flows, RPC, Redis, Nginx,
-// SPDK — see src/apps) attach flows to it; RunWindow() advances simulated
-// time and reports the PCM-style per-page IOMMU miss rates, throughput and
-// drop rates that the paper's figures plot.
-//
-// Testbed is a thin wrapper over a 2-host, 1-switch Cluster (cluster.h):
-// the historical API and its results are preserved byte-for-byte, and
-// cluster() exposes the underlying topology for N-host experiments.
+// mode on each host. It is a Cluster built from the default ClusterConfig
+// (two hosts, one switch); it adds names for the sender and receiver hosts
+// and RunWindow(), which reports the receive-side host 1 the way the
+// paper's figures plot it. The name stays because perfbench/ builds the
+// benchmark's simulation through it.
 //
 // Quickstart:
 //   TestbedConfig config;
 //   config.mode = ProtectionMode::kFastSafe;
 //   Testbed tb(config);
-//   tb.AddBulkFlows(5);                       // one iperf flow per core
+//   tb.AddBulkFlows(0, 1, 5);                 // one iperf flow per core
 //   WindowResult r = tb.RunWindow(5*kNsPerMs, 20*kNsPerMs);
 //   std::cout << r.goodput_gbps << "\n";
 #ifndef FASTSAFE_SRC_CORE_TESTBED_H_
 #define FASTSAFE_SRC_CORE_TESTBED_H_
 
-#include <cstdint>
-#include <memory>
-#include <optional>
-
 #include "src/core/cluster.h"
 
 namespace fsio {
 
-struct TestbedConfig {
-  ProtectionMode mode = ProtectionMode::kStrict;  // applied to both hosts
-  // Per-host overrides (host 0 = sender side, host 1 = receiver side).
-  std::optional<ProtectionMode> host0_mode;
-  std::optional<ProtectionMode> host1_mode;
-  std::uint32_t cores = 5;
-  std::uint32_t mtu_bytes = 4096;  // wire MTU (headers included): one page
-  std::uint32_t ring_size_pkts = 256;
-  SwitchConfig network;
-  HostConfig host;    // template: per-host fields are overwritten per host
-  DctcpConfig dctcp;  // mss is derived from mtu_payload_bytes
-  bool track_l3_locality = false;  // record Rx-host IOVA allocation locality
-};
+using TestbedConfig = ClusterConfig;
 
-class Testbed {
+class Testbed : public Cluster {
  public:
-  explicit Testbed(const TestbedConfig& config);
+  using Cluster::Cluster;
 
-  EventQueue& ev() { return cluster_->ev(); }
-  Host& host(std::uint32_t id) { return cluster_->host(id); }
-  Host& sender_host() { return cluster_->host(0); }
-  Host& receiver_host() { return cluster_->host(1); }
-  const TestbedConfig& config() const { return config_; }
-
-  // The underlying topology (2 hosts, 1 switch).
-  Cluster& cluster() { return *cluster_; }
-
-  // Adds one iperf-style unbounded flow per core: host 0 core i -> host 1
-  // core i, for i in [0, n).
-  void AddBulkFlows(std::uint32_t n) { cluster_->AddBulkFlows(0, 1, n); }
-
-  // Adds a single flow src_host:src_core -> dst_host:dst_core. Returns the
-  // sender; `deliver` fires on the destination with in-order byte counts.
-  DctcpSender* AddFlow(std::uint32_t src_host, std::uint32_t dst_host, std::uint32_t src_core,
-                       std::uint32_t dst_core, DctcpReceiver::DeliverFn deliver = nullptr) {
-    return cluster_->AddFlow(src_host, dst_host, src_core, dst_core, std::move(deliver));
-  }
-
-  // Runs the simulation to absolute time `until`.
-  void RunUntil(TimeNs until) { cluster_->RunUntil(until); }
+  Cluster& cluster() { return *this; }
+  Host& sender_host() { return host(0); }
+  Host& receiver_host() { return host(1); }
 
   // Runs `warmup` then measures for `duration` on the receive-side host.
-  WindowResult RunWindow(TimeNs warmup, TimeNs duration);
-
-  // Measures a window on an arbitrary host (for Tx-side experiments).
-  WindowResult MeasureWindow(std::uint32_t host_id, TimeNs duration) {
-    return cluster_->MeasureWindow(host_id, duration);
+  WindowResult RunWindow(TimeNs warmup, TimeNs duration) {
+    RunUntil(ev().now() + warmup);
+    return MeasureWindow(1, duration);
   }
-
-  // Switch-side counters (forwarded / marked / dropped).
-  StatsRegistry& switch_stats() { return cluster_->switch_stats(); }
-
- private:
-  TestbedConfig config_;
-  std::unique_ptr<Cluster> cluster_;
 };
 
 }  // namespace fsio

@@ -95,14 +95,14 @@ DmaApi::PerCore& DmaApi::Core(std::uint32_t core) {
 Iova DmaApi::AllocIova(std::uint32_t core, std::uint64_t pages, TimeNs* cpu_ns) {
   for (std::uint32_t attempt = 0;; ++attempt) {
     const Iova iova = iova_->Alloc(core, pages);
-    *cpu_ns += config_.iova_alloc_cpu_ns;
+    *cpu_ns += kIovaAllocCpuNs;
     if (iova != IovaAllocator::kInvalidIova) {
       if (attempt > 0) {
         fault_masked_->Add();
       }
       return iova;
     }
-    if (attempt >= config_.iova_alloc_max_retries) {
+    if (attempt >= kIovaAllocMaxRetries) {
       // Genuinely exhausted (or the injected fault out-persisted the retry
       // budget): degrade gracefully — the caller returns an empty mapping
       // and the NIC simply lacks a descriptor for a while.
@@ -143,7 +143,7 @@ void DmaApi::MapRange(Iova iova, PhysAddr frame, bool huge, TimeNs* cpu_ns) {
     l3_tracker_->Access(LevelTag(iova, 3));
   }
   map_ops_->Add();
-  *cpu_ns += config_.map_page_cpu_ns;
+  *cpu_ns += kMapPageCpuNs;
 }
 
 void DmaApi::RecordGrant(PhysAddr base, std::uint64_t pages) {
@@ -561,7 +561,7 @@ TimeNs DmaApi::UnmapAndInvalidate(std::uint32_t core, const std::vector<DmaMappi
     unmap_ops_->Add();
     // A huge mapping clears one PT-L3 leaf entry; 4 KB runs clear one PTE
     // per page.
-    t += huge_run ? config_.unmap_page_cpu_ns : config_.unmap_page_cpu_ns * run_pages;
+    t += huge_run ? kUnmapPageCpuNs : kUnmapPageCpuNs * run_pages;
     if (deferred) {
       deferred_queue_.push_back(DeferredIova{run_base, run_pages, core});
       continue;
@@ -619,13 +619,13 @@ TimeNs DmaApi::FlushDeferredQueue(TimeNs t, UnmapResultInfo* out) {
 
 TimeNs DmaApi::SubmitInvalidationWithRetry(Iova base, std::uint64_t len, bool leaf_only,
                                            TimeNs* t, std::uint32_t* requests) {
-  TimeNs backoff = config_.inv_retry_backoff_ns;
+  TimeNs backoff = kInvRetryBackoffNs;
   for (std::uint32_t attempt = 0; attempt <= config_.inv_max_retries; ++attempt) {
-    *t += config_.inv_submit_cpu_ns;
+    *t += kInvSubmitCpuNs;
     const TimeNs hw = iommu_->InvalidateRange(config_.domain, base, len, leaf_only, *t);
     inv_requests_submitted_->Add();
     ++*requests;
-    if (hw != kInvalidationDropped && hw <= *t + config_.inv_wait_timeout_ns) {
+    if (hw != kInvalidationDropped && hw <= *t + kInvWaitTimeoutNs) {
       if (hw > *t) {
         trace_.Complete("driver", "inv_wait", *t, hw);
       }
@@ -638,7 +638,7 @@ TimeNs DmaApi::SubmitInvalidationWithRetry(Iova base, std::uint64_t len, bool le
     // stalled request already dropped the cache entries.)
     inv_timeouts_->Add();
     trace_.Instant("driver", "inv_timeout", *t);
-    SpinUntil(*t + config_.inv_wait_timeout_ns, t);
+    SpinUntil(*t + kInvWaitTimeoutNs, t);
     if (attempt == config_.inv_max_retries) {
       break;
     }
@@ -655,7 +655,7 @@ TimeNs DmaApi::SubmitInvalidationWithRetry(Iova base, std::uint64_t len, bool le
 }
 
 TimeNs DmaApi::SubmitFlushAndWait(TimeNs* t, std::uint32_t* requests) {
-  *t += config_.inv_submit_cpu_ns;
+  *t += kInvSubmitCpuNs;
   const TimeNs hw = config_.domain.value != 0 ? iommu_->InvalidateDomain(config_.domain, *t)
                                               : iommu_->InvalidateAll(*t);
   inv_requests_submitted_->Add();

@@ -40,11 +40,6 @@ namespace fsio {
 struct DmaApiConfig {
   ProtectionMode mode = ProtectionMode::kStrict;
   std::uint32_t pages_per_chunk = 64;  // descriptor-sized IOVA chunk (256 KB)
-  // CPU cost model (per operation, on the calling core).
-  TimeNs map_page_cpu_ns = 120;
-  TimeNs unmap_page_cpu_ns = 100;
-  TimeNs iova_alloc_cpu_ns = 60;
-  TimeNs inv_submit_cpu_ns = 200;  // submit one invalidation request + spin setup
   // Deferred mode: flush after this many unmapped IOVAs (Linux flush queue).
   std::uint32_t deferred_flush_threshold = 256;
   // Fraction of IOVA frees landing in a different core's cache, modeling the
@@ -62,19 +57,12 @@ struct DmaApiConfig {
   // PTcaches on page-table-page reclamation — the bug the paper's design
   // explicitly guards against. Tests prove the safety oracle catches it.
   bool inject_skip_reclaim_invalidation = false;
-  // Graceful degradation under injected environment faults.
-  // Invalidation wait: if the hardware shows no completion within this
-  // budget the driver assumes the request was lost and resubmits.
-  TimeNs inv_wait_timeout_ns = 50'000;
+  // Graceful degradation under injected environment faults: invalidation
+  // resubmits before the driver gives up (timeout and backoff: DmaApi).
   std::uint32_t inv_max_retries = 4;
-  // Backoff before the first resubmit; doubles per retry.
-  TimeNs inv_retry_backoff_ns = 1'000;
-  // IOVA / frame allocation failures are retried this many times before the
-  // map call gives up and returns an empty result.
-  std::uint32_t iova_alloc_max_retries = 8;
-  // kCapability mode: cost model for the capability table (grant and revoke
-  // are driver-CPU costs like map/unmap above; the check cost is the
-  // device-side lookup the NIC pays at descriptor fetch).
+  // kCapability mode: the device-side lookup cost the NIC pays per
+  // capability check at descriptor fetch (grant and revoke are driver-CPU
+  // costs like map/unmap, constants in CapabilityTable).
   CapabilityConfig capability;
   // Protection domain this driver instance maps/invalidates on behalf of.
   // Default (host domain 0) preserves single-tenant behavior; tenant drivers
@@ -93,6 +81,20 @@ struct DmaMapping {
 
 class DmaApi {
  public:
+  // CPU cost model (per operation, on the calling core).
+  static constexpr TimeNs kMapPageCpuNs = 120;
+  static constexpr TimeNs kUnmapPageCpuNs = 100;
+  static constexpr TimeNs kIovaAllocCpuNs = 60;
+  static constexpr TimeNs kInvSubmitCpuNs = 200;  // submit one invalidation request + spin setup
+  // Invalidation wait: if the hardware shows no completion within this
+  // budget the driver assumes the request was lost and resubmits.
+  static constexpr TimeNs kInvWaitTimeoutNs = 50'000;
+  // Backoff before the first resubmit; doubles per retry.
+  static constexpr TimeNs kInvRetryBackoffNs = 1'000;
+  // IOVA / frame allocation failures are retried this many times before the
+  // map call gives up and returns an empty result.
+  static constexpr std::uint32_t kIovaAllocMaxRetries = 8;
+
   DmaApi(const DmaApiConfig& config, IovaAllocator* iova, IoPageTable* page_table, Iommu* iommu,
          StatsRegistry* stats);
 
@@ -230,7 +232,7 @@ class DmaApi {
   // The one place the IO page table gains a mapping: a 4 KB PTE, or with
   // `huge` one 2 MB PT-L3 leaf, plus the oracle's map and backing records.
   // Datapath maps also record the PTcache-L3 tag, count dma.map_ops and
-  // charge map_page_cpu_ns to *cpu_ns; ring maps pass cpu_ns = nullptr and
+  // charge kMapPageCpuNs to *cpu_ns; ring maps pass cpu_ns = nullptr and
   // skip all three.
   void MapRange(Iova iova, PhysAddr frame, bool huge, TimeNs* cpu_ns);
   // Tells the oracle about `pages` identity-addressed pages a capability

@@ -54,7 +54,7 @@ Host::Host(const HostConfig& config, EventQueue* ev)
   pages_per_packet_ =
       static_cast<std::uint32_t>((config_.mtu_bytes + kPageSize - 1) / kPageSize);
   target_pages_per_ring_ = static_cast<std::uint64_t>(config_.ring_size_pkts) *
-                           pages_per_packet_ * config_.ring_pages_multiplier;
+                           pages_per_packet_ * kRingPagesMultiplier;
   if (config_.use_hugepages) {
     // Keep at least four 2 MB descriptors posted so the ring never runs dry
     // while one descriptor is being recycled (the memory-footprint cost of
@@ -69,7 +69,7 @@ Host::Host(const HostConfig& config, EventQueue* ev)
     if (state_ != HostState::kRunning) {
       // DMA already landed (legal: memory is still owned), but no CPU will
       // ever consume the packet.
-      LazyCounter(&crash_rx_dropped_, "host.crash_rx_dropped")->Add();
+      LazyCounter(&stats_, &crash_rx_dropped_, "host.crash_rx_dropped")->Add();
       return;
     }
     cores_[core].rx_queue.push_back(p);
@@ -417,13 +417,6 @@ std::vector<DmaMapping> Host::TakeMapVec() {
   return v;
 }
 
-Counter* Host::LazyCounter(Counter** slot, const char* name) {
-  if (*slot == nullptr) {
-    *slot = stats_.Get(name);
-  }
-  return *slot;
-}
-
 void Host::EnableSafetyInstrumentation(SafetyOracle* oracle, InvariantRegistry* invariants,
                                        FaultInjector* injector) {
   oracle_ = oracle;
@@ -443,7 +436,7 @@ void Host::Crash() {
     return;
   }
   state_ = HostState::kCrashed;
-  LazyCounter(&crashes_, "host.crashes")->Add();
+  LazyCounter(&stats_, &crashes_, "host.crashes")->Add();
   host_trace_.Instant("host", "crash", ev_->now());
   // The CPU side dies instantly: queued stack work is lost. The NIC keeps
   // running (and keeps DMA-ing into still-owned memory) until Recover().
@@ -507,7 +500,7 @@ void Host::FinishRecovery() {
   nic_->Resume();
   state_ = HostState::kRunning;
   recovery_step_ = RecoveryStep::kIdle;  // ladder complete; armed for next crash
-  LazyCounter(&recoveries_, "host.recoveries")->Add();
+  LazyCounter(&stats_, &recoveries_, "host.recoveries")->Add();
   host_trace_.Instant("host", "recovered", now);
   SetupRings();
 }

@@ -53,7 +53,6 @@ struct HostConfig {
   ProtectionMode mode = ProtectionMode::kStrict;
   std::uint32_t mtu_bytes = 4096;  // wire MTU, headers included
   std::uint32_t ring_size_pkts = 256;       // per core, in MTU packets
-  std::uint32_t ring_pages_multiplier = 2;  // NIC gets 2x ring-size worth of pages
   std::uint32_t pages_per_desc = 64;
   // Back Rx descriptors with 2 MB huge frames and map each descriptor as a
   // single PT-L3 leaf entry (forces pages_per_desc = 512). Used for the
@@ -82,6 +81,8 @@ enum class HostState { kRunning, kCrashed, kRecovering };
 
 class Host {
  public:
+  static constexpr std::uint32_t kRingPagesMultiplier = 2;  // NIC gets 2x ring-size worth of pages
+
   using WireOutFn = std::function<void(const Packet&, TimeNs departure)>;
 
   Host(const HostConfig& config, EventQueue* ev);
@@ -165,7 +166,6 @@ class Host {
   static HostConfig Normalize(HostConfig config);
   void SetupRings();
   void FinishRecovery();
-  Counter* LazyCounter(Counter** slot, const char* name);
   // Vector recycling: NAPI batches and per-packet Tx mapping vectors cycle
   // host -> NIC -> host, so their capacity is pooled instead of reallocated
   // every packet. Rx descriptor vectors are not pooled (MapPages fills a

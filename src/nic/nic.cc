@@ -24,13 +24,6 @@ Nic::Nic(const NicConfig& config, std::uint32_t cores, EventQueue* ev, RootCompl
       completion_reorders_(stats->Get("nic.completion_reorders")),
       completion_duplicates_(stats->Get("nic.completion_duplicates")) {}
 
-Counter* Nic::LazyCounter(Counter** slot, const char* name) {
-  if (*slot == nullptr) {
-    *slot = stats_->Get(name);
-  }
-  return *slot;
-}
-
 TimeNs Nic::Quiesce(TimeNs now) {
   quiesced_ = true;
   ++quiesce_epoch_;
@@ -78,7 +71,7 @@ bool Nic::GateOnCapability(const std::vector<DmaMapping>& mappings, TimeNs* engi
     // The device refuses the descriptor: its capability is missing or
     // revoked. The mappings are abandoned (driver error path), which is
     // exactly the fail-closed behavior the safety contract wants.
-    LazyCounter(&cap_enqueue_rejects_, "nic.cap_enqueue_rejects")->Add();
+    LazyCounter(stats_, &cap_enqueue_rejects_, "nic.cap_enqueue_rejects")->Add();
     trace_.Instant("nic", "cap_reject", now);
     return false;
   }
@@ -116,7 +109,7 @@ void Nic::OnWireArrival(const Packet& packet) {
   if (quiesced_) {
     // Link is administratively down during recovery: the packet is lost on
     // the floor, never buffered, never DMA'd.
-    LazyCounter(&rx_quiesced_drops_, "nic.rx_quiesced_drops")->Add();
+    LazyCounter(stats_, &rx_quiesced_drops_, "nic.rx_quiesced_drops")->Add();
     return;
   }
   const std::uint32_t wire = packet.wire_size();
@@ -205,7 +198,7 @@ void Nic::PumpRx() {
     // Invariant: a correctly quiesced NIC has nothing left to DMA. Anything
     // still queued here would land in a torn-down ring.
     while (!rx_queue_.empty()) {
-      LazyCounter(&dma_while_quiesced_, "nic.dma_while_quiesced")->Add();
+      LazyCounter(stats_, &dma_while_quiesced_, "nic.dma_while_quiesced")->Add();
       rx_queue_.pop_front();
     }
     return;
@@ -338,7 +331,7 @@ void Nic::CommitRx(const Packet& packet, std::uint32_t core, RxDesc* const* desc
 
 bool Nic::EnqueueTx(const Packet& packet, std::vector<DmaMapping> mappings, std::uint32_t core) {
   if (quiesced_) {
-    LazyCounter(&tx_quiesced_drops_, "nic.tx_quiesced_drops")->Add();
+    LazyCounter(stats_, &tx_quiesced_drops_, "nic.tx_quiesced_drops")->Add();
     return false;
   }
   if (!GateOnCapability(mappings, &tx_engine_free_)) {
@@ -384,7 +377,7 @@ void Nic::PumpTx() {
   if (quiesced_) {
     for (TxQueue& q : tx_queues_) {
       while (!q.work.empty()) {
-        LazyCounter(&dma_while_quiesced_, "nic.dma_while_quiesced")->Add();
+        LazyCounter(stats_, &dma_while_quiesced_, "nic.dma_while_quiesced")->Add();
         q.bytes -= q.work.front().packet.wire_size();
         q.work.pop_front();
       }

@@ -180,8 +180,6 @@ class Nic {
     std::uint16_t core = 0;
   };
 
-  Counter* LazyCounter(Counter** slot, const char* name);
-
   NicConfig config_;
   EventQueue* ev_;
   RootComplex* rc_;

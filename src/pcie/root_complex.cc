@@ -38,10 +38,10 @@ std::size_t FullSizeRcEntries(const PcieConfig& config) {
 RootComplex::RootComplex(const PcieConfig& config, Iommu* iommu, MemorySystem* memory,
                          StatsRegistry* stats)
     : config_(Validated(config)),
-      full_tlp_wire_ns_(SerializationDelayNs(config.max_payload_bytes + config.tlp_header_bytes,
+      full_tlp_wire_ns_(SerializationDelayNs(config.max_payload_bytes + kTlpHeaderBytes,
                                              config.link_gbps)),
       full_tlp_drain_ns_(ComputeDrainNs(config.max_payload_bytes)),
-      request_wire_ns_(SerializationDelayNs(config.tlp_header_bytes, config.link_gbps)),
+      request_wire_ns_(SerializationDelayNs(kTlpHeaderBytes, config.link_gbps)),
       iommu_(iommu),
       memory_(memory),
       rc_buffer_(FullSizeRcEntries(config)),
@@ -65,7 +65,7 @@ std::uint32_t RootComplex::TlpPayload(Iova iova, std::uint32_t remaining) const 
 TimeNs RootComplex::TlpWireNs(std::uint32_t payload) const {
   return payload == config_.max_payload_bytes
              ? full_tlp_wire_ns_
-             : SerializationDelayNs(payload + config_.tlp_header_bytes, config_.link_gbps);
+             : SerializationDelayNs(payload + kTlpHeaderBytes, config_.link_gbps);
 }
 
 TimeNs RootComplex::ComputeDrainNs(std::uint32_t payload) const {
@@ -148,7 +148,7 @@ DmaTiming RootComplex::DmaWrite(TimeNs start, const std::vector<DmaSegment>& seg
       write_tlps_->Add();
       // Admission: wire serialization plus RC buffer flow control.
       TimeNs send = WaitForBufferSpace(t > upstream_link_free_ ? t : upstream_link_free_, payload);
-      wire_bytes_->Add(payload + config_.tlp_header_bytes);
+      wire_bytes_->Add(payload + kTlpHeaderBytes);
       upstream_link_free_ = send + TlpWireNs(payload);
       const TimeNs arrival = upstream_link_free_;
       t = arrival;  // the NIC streams the next TLP right behind this one
@@ -217,7 +217,7 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
       }
       // Request TLP upstream (header only).
       TimeNs send = t > upstream_link_free_ ? t : upstream_link_free_;
-      wire_bytes_->Add(config_.tlp_header_bytes);
+      wire_bytes_->Add(kTlpHeaderBytes);
       upstream_link_free_ = send + request_wire_ns_;
       const TimeNs arrival = upstream_link_free_;
       t = arrival;
@@ -233,7 +233,7 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
       // over the downstream link.
       const TimeNs data_ready = memory_->Read(translated, payload);
       TimeNs comp_start = data_ready > downstream_link_free_ ? data_ready : downstream_link_free_;
-      wire_bytes_->Add(payload + config_.tlp_header_bytes);
+      wire_bytes_->Add(payload + kTlpHeaderBytes);
       downstream_link_free_ = comp_start + TlpWireNs(payload);
       const TimeNs completion = downstream_link_free_;
       outstanding_reads_.push_back(completion);

@@ -40,7 +40,6 @@ namespace fsio {
 struct PcieConfig {
   double link_gbps = 128.0;            // PCIe 3.0 x16 payload-rate approximation
   std::uint32_t max_payload_bytes = 256;
-  std::uint32_t tlp_header_bytes = 26;  // TLP + DLLP + framing overhead
   std::uint64_t rc_buffer_bytes = 6400;  // ~100 cachelines of RC-side buffering
   // Payload drain rate from the RC buffer into the memory fabric. With DDIO
   // disabled (the paper's default) writes drain at DRAM-write rates; DDIO
@@ -72,6 +71,8 @@ struct DmaTiming {
 
 class RootComplex {
  public:
+  static constexpr std::uint32_t kTlpHeaderBytes = 26;  // TLP + DLLP + framing overhead
+
   // `iommu` may be null: memory protection disabled (bypass, no translation).
   // Throws std::invalid_argument, naming the field, unless max_payload_bytes,
   // max_outstanding_reads, link_gbps and commit_bytes_per_ns are all > 0.

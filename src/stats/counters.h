@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fsio {
@@ -65,6 +66,17 @@ class StatsRegistry {
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;
 };
+
+// Returns *slot, first registering `prefix + name` in `stats` into it. Rare
+// events (crashes, quiesce and fault-domain drops) count through this, so a
+// run that never sees one publishes no counter for it.
+inline Counter* LazyCounter(StatsRegistry* stats, Counter** slot, std::string_view name,
+                            std::string_view prefix = {}) {
+  if (*slot == nullptr) {
+    *slot = stats->Get(std::string(prefix).append(name));
+  }
+  return *slot;
+}
 
 }  // namespace fsio
 

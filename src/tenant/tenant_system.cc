@@ -4,6 +4,8 @@
 
 namespace fsio {
 
+constexpr std::uint32_t kRpcPages = 4;  // descriptor pages of a latency-critical tenant
+
 TenantSystem::TenantSystem(const TenantSystemConfig& config) : config_(config) {
   memory_ = std::make_unique<MemorySystem>(config_.memory, &stats_);
   host_page_table_ = std::make_unique<IoPageTable>();
@@ -88,7 +90,7 @@ void TenantSystem::RetireInFlight(Tenant* tenant, TimeNs* t) {
 
 void TenantSystem::RunOp(Tenant* tenant) {
   const std::uint32_t pages =
-      tenant->config.latency_critical ? config_.rpc_pages : config_.churn_pages;
+      tenant->config.latency_critical ? kRpcPages : config_.churn_pages;
   DmaApi& dma = tenant->domain->dma();
   const TimeNs start = now_;
   TimeNs t = start;

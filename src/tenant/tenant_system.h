@@ -47,8 +47,9 @@ namespace fsio {
 
 struct TenantConfig {
   ProtectionMode mode = ProtectionMode::kFastSafe;
-  // Latency-critical tenants issue `rpc_pages` descriptors; others churn
-  // `churn_pages` descriptors (the noisy-neighbor shape).
+  // Latency-critical tenants issue 4-page descriptors (kRpcPages in
+  // tenant_system.cc); others churn `churn_pages` descriptors (the
+  // noisy-neighbor shape).
   bool latency_critical = false;
   std::uint32_t weight = 1;  // arbiter share of the PCIe link
   // Descriptors kept mapped before the oldest is retired. Depth 1 is an
@@ -63,7 +64,6 @@ struct TenantSystemConfig {
   IommuConfig iommu;  // shared hardware: geometry, partitioning, injection
   PcieConfig pcie;
   MemoryConfig memory;
-  std::uint32_t rpc_pages = 4;
   std::uint32_t churn_pages = 64;
 };
 

@@ -8,6 +8,7 @@ constexpr double kG = 1.0 / 16.0;  // DCTCP alpha gain
 // up to 2^kMaxRtoBackoffShift; any new cumulative ACK resets it.
 constexpr std::uint32_t kMaxRtoBackoffShift = 6;
 constexpr TimeNs kAckDelayNs = 20 * kNsPerUs;  // max ACK coalescing delay
+constexpr std::uint32_t kAckEveryMss = 4;      // ACK at least every N * MSS in-order (GRO)
 
 DctcpSender::DctcpSender(std::uint64_t flow_id, const DctcpConfig& config, EventQueue* ev,
                          EmitFn emit, StatsRegistry* stats)
@@ -308,10 +309,10 @@ void DctcpReceiver::OnData(const Packet& packet) {
   if (deliver_) {
     deliver_(delivered);
   }
-  // GRO-style coalescing: ack every ack_every_bytes * MSS, or after a gap
+  // GRO-style coalescing: ack every kAckEveryMss * MSS, or after a gap
   // just filled (progress after dup-acks), else delay.
   if (!ooo_.empty() ||
-      unacked_bytes_ >= static_cast<std::uint64_t>(config_.ack_every_bytes) * config_.mss_bytes) {
+      unacked_bytes_ >= static_cast<std::uint64_t>(kAckEveryMss) * config_.mss_bytes) {
     SendAck();
   } else {
     ScheduleDelayedAck();

@@ -39,7 +39,6 @@ struct DctcpConfig {
   // of retransmitting forever into a dead host. 0 (default) never aborts —
   // the historical retransmit-forever behaviour.
   std::uint32_t abort_after_timeouts = 0;
-  std::uint32_t ack_every_bytes = 4;     // ACK at least every N * MSS in-order (GRO)
 };
 
 class DctcpSender {

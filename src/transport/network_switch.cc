@@ -26,13 +26,6 @@ void NetworkSwitch::SetPortDown(std::uint32_t port, bool down) {
   }
 }
 
-Counter* NetworkSwitch::LazyCounter(Counter** slot, const char* name) {
-  if (*slot == nullptr) {
-    *slot = stats_->Get(stats_prefix_ + name);
-  }
-  return *slot;
-}
-
 void NetworkSwitch::SetRoute(std::uint32_t dst_host, std::uint32_t port) {
   routes_[dst_host] = port;
 }
@@ -51,22 +44,22 @@ std::optional<TimeNs> NetworkSwitch::Forward(Packet* packet, TimeNs now) {
   // accepts the packet, and a fabric-corrupted packet fails the receiver's
   // CRC (modeled as a drop at the egress port, where the bits went bad).
   if (switch_down_) {
-    LazyCounter(&switch_down_drops_, ".switch_down_drops")->Add();
+    LazyCounter(stats_, &switch_down_drops_, ".switch_down_drops", stats_prefix_)->Add();
     return std::nullopt;
   }
   if (port < port_down_.size() && port_down_[port] != 0) {
-    LazyCounter(&link_down_drops_, ".link_down_drops")->Add();
+    LazyCounter(stats_, &link_down_drops_, ".link_down_drops", stats_prefix_)->Add();
     return std::nullopt;
   }
   if (fault_injector_ != nullptr) {
     if (fault_injector_->Sample(FaultKind::kPacketCorruption, now,
                                 static_cast<std::int32_t>(port)).fire) {
-      LazyCounter(&corrupted_drops_, ".corrupted_drops")->Add();
+      LazyCounter(stats_, &corrupted_drops_, ".corrupted_drops", stats_prefix_)->Add();
       return std::nullopt;
     }
     if (fault_injector_->Sample(FaultKind::kPacketLossBurst, now,
                                 static_cast<std::int32_t>(port)).fire) {
-      LazyCounter(&loss_burst_drops_, ".loss_burst_drops")->Add();
+      LazyCounter(stats_, &loss_burst_drops_, ".loss_burst_drops", stats_prefix_)->Add();
       return std::nullopt;
     }
   }

@@ -73,8 +73,6 @@ class NetworkSwitch {
   }
 
  private:
-  Counter* LazyCounter(Counter** slot, const char* name);
-
   SwitchConfig config_;
   double bytes_per_ns_;
   std::vector<TimeNs> port_busy_until_;

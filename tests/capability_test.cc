@@ -27,7 +27,7 @@ TEST(CapabilityTableTest, GrantRevokeRoundTrip) {
   CapabilityTable table(CapabilityConfig{});
   const auto g = table.Grant({Page(3), Page(7), Page(9)});
   EXPECT_NE(g.id.slot, 0u);
-  EXPECT_EQ(g.cpu_ns, CapabilityConfig{}.grant_cpu_ns + 3 * CapabilityConfig{}.grant_page_cpu_ns);
+  EXPECT_EQ(g.cpu_ns, CapabilityTable::kGrantCpuNs + 3 * CapabilityTable::kGrantPageCpuNs);
   EXPECT_EQ(table.live_capabilities(), 1u);
   EXPECT_EQ(table.granted_pages(), 3u);
   for (std::uint64_t p : {3, 7, 9}) {
@@ -89,12 +89,12 @@ TEST(CapabilityTableTest, RevokeOfArmedCapabilityQuiesces) {
   const auto r_idle = table.Revoke(idle.id);
   EXPECT_TRUE(r_idle.revoked);
   EXPECT_FALSE(r_idle.quiesced);
-  EXPECT_EQ(r_idle.cpu_ns, config.revoke_cpu_ns);
+  EXPECT_EQ(r_idle.cpu_ns, CapabilityTable::kRevokeCpuNs);
 
   const auto r_armed = table.Revoke(armed.id);
   EXPECT_TRUE(r_armed.revoked);
   EXPECT_TRUE(r_armed.quiesced);
-  EXPECT_EQ(r_armed.cpu_ns, config.revoke_cpu_ns + config.quiesce_cpu_ns);
+  EXPECT_EQ(r_armed.cpu_ns, CapabilityTable::kRevokeCpuNs + CapabilityTable::kQuiesceCpuNs);
 }
 
 // Randomized lockstep against the obviously-correct flat model: a map from

@@ -1,4 +1,4 @@
-// Tests for the N-host Cluster topology layer: Testbed compatibility,
+// Tests for the N-host Cluster topology layer: the two-host Testbed,
 // multi-host incast, multi-switch routing, per-host protection modes, and
 // cluster-scale fault domains (switch failure, host crash–recovery with the
 // DMA quiesce protocol, peer death).
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/apps/incast.h"
-#include "src/apps/iperf.h"
 #include "src/core/cluster.h"
 #include "src/core/cluster_faults.h"
 #include "src/core/testbed.h"
@@ -22,13 +21,14 @@ constexpr TimeNs kWarmup = 5 * kNsPerMs;
 constexpr TimeNs kWindow = 10 * kNsPerMs;
 
 TEST(ClusterTest, TwoHostClusterMatchesTestbedExactly) {
-  // The Testbed facade is a 2-host Cluster; driving the Cluster directly
-  // must reproduce the historical results down to the raw counters.
+  // A Testbed is a Cluster with the default two-host config; built as a
+  // plain Cluster and driven through the Cluster calls, the same setup must
+  // give the same results down to the raw counters.
   TestbedConfig tb_config;
   tb_config.mode = ProtectionMode::kStrict;
   tb_config.cores = 5;
   Testbed testbed(tb_config);
-  StartIperf(&testbed, 5);
+  testbed.AddBulkFlows(0, 1, 5);
   const WindowResult via_testbed = testbed.RunWindow(kWarmup, kWindow);
 
   ClusterConfig config;
@@ -36,7 +36,7 @@ TEST(ClusterTest, TwoHostClusterMatchesTestbedExactly) {
   config.mode = ProtectionMode::kStrict;
   config.cores = 5;
   Cluster cluster(config);
-  cluster.AddBulkFlows(0, 1, 5);  // == StartIperf(&testbed, 5)
+  cluster.AddBulkFlows(0, 1, 5);
   cluster.RunUntil(kWarmup);
   const WindowResult via_cluster = cluster.MeasureWindow(1, kWindow);
 

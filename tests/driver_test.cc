@@ -382,8 +382,8 @@ TEST_F(DriverTest, CountersMatchReturnedCostsInEveryMode) {
     EXPECT_EQ(stats_->Value("dma.map_cpu_ns"), map_cpu);
     if (invalidates) {
       EXPECT_GT(stats_->Value("dma.spin_ns"), 0u);
-      EXPECT_EQ(unmap_cpu, config.unmap_page_cpu_ns * (kRxPages + kTxPages) +
-                               config.inv_submit_cpu_ns * stats_->Value("dma.inv_requests") +
+      EXPECT_EQ(unmap_cpu, DmaApi::kUnmapPageCpuNs * (kRxPages + kTxPages) +
+                               DmaApi::kInvSubmitCpuNs * stats_->Value("dma.inv_requests") +
                                stats_->Value("dma.spin_ns"));
     } else {
       EXPECT_EQ(stats_->Value("dma.spin_ns"), 0u);

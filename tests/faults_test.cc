@@ -312,7 +312,7 @@ TEST_F(FaultedDriverTest, InvalidationStallTriggersRetryAndStaysSafe) {
     EXPECT_GE(stats_->Value("dma.inv_retries"), 1u) << ProtectionModeName(mode);
     EXPECT_GE(stats_->Value("dma.inv_timeouts"), 1u) << ProtectionModeName(mode);
     // The timed-out wait plus backoff is charged to the calling CPU.
-    EXPECT_GT(unmap.cpu_ns, DmaApiConfig{}.inv_wait_timeout_ns) << ProtectionModeName(mode);
+    EXPECT_GT(unmap.cpu_ns, DmaApi::kInvWaitTimeoutNs) << ProtectionModeName(mode);
     // Safety: the stalled request still dropped the IOTLB entries, and the
     // retry completed before the unmap returned.
     const TranslationResult after = iommu_->Translate(iova, unmap.hw_done + 1'000'000);

@@ -90,7 +90,7 @@ TEST_P(HeapBoundTest, LiveBytesStayFlatAfterWarmup) {
   TestbedConfig config;
   config.mode = GetParam();
   Testbed tb(config);
-  tb.AddBulkFlows(config.cores);
+  tb.AddBulkFlows(0, 1, config.cores);
   tb.RunUntil(2 * kWindowNs);
   const std::int64_t after_window2 = g_live_bytes;
   tb.RunUntil(8 * kWindowNs);
@@ -113,7 +113,7 @@ void ExpectIperfAllocationsPerReceivedPacketAtMost(ProtectionMode mode, double b
   config.mtu_bytes = 4096;
   config.ring_size_pkts = 256;
   Testbed tb(config);
-  tb.AddBulkFlows(40);
+  tb.AddBulkFlows(0, 1, 40);
   tb.RunUntil(4 * kWindowNs);
   const auto rx_packets = [&tb] {
     return tb.sender_host().stats().Value("nic.rx_packets") +

@@ -5,7 +5,6 @@
 
 #include <string>
 
-#include "src/apps/iperf.h"
 #include "src/core/testbed.h"
 #include "src/trace/tracer.h"
 
@@ -17,7 +16,7 @@ TEST(HostTest, RingsAreReplenishedUnderSustainedTraffic) {
   config.mode = ProtectionMode::kStrict;
   config.cores = 2;
   Testbed testbed(config);
-  StartIperf(&testbed, 2);
+  testbed.AddBulkFlows(0, 1, 2);
   testbed.RunUntil(20 * kNsPerMs);
   auto& stats = testbed.receiver_host().stats();
   // Descriptors cycle continuously: many more replenishments than the
@@ -46,7 +45,7 @@ TEST(HostTest, MapUnmapBalanceUnderTraffic) {
   config.mode = ProtectionMode::kFastSafe;
   config.cores = 2;
   Testbed testbed(config);
-  StartIperf(&testbed, 2);
+  testbed.AddBulkFlows(0, 1, 2);
   testbed.RunUntil(20 * kNsPerMs);
   auto& stats = testbed.receiver_host().stats();
   const std::uint64_t maps = stats.Value("dma.map_ops");
@@ -56,7 +55,7 @@ TEST(HostTest, MapUnmapBalanceUnderTraffic) {
   // Page table does not leak: live mappings stay bounded by the rings'
   // provisioning plus in-flight Tx pages.
   Host& host = testbed.receiver_host();
-  const std::uint64_t ring_pages = 2ull * config.host.ring_pages_multiplier *
+  const std::uint64_t ring_pages = 2ull * Host::kRingPagesMultiplier *
                                    config.ring_size_pkts * 2 /*generous slack*/;
   EXPECT_LT(host.dma().deferred_pending(), 1u);  // not deferred mode
   (void)ring_pages;
@@ -71,7 +70,7 @@ TEST(HostTest, FastSafeBenefitIsIovaNotPhysicalContiguity) {
     config.cores = 5;
     (void)note_scramble;
     Testbed testbed(config);
-    StartIperf(&testbed, 5);
+    testbed.AddBulkFlows(0, 1, 5);
     return testbed.RunWindow(10 * kNsPerMs, 15 * kNsPerMs);
   };
   // The simulator's IOMMU caches key on IOVA tags only; physical addresses
@@ -98,7 +97,7 @@ TEST(HostTest, DescriptorFetchTrafficExists) {
   config.mode = ProtectionMode::kStrict;
   config.cores = 2;
   Testbed testbed(config);
-  StartIperf(&testbed, 2);
+  testbed.AddBulkFlows(0, 1, 2);
   testbed.RunUntil(10 * kNsPerMs);
   EXPECT_GT(testbed.receiver_host().stats().Value("nic.desc_fetches"), 0u);
 }
@@ -109,7 +108,7 @@ TEST(HostTest, TinyNicBufferDropsUnderLoad) {
   config.cores = 5;
   config.host.nic.rx_buffer_bytes = 64 * 1024;  // absurdly small
   Testbed testbed(config);
-  StartIperf(&testbed, 10);
+  testbed.AddBulkFlows(0, 1, 10);
   const WindowResult r = testbed.RunWindow(10 * kNsPerMs, 15 * kNsPerMs);
   EXPECT_GT(r.drop_rate, 0.001);
 }
@@ -119,7 +118,7 @@ TEST(HostTest, SingleCoreHostWorks) {
   config.mode = ProtectionMode::kFastSafe;
   config.cores = 1;
   Testbed testbed(config);
-  StartIperf(&testbed, 1);
+  testbed.AddBulkFlows(0, 1, 1);
   testbed.RunUntil(10 * kNsPerMs);
   EXPECT_GT(testbed.receiver_host().app_bytes_delivered(), 10u << 20);
 }
@@ -133,7 +132,7 @@ TEST(HostTest, SinglePageDescriptorsWork) {
   config.cores = 2;
   config.host.pages_per_desc = 1;
   Testbed testbed(config);
-  StartIperf(&testbed, 2);
+  testbed.AddBulkFlows(0, 1, 2);
   const WindowResult r = testbed.RunWindow(10 * kNsPerMs, 15 * kNsPerMs);
   EXPECT_GT(r.goodput_gbps, 50.0);
   EXPECT_EQ(r.safety_violations, 0u);
@@ -148,7 +147,7 @@ TEST(HostTest, RecoveryRewiresEveryDriverHook) {
   TestbedConfig config;
   config.mode = ProtectionMode::kDeferred;
   config.cores = 2;
-  config.track_l3_locality = true;
+  config.track_l3_locality_hosts = {1};
   Testbed testbed(config);
   Host& host = testbed.receiver_host();
   VectorSink sink;
@@ -164,7 +163,7 @@ TEST(HostTest, RecoveryRewiresEveryDriverHook) {
   SafetyOracle oracle;
   InvariantRegistry invariants;
   host.EnableSafetyInstrumentation(&oracle, &invariants, &injector);
-  StartIperf(&testbed, 2);
+  testbed.AddBulkFlows(0, 1, 2);
 
   testbed.RunUntil(5 * kNsPerMs);
   const std::uint64_t checks_before = invariants.checks_run();

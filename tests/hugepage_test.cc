@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/apps/iperf.h"
 #include "src/core/testbed.h"
 #include "src/driver/dma_api.h"
 #include "src/iommu/iommu.h"
@@ -212,7 +211,7 @@ TEST(HugeTestbedTest, FastSafeHugeReachesLineRateWithFewerMisses) {
   config.cores = 5;
   config.host.use_hugepages = true;
   Testbed testbed(config);
-  StartIperf(&testbed, 5);
+  testbed.AddBulkFlows(0, 1, 5);
   const WindowResult r = testbed.RunWindow(10 * kNsPerMs, 15 * kNsPerMs);
   EXPECT_GT(r.goodput_gbps, 95.0);
   EXPECT_LT(r.iotlb_miss_per_page, 0.5);  // ~5x below 4 KB F&S
@@ -224,7 +223,7 @@ TEST(HugeTestbedTest, PersistentModeNearZeroMisses) {
   config.mode = ProtectionMode::kHugepagePersistent;
   config.cores = 5;
   Testbed testbed(config);
-  StartIperf(&testbed, 5);
+  testbed.AddBulkFlows(0, 1, 5);
   const WindowResult r = testbed.RunWindow(10 * kNsPerMs, 15 * kNsPerMs);
   EXPECT_GT(r.goodput_gbps, 95.0);
   EXPECT_LT(r.iotlb_miss_per_page, 0.05);

@@ -320,8 +320,8 @@ class DequeRootComplex {
         TimeNs send =
             WaitForBufferSpace(t > upstream_link_free_ ? t : upstream_link_free_, payload);
         const TimeNs wire =
-            SerializationDelayNs(payload + config_.tlp_header_bytes, config_.link_gbps);
-        wire_bytes_->Add(payload + config_.tlp_header_bytes);
+            SerializationDelayNs(payload + RootComplex::kTlpHeaderBytes, config_.link_gbps);
+        wire_bytes_->Add(payload + RootComplex::kTlpHeaderBytes);
         upstream_link_free_ = send + wire;
         const TimeNs arrival = upstream_link_free_;
         t = arrival;
@@ -387,8 +387,9 @@ class DequeRootComplex {
           outstanding_reads_.pop_front();
         }
         TimeNs send = t > upstream_link_free_ ? t : upstream_link_free_;
-        const TimeNs req_wire = SerializationDelayNs(config_.tlp_header_bytes, config_.link_gbps);
-        wire_bytes_->Add(config_.tlp_header_bytes);
+        const TimeNs req_wire =
+            SerializationDelayNs(RootComplex::kTlpHeaderBytes, config_.link_gbps);
+        wire_bytes_->Add(RootComplex::kTlpHeaderBytes);
         upstream_link_free_ = send + req_wire;
         const TimeNs arrival = upstream_link_free_;
         t = arrival;
@@ -403,8 +404,8 @@ class DequeRootComplex {
         TimeNs comp_start =
             data_ready > downstream_link_free_ ? data_ready : downstream_link_free_;
         const TimeNs comp_wire =
-            SerializationDelayNs(payload + config_.tlp_header_bytes, config_.link_gbps);
-        wire_bytes_->Add(payload + config_.tlp_header_bytes);
+            SerializationDelayNs(payload + RootComplex::kTlpHeaderBytes, config_.link_gbps);
+        wire_bytes_->Add(payload + RootComplex::kTlpHeaderBytes);
         downstream_link_free_ = comp_start + comp_wire;
         const TimeNs completion = downstream_link_free_;
         outstanding_reads_.push_back(completion);

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/apps/iperf.h"
 #include "src/core/testbed.h"
 #include "src/driver/dma_api.h"
 #include "src/iommu/iommu.h"
@@ -29,7 +28,7 @@ TEST_P(ModeProperty, NoFaultsUnderTraffic) {
   config.mode = GetParam();
   config.cores = 3;
   Testbed testbed(config);
-  StartIperf(&testbed, 3);
+  testbed.AddBulkFlows(0, 1, 3);
   const WindowResult r = testbed.RunWindow(5 * kNsPerMs, 10 * kNsPerMs);
   auto value = [&r](const char* name) {
     auto it = r.raw_rx_host.find(name);
@@ -46,7 +45,7 @@ TEST_P(ModeProperty, SafetyTaxonomyHolds) {
   config.mode = GetParam();
   config.cores = 3;
   Testbed testbed(config);
-  StartIperf(&testbed, 3);
+  testbed.AddBulkFlows(0, 1, 3);
   const WindowResult r = testbed.RunWindow(5 * kNsPerMs, 10 * kNsPerMs);
   if (IsStrictlySafe(GetParam())) {
     EXPECT_EQ(r.safety_violations, 0u) << ProtectionModeName(GetParam());
@@ -62,7 +61,7 @@ TEST_P(ModeProperty, MissAccountingIdentity) {
   config.mode = GetParam();
   config.cores = 3;
   Testbed testbed(config);
-  StartIperf(&testbed, 3);
+  testbed.AddBulkFlows(0, 1, 3);
   const WindowResult r = testbed.RunWindow(5 * kNsPerMs, 10 * kNsPerMs);
   const double sum = r.iotlb_miss_per_page + r.l1_miss_per_page + r.l2_miss_per_page +
                      r.l3_miss_per_page;
@@ -77,7 +76,7 @@ TEST_P(ModeProperty, Deterministic) {
     config.mode = GetParam();
     config.cores = 3;
     Testbed testbed(config);
-    StartIperf(&testbed, 3);
+    testbed.AddBulkFlows(0, 1, 3);
     return testbed.RunWindow(5 * kNsPerMs, 10 * kNsPerMs);
   };
   const WindowResult a = run();

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/apps/iperf.h"
 #include "src/core/sweep_runner.h"
 #include "src/core/testbed.h"
 #include "src/simcore/log.h"
@@ -25,7 +24,7 @@ std::map<std::string, std::uint64_t> RunPoint(std::size_t i) {
   config.mode = i % 2 == 0 ? ProtectionMode::kStrict : ProtectionMode::kFastSafe;
   config.cores = 5;
   Testbed testbed(config);
-  StartIperf(&testbed, kFlows[i % 4]);
+  testbed.AddBulkFlows(0, 1, kFlows[i % 4]);
   return testbed.RunWindow(2 * kNsPerMs, 4 * kNsPerMs).raw_rx_host;
 }
 

@@ -16,7 +16,7 @@ WindowResult QuickIperf(ProtectionMode mode, std::uint32_t flows,
   config.mode = mode;
   config.cores = 5;
   Testbed testbed(config);
-  StartIperf(&testbed, flows);
+  testbed.AddBulkFlows(0, 1, flows);
   return testbed.RunWindow(warmup, window);
 }
 
@@ -92,7 +92,7 @@ TEST(TestbedTest, NoSafetyViolationsUnderSustainedLoad) {
     config.mode = mode;
     config.cores = 5;
     Testbed testbed(config);
-    StartIperf(&testbed, 10);
+    testbed.AddBulkFlows(0, 1, 10);
     const WindowResult r = testbed.RunWindow(5 * kNsPerMs, 25 * kNsPerMs);
     EXPECT_EQ(r.safety_violations, 0u) << ProtectionModeName(mode);
     EXPECT_EQ(r.raw_rx_host.at("iommu.faults"), 0u) << ProtectionModeName(mode);
@@ -116,20 +116,20 @@ TEST(TestbedTest, BytesConserved) {
 TEST(TestbedTest, PerHostModeOverrides) {
   TestbedConfig config;
   config.mode = ProtectionMode::kStrict;
-  config.host0_mode = ProtectionMode::kOff;
+  config.host_modes[0] = ProtectionMode::kOff;
   config.cores = 5;
   Testbed testbed(config);
-  StartIperf(&testbed, 5);
+  testbed.AddBulkFlows(0, 1, 5);
   testbed.RunUntil(10 * kNsPerMs);
   EXPECT_EQ(testbed.host(0).iommu(), nullptr);
   EXPECT_NE(testbed.host(1).iommu(), nullptr);
 }
 
 TEST(TestbedTest, Host1ModeOverrideAppliesToReceiver) {
-  // host1_mode must override the cluster default on the receive host only.
+  // host_modes[1] must override the cluster default on the receive host only.
   TestbedConfig config;
   config.mode = ProtectionMode::kOff;
-  config.host1_mode = ProtectionMode::kStrict;
+  config.host_modes[1] = ProtectionMode::kStrict;
   config.cores = 5;
   Testbed testbed(config);
   EXPECT_EQ(testbed.host(0).iommu(), nullptr);
@@ -138,7 +138,7 @@ TEST(TestbedTest, Host1ModeOverrideAppliesToReceiver) {
 
   // The strict receiver pays protection costs even though the sender has
   // protection off: per-page IOMMU misses show up in the measured window.
-  StartIperf(&testbed, 5);
+  testbed.AddBulkFlows(0, 1, 5);
   const WindowResult r = testbed.RunWindow(10 * kNsPerMs, 15 * kNsPerMs);
   EXPECT_GE(r.iotlb_miss_per_page, 1.0);
 }
@@ -146,8 +146,8 @@ TEST(TestbedTest, Host1ModeOverrideAppliesToReceiver) {
 TEST(TestbedTest, BothHostModeOverridesTogether) {
   TestbedConfig config;
   config.mode = ProtectionMode::kStrict;
-  config.host0_mode = ProtectionMode::kFastSafe;
-  config.host1_mode = ProtectionMode::kOff;
+  config.host_modes[0] = ProtectionMode::kFastSafe;
+  config.host_modes[1] = ProtectionMode::kOff;
   Testbed testbed(config);
   EXPECT_EQ(testbed.host(0).config().mode, ProtectionMode::kFastSafe);
   EXPECT_NE(testbed.host(0).iommu(), nullptr);
@@ -163,7 +163,7 @@ TEST(TestbedTest, MeasureWindowOnSenderHost) {
   config.mode = ProtectionMode::kStrict;
   config.cores = 5;
   Testbed testbed(config);
-  StartIperf(&testbed, 5);
+  testbed.AddBulkFlows(0, 1, 5);
   testbed.RunUntil(10 * kNsPerMs);
   const WindowResult sender = testbed.MeasureWindow(0, 15 * kNsPerMs);
   EXPECT_EQ(sender.goodput_gbps, 0.0);  // no app data flows toward host 0
@@ -178,7 +178,7 @@ TEST(TestbedTest, LargerMtuUsesFewerPackets) {
   config.cores = 5;
   config.mtu_bytes = 9000;
   Testbed testbed(config);
-  StartIperf(&testbed, 5);
+  testbed.AddBulkFlows(0, 1, 5);
   const WindowResult r = testbed.RunWindow(10 * kNsPerMs, 10 * kNsPerMs);
   EXPECT_GT(r.goodput_gbps, 95.0);
   const std::uint64_t packets = r.raw_rx_host.at("nic.rx_packets");
@@ -191,7 +191,7 @@ TEST(TestbedTest, RxTxConcurrentTrafficRuns) {
   config.mode = ProtectionMode::kFastSafe;
   config.cores = 8;
   Testbed testbed(config);
-  StartIperf(&testbed, 4);
+  testbed.AddBulkFlows(0, 1, 4);
   StartReverseIperf(&testbed, 4, config.cores, 4);
   testbed.RunUntil(20 * kNsPerMs);
   EXPECT_GT(testbed.host(0).app_bytes_delivered(), 0u);  // reverse data
@@ -211,13 +211,13 @@ TEST(TestbedTest, FastSafeInsensitiveToRingSize) {
   small.cores = 5;
   small.ring_size_pkts = 256;
   Testbed tb_small(small);
-  StartIperf(&tb_small, 5);
+  tb_small.AddBulkFlows(0, 1, 5);
   const WindowResult r_small = tb_small.RunWindow(10 * kNsPerMs, 15 * kNsPerMs);
 
   TestbedConfig big = small;
   big.ring_size_pkts = 2048;
   Testbed tb_big(big);
-  StartIperf(&tb_big, 5);
+  tb_big.AddBulkFlows(0, 1, 5);
   const WindowResult r_big = tb_big.RunWindow(10 * kNsPerMs, 15 * kNsPerMs);
 
   EXPECT_LT(r_big.l3_miss_per_page, 0.053);  // the paper's Fig. 8 bound

@@ -164,8 +164,8 @@ TEST(DctcpTest, ReceiverCoalescesAcks) {
   net.sender_->EnqueueAppBytes(1000 * 64);
   net.ev_.RunUntil(50 * kNsPerMs);
   const std::uint64_t acks = net.stats_.Value("dctcp.acks_sent");
-  // With ack_every_bytes = 4 MSS, at most ~1 ack per 4 packets (plus timer
-  // stragglers).
+  // With an ACK every 4 MSS (kAckEveryMss), at most ~1 ack per 4 packets
+  // (plus timer stragglers).
   EXPECT_LT(acks, 64u / 2);
   EXPECT_GT(acks, 0u);
 }

@@ -8,15 +8,17 @@
 //   * default sweep          — every protection mode (or one, via --mode) is
 //                              explored to --depth; any invariant violation
 //                              is shrunk to a minimal counterexample trace,
-//                              printed (and optionally written via
-//                              --trace-out), exit 1.
+//                              printed (the first one optionally written
+//                              via --trace-out), exit 1.
 //   * --bug X --expect-violation
 //                            — checker power test: EVERY explored mode the
 //                              bug applies to must produce a violation,
 //                              whose shrunk trace must fit --max-trace-steps
 //                              and whose written bytes (the --trace-out
-//                              file, if given) must replay (Parse -> Replay
-//                              still violates). Exit 0 only when all hold.
+//                              file for the first violation, if given; the
+//                              in-memory text for the rest) must replay
+//                              (Parse -> Replay still violates). Exit 0 only
+//                              when all hold.
 //   * --replay FILE          — re-runs a previously written trace file and
 //                              reports whether the violation reproduces.
 //
@@ -108,7 +110,7 @@ int Main(int argc, char** argv) {
           cli::Unsigned("max-trace-steps", &opt.max_trace_steps,
                         "shrunk counterexample size budget"),
           cli::String("trace-out", &opt.trace_out, "FILE",
-                      "write the shrunk counterexample trace here"),
+                      "write the first shrunk counterexample trace here"),
           cli::String("replay", &opt.replay, "FILE", "replay a trace file instead of exploring"),
           cli::Switch("no-por", &opt.no_por, "disable the partial-order reduction"),
           cli::Switch("quiet", &opt.quiet, "only print the final summary line"),
@@ -153,16 +155,19 @@ int Main(int argc, char** argv) {
                   ModeToken(mode), InjectedBugName(opt.bug), opt.domains, opt.pages,
                   ModelViolationName(outcome.violation), outcome.trace.size());
       const ReplayOutcome first{outcome.violation, outcome.trace.size() - 1};
+      // Only the first violation is written to --trace-out; later modes
+      // replay their trace text in memory.
+      const std::string trace_out = violated_modes == 1 ? opt.trace_out : std::string();
       TraceRepro repro;
       const auto cx = ShrinkCounterexample(
           check::TraceChecker(config.model, outcome.violation, &repro), outcome.trace,
           first.fail_index, first,
-          power_test ? std::optional(opt.max_trace_steps) : std::nullopt, opt.trace_out);
+          power_test ? std::optional(opt.max_trace_steps) : std::nullopt, trace_out);
       std::printf("shrunk to %zu steps in %u replays:\n", cx.shrunk.ops.size(), cx.shrunk.runs);
       PrintTrace(cx.shrunk.ops);
       std::printf("  => %s\n", ModelViolationName(cx.shrunk.result.violation));
-      if (!opt.trace_out.empty()) {
-        std::printf("trace written to %s\n", opt.trace_out.c_str());
+      if (!trace_out.empty()) {
+        std::printf("trace written to %s\n", trace_out.c_str());
       }
       if (cx.over_budget) {
         std::printf("power test FAILED: trace has %zu steps, budget is %zu\n",
