@@ -2,8 +2,8 @@
 // (DESIGN.md §11): schedule/dispatch throughput of the calendar queue and
 // arena against the reference binary-heap scheduler, plus the specific
 // shapes the datapath generates — same-timestamp bursts (NIC commit chains),
-// short-horizon timer wheels (per-packet stack work), and far-future
-// overflow churn (measurement-window boundaries). Run by the CI perf-smoke
+// short-horizon timer wheels (per-packet stack work), dense buckets (F&S
+// Redis), and far-future overflow churn (measurement-window boundaries). Run by the CI perf-smoke
 // job; compare against ReferenceEventQueue locally with --benchmark_filter.
 #include <benchmark/benchmark.h>
 
@@ -78,6 +78,49 @@ void BM_RefHeap_Burst(benchmark::State& s) {
 }
 BENCHMARK(BM_EventCore_Burst)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_RefHeap_Burst)->Arg(16)->Arg(256)->Arg(4096);
+
+// Dense buckets, the F&S Redis shape (~47 events per simulated us, a few
+// per 64 ns bucket): every executed event schedules a successor at the
+// same nanosecond (1 in 4), later inside the bucket's span (2 in 4) or a
+// few buckets ahead (1 in 4), and the caller advances in 1 us slices.
+// Reports the density it reached as events_per_sim_us.
+template <typename Queue>
+void DenseBuckets(benchmark::State& state) {
+  Queue q;
+  q.Reserve(8192);
+  const std::int64_t population = state.range(0);
+  std::uint64_t executed = 0;
+  Rng rng(3);
+  struct Chain {
+    Queue* q;
+    std::uint64_t* executed;
+    Rng* rng;
+    void Fire() {
+      ++*executed;
+      const std::uint64_t kind = rng->NextBelow(4);
+      const TimeNs delay = kind == 0  ? 0
+                           : kind < 3 ? 1 + rng->NextBelow(63)
+                                      : 64 + rng->NextBelow(4032);
+      q->ScheduleAfter(delay, [this] { Fire(); });
+    }
+  } chain{&q, &executed, &rng};
+  for (std::int64_t i = 0; i < population; ++i) {
+    q.ScheduleAfter(rng.NextBelow(1000), [&chain] { chain.Fire(); });
+  }
+  for (auto _ : state) {
+    const std::uint64_t target = executed + 1024;
+    while (executed < target) {
+      q.RunUntil(q.now() + 1000);
+    }
+  }
+  state.counters["events_per_sim_us"] =
+      static_cast<double>(executed) * 1000.0 / static_cast<double>(q.now());
+  state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+}
+void BM_EventCore_Dense(benchmark::State& s) { DenseBuckets<EventQueue>(s); }
+void BM_RefHeap_Dense(benchmark::State& s) { DenseBuckets<ReferenceEventQueue>(s); }
+BENCHMARK(BM_EventCore_Dense)->Arg(24)->Arg(96);
+BENCHMARK(BM_RefHeap_Dense)->Arg(24)->Arg(96);
 
 // Overflow-tier churn: a mix of near-future work and events far beyond the
 // calendar window (measurement-window edges, retransmit timers), forcing

@@ -97,13 +97,17 @@ std::optional<std::uint64_t> SetAssocCache::Peek(std::uint64_t tag) const {
   return entries_[slot].payload;
 }
 
-std::optional<std::uint64_t> SetAssocCache::Insert(std::uint64_t tag, std::uint64_t payload) {
+std::optional<std::uint64_t> SetAssocCache::Insert(std::uint64_t tag, std::uint64_t payload,
+                                                   HitHandle* handle) {
   ++mut_version_;
   std::size_t bucket = Probe(tag);
-  if (index_[bucket].slot != kNoSlot) {
-    Entry& existing = entries_[index_[bucket].slot];
+  if (const std::uint32_t slot = index_[bucket].slot; slot != kNoSlot) {
+    Entry& existing = entries_[slot];
     existing.payload = payload;
     existing.lru = ++tick_;
+    if (handle != nullptr) {
+      *handle = slot;
+    }
     return std::nullopt;
   }
   const std::size_t base = SetIndexFor(tag) * ways_;
@@ -139,7 +143,11 @@ std::optional<std::uint64_t> SetAssocCache::Insert(std::uint64_t tag, std::uint6
   victim->tag = tag;
   victim->payload = payload;
   victim->lru = ++tick_;
-  index_[bucket] = {tag, static_cast<std::uint32_t>(victim - entries_.data())};
+  const auto slot = static_cast<std::uint32_t>(victim - entries_.data());
+  index_[bucket] = {tag, slot};
+  if (handle != nullptr) {
+    *handle = slot;
+  }
   return evicted;
 }
 

@@ -70,8 +70,11 @@ class SetAssocCache {
   std::optional<std::uint64_t> Peek(std::uint64_t tag) const;
 
   // Inserts (or updates) `tag` with `payload`, evicting the set's LRU entry
-  // if the set is full. Returns the evicted tag, if any.
-  std::optional<std::uint64_t> Insert(std::uint64_t tag, std::uint64_t payload);
+  // if the set is full. Returns the evicted tag, if any. When `handle` is
+  // non-null it receives the filled entry's handle, valid for RepeatHit as
+  // if a Lookup of `tag` had just hit it.
+  std::optional<std::uint64_t> Insert(std::uint64_t tag, std::uint64_t payload,
+                                      HitHandle* handle = nullptr);
 
   // Removes `tag` if present. Returns true if an entry was removed.
   bool Invalidate(std::uint64_t tag);

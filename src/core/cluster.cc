@@ -1,10 +1,41 @@
 #include "src/core/cluster.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace fsio {
+namespace {
+
+// Cluster sets these fields per host (and the MSS from the MTU), so a value
+// a caller put there would be replaced without a word: reject it instead.
+void RejectDerivedFields(const ClusterConfig& config) {
+  const auto reject_if = [](bool set, const std::string& field, const std::string& instead) {
+    if (set) {
+      throw std::invalid_argument("ClusterConfig::" + field +
+                                  " is derived per host; set ClusterConfig::" + instead +
+                                  " instead");
+    }
+  };
+  const HostConfig defaults;
+  const HostConfig& host = config.host;
+  reject_if(host.host_id != defaults.host_id, "host.host_id", "num_hosts");
+  reject_if(host.cores != defaults.cores, "host.cores", "cores");
+  reject_if(host.mode != defaults.mode, "host.mode", "mode or host_modes");
+  reject_if(host.mtu_bytes != defaults.mtu_bytes, "host.mtu_bytes", "mtu_bytes");
+  reject_if(host.ring_size_pkts != defaults.ring_size_pkts, "host.ring_size_pkts",
+            "ring_size_pkts");
+  reject_if(host.track_l3_locality != defaults.track_l3_locality, "host.track_l3_locality",
+            "track_l3_locality_hosts");
+  // A config read back from Cluster::config() carries the derived MSS.
+  const std::uint32_t mss = config.dctcp.mss_bytes;
+  reject_if(mss != DctcpConfig{}.mss_bytes && mss != config.mtu_bytes - kHeaderBytes,
+            "dctcp.mss_bytes", "mtu_bytes");
+}
+
+}  // namespace
 
 Cluster::Cluster(const ClusterConfig& config) : config_(config) {
+  RejectDerivedFields(config_);
   if (config_.num_hosts < 2) {
     config_.num_hosts = 2;
   }

@@ -54,8 +54,11 @@ struct ClusterConfig {
   std::uint32_t mtu_bytes = 4096;  // wire MTU (headers included): one page
   std::uint32_t ring_size_pkts = 256;
   SwitchConfig network;
-  HostConfig host;    // template: per-host fields are overwritten per host
-  DctcpConfig dctcp;  // mss is derived from mtu_bytes
+  // Template for every host. Its host_id, cores, mode, mtu_bytes,
+  // ring_size_pkts and track_l3_locality come from the fields above and
+  // must stay at their HostConfig{} defaults.
+  HostConfig host;
+  DctcpConfig dctcp;  // mss_bytes is derived from mtu_bytes
   // Host ids whose IOVA allocation locality is traced (Figs 2e/3e/7e/8e).
   std::vector<std::uint32_t> track_l3_locality_hosts;
 };
@@ -79,6 +82,9 @@ struct WindowResult {
 
 class Cluster {
  public:
+  // Throws std::invalid_argument when `config` sets a field the cluster
+  // derives: one of the per-host fields of `host`, or a `dctcp.mss_bytes`
+  // other than its default and the value derived from `mtu_bytes`.
   explicit Cluster(const ClusterConfig& config);
 
   EventQueue& ev() { return ev_; }

@@ -9,6 +9,8 @@ namespace {
 // WalkAndFill prunes completed walks once the pending-walk table holds more
 // keys than this.
 constexpr std::size_t kPendingWalkPruneAbove = 8192;
+// Initial pending-walk table size; Put doubles it past half load.
+constexpr std::size_t kPendingWalkBuckets = 2048;
 // IO page table caches. Sizes are not public; the paper estimates 64-128
 // for PTcache-L3 (Fig. 2e thresholds) and small L1/L2 caches suffice.
 constexpr std::uint32_t kPtcacheL1Entries = 32;
@@ -125,7 +127,7 @@ Iommu::Iommu(const IommuConfig& config, MemorySystem* memory, IoPageTable* page_
       ptcaches_{SetAssocCache(1, kPtcacheL1Entries), SetAssocCache(1, kPtcacheL2Entries),
                 SetAssocCache(1, kPtcacheL3Entries)},
       walker_free_(config.num_walkers == 0 ? 1 : config.num_walkers, 0),
-      pending_walks_(2 * (kPendingWalkPruneAbove + 1)),
+      pending_walks_(kPendingWalkBuckets),
       translations_(stats->Get("iommu.translations")),
       iotlb_miss_(stats->Get("iommu.iotlb_miss")),
       ptcache_miss_{stats->Get("iommu.ptcache_l1_miss"), stats->Get("iommu.ptcache_l2_miss"),
@@ -276,21 +278,26 @@ TranslationResult Iommu::IotlbHit(DomainId domain, const DomainTable::Entry& dom
     stale_iotlb_use_->Add();
     trace_.Instant("iommu", "stale_iotlb_use", start);
   }
+  ArmRepeat(domain, dom, counters, iova, handle, base, huge, out.stale_iotlb, out.cross_domain);
+  NotifyOracle(dom.oracle, iova, start, out);
+  return out;
+}
+
+void Iommu::ArmRepeat(DomainId domain, const DomainTable::Entry& dom,
+                      const DomainCounters* counters, Iova iova, SetAssocCache::HitHandle entry,
+                      PhysAddr base, bool huge, bool stale, bool cross_domain) {
   repeat_.page = PageNumber(iova);
-  repeat_.entry = handle;
+  repeat_.entry = entry;
   repeat_.base = base;
-  repeat_.offset_mask = offset_mask;
+  repeat_.offset_mask = (huge ? LevelEntrySpan(3) : kPageSize) - 1;
   repeat_.huge = huge;
-  repeat_.stale = out.stale_iotlb;
-  repeat_.cross_domain = out.cross_domain;
-  repeat_.plain = !huge && !out.stale_iotlb && !out.cross_domain && counters == nullptr &&
-                  dom.oracle == nullptr;
+  repeat_.stale = stale;
+  repeat_.cross_domain = cross_domain;
+  repeat_.plain = !huge && !stale && !cross_domain && counters == nullptr && dom.oracle == nullptr;
   repeat_.domain = domain;
   repeat_.pt = dom.page_table;
   repeat_.iotlb_version = iotlb_.mutation_version();
   repeat_.pt_version = dom.page_table->mutation_version();
-  NotifyOracle(dom.oracle, iova, start, out);
-  return out;
 }
 
 TranslationResult Iommu::TranslateMemoMiss(DomainId domain, Iova iova, TimeNs start) {
@@ -336,7 +343,7 @@ TranslationResult Iommu::TranslateMemoMiss(DomainId domain, Iova iova, TimeNs st
   if (counters != nullptr) {
     counters->iotlb_misses->Add();
   }
-  out = WalkAndFill(domain, dom->page_table, counters, iova, start);
+  out = WalkAndFill(domain, *dom, counters, iova, start);
   if (trace_.enabled()) {
     // One span per page walk: duration covers walker queueing plus the
     // sequential PTE reads, so clustered misses render as stacked spans.
@@ -354,8 +361,9 @@ TranslationResult Iommu::TranslateMemoMiss(DomainId domain, Iova iova, TimeNs st
   return out;
 }
 
-TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, DomainCounters* counters,
-                                     Iova iova, TimeNs start) {
+TranslationResult Iommu::WalkAndFill(DomainId domain, const DomainTable::Entry& dom,
+                                     DomainCounters* counters, Iova iova, TimeNs start) {
+  const IoPageTable* const pt = dom.page_table;
   TranslationResult out;
   const std::uint64_t dbits = DomainTagBits(domain);
   const WalkResult walk = pt->Walk(iova);
@@ -446,11 +454,18 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, DomainCou
   // One IOTLB entry covers the whole 4 KB or 2 MB mapping.
   const std::uint64_t tag = IotlbTag(IotlbTagBits(domain), iova, walk.huge);
   const std::uint64_t span = walk.huge ? LevelEntrySpan(3) : kPageSize;
-  auto evicted = iotlb_.Insert(tag, walk.phys & ~(span - 1));
+  const PhysAddr base = walk.phys & ~(span - 1);
+  SetAssocCache::HitHandle entry = 0;
+  auto evicted = iotlb_.Insert(tag, base, &entry);
   huge_iotlb_used_ = huge_iotlb_used_ || walk.huge;
   if (counters != nullptr) {
     NoteIotlbInsert(tag, domain, evicted);
   }
+  // The page's next probe would hit the entry just filled, owned by this
+  // domain and mapped (the walk found it present): memoize that hit so the
+  // DMA's next TLP replays it instead of re-probing and re-walking.
+  ArmRepeat(domain, dom, counters, iova, entry, base, walk.huge, /*stale=*/false,
+            /*cross_domain=*/false);
   pending_walks_.Put(dbits | PageNumber(iova), PendingWalk{t, walk.phys & ~(kPageSize - 1)});
   if (pending_walks_.size() > kPendingWalkPruneAbove) {
     // Prune completed walks so the table stays small.

@@ -186,9 +186,9 @@ class Iommu {
   };
 
   // (domain-tagged page) -> in-flight walk: open addressing with linear
-  // probing and backward-shift deletion over a table allocated once, sized
-  // for the largest key set the prune rule lets it hold (8193) at half
-  // load. It only reallocates if more walks than that are in flight at once.
+  // probing and backward-shift deletion. It starts at 2048 buckets (48 KiB,
+  // room for 1024 keys at half load; the perfbench workloads peak near 730)
+  // and doubles when a Put would pass half load.
   class PendingWalkTable {
    public:
     explicit PendingWalkTable(std::size_t buckets);
@@ -218,11 +218,13 @@ class Iommu {
     std::size_t size_ = 0;
   };
 
-  // Memo of the last IOTLB hit. Consecutive TLPs of one DMA translate the
-  // same 4 KB page, so Translate can replay the hit (identical counter, LRU
-  // and safety effects) without the domain lookup, the tag search or the
-  // safety walk — valid only while neither the IOTLB nor the page table has
-  // mutated, and cleared by every domain-table change.
+  // Memo of the last IOTLB hit, or of the hit that the entry a walk just
+  // filled would give the page's next probe. Consecutive TLPs of one DMA
+  // translate the same 4 KB page, so Translate can replay the hit
+  // (identical counter, LRU and safety effects) without the domain lookup,
+  // the tag search or the safety walk — valid only while neither the IOTLB
+  // nor the page table has mutated, and cleared by every domain-table
+  // change.
   static constexpr std::uint64_t kNoMemoPage = ~0ULL;
   struct RepeatMemo {
     std::uint64_t page = kNoMemoPage;      // 4 KB page number of the hit
@@ -264,8 +266,15 @@ class Iommu {
                              DomainCounters* counters, Iova iova, TimeNs start,
                              std::uint64_t tag, SetAssocCache::HitHandle handle, PhysAddr base,
                              bool huge);
-  TranslationResult WalkAndFill(DomainId domain, IoPageTable* pt, DomainCounters* counters,
-                                Iova iova, TimeNs start);
+  // Arms the repeat memo for a hit on IOTLB entry `entry` (payload `base`)
+  // whose classification was `stale` / `cross_domain`.
+  void ArmRepeat(DomainId domain, const DomainTable::Entry& dom, const DomainCounters* counters,
+                 Iova iova, SetAssocCache::HitHandle entry, PhysAddr base, bool huge, bool stale,
+                 bool cross_domain);
+  // Walks `dom`'s page table, fills the PTcaches and the IOTLB and arms the
+  // repeat memo with the hit the filled entry gives the page's next TLP.
+  TranslationResult WalkAndFill(DomainId domain, const DomainTable::Entry& dom,
+                                DomainCounters* counters, Iova iova, TimeNs start);
   // Completion time of an invalidation-queue request submitted at `at`.
   TimeNs CompleteInvalidation(TimeNs at);
   // Reports the translation to a safety oracle (no-op when null).

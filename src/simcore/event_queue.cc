@@ -16,8 +16,11 @@ inline unsigned CountTrailingZeros(std::uint64_t word) {
 EventQueue::~EventQueue() {
   // Destroy still-pending callables without running them. Records themselves
   // are freed with the chunks.
-  for (const HeapEntry& e : active_) {
-    e.rec->tramp(e.rec->payload, /*run=*/false);
+  for (std::uint64_t mask = active_mask_; mask != 0; mask &= mask - 1) {
+    for (EventRec* rec = active_[CountTrailingZeros(mask)].head; rec != nullptr;
+         rec = rec->next) {
+      rec->tramp(rec->payload, /*run=*/false);
+    }
   }
   for (const HeapEntry& e : overflow_) {
     e.rec->tramp(e.rec->payload, /*run=*/false);
@@ -56,28 +59,32 @@ void EventQueue::Insert(EventRec* rec) {
   ++pending_;
   const std::uint64_t bucket = BucketOf(rec->when);
   if (bucket < activated_end_) {
-    // At or before the calendar cursor: goes straight into the ordered heap.
-    active_.push_back(HeapEntry{rec->when, rec->seq, rec});
-    std::push_heap(active_.begin(), active_.end(), Later{});
+    // In the activated bucket (when >= now() keeps it from any earlier one);
+    // its seq is the largest yet, so appending keeps the slot in seq order.
+    AppendActive(rec);
     return;
   }
   if (bucket < window_base_ + kNumBuckets) {
-    Bucket& slot = buckets_[bucket & kBucketMask];
-    rec->next = nullptr;
-    if (slot.tail != nullptr) {
-      slot.tail->next = rec;
-    } else {
-      slot.head = rec;
-      occupied_[(bucket & kBucketMask) >> 6] |= std::uint64_t{1} << (bucket & 63);
-    }
-    slot.tail = rec;
-    if (bucket < next_occupied_) {
-      next_occupied_ = bucket;
-    }
+    AppendToBucket(bucket, rec);
     return;
   }
   overflow_.push_back(HeapEntry{rec->when, rec->seq, rec});
   std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+}
+
+void EventQueue::AppendToBucket(std::uint64_t bucket, EventRec* rec) {
+  Bucket& slot = buckets_[bucket & kBucketMask];
+  rec->next = nullptr;
+  if (slot.tail != nullptr) {
+    slot.tail->next = rec;
+  } else {
+    slot.head = rec;
+    occupied_[(bucket & kBucketMask) >> 6] |= std::uint64_t{1} << (bucket & 63);
+  }
+  slot.tail = rec;
+  if (bucket < next_occupied_) {
+    next_occupied_ = bucket;
+  }
 }
 
 std::uint64_t EventQueue::FindNextOccupied(std::uint64_t from) const {
@@ -123,11 +130,13 @@ std::uint64_t EventQueue::FindNextOccupied(std::uint64_t from) const {
 }
 
 void EventQueue::ActivateBucket(std::uint64_t bucket) {
+  // Pre: the active tier is empty. The bucket's list holds each nanosecond's
+  // records in seq order, so distributing it in list order keeps every slot
+  // sorted.
   Bucket& slot = buckets_[bucket & kBucketMask];
   for (EventRec* rec = slot.head; rec != nullptr;) {
     EventRec* next = rec->next;
-    active_.push_back(HeapEntry{rec->when, rec->seq, rec});
-    std::push_heap(active_.begin(), active_.end(), Later{});
+    AppendActive(rec);
     rec = next;
   }
   slot.head = nullptr;
@@ -138,9 +147,9 @@ void EventQueue::ActivateBucket(std::uint64_t bucket) {
 }
 
 void EventQueue::SlideWindow() {
-  // Pre: active_ and every calendar bucket are empty; overflow_ is not.
-  // Re-anchor the window at the earliest overflow event and promote
-  // everything that now falls inside it.
+  // Pre: the active tier and every calendar bucket are empty; overflow_ is
+  // not. Re-anchor the window at the earliest overflow event and promote
+  // everything that now falls inside it, in (when, seq) order.
   const std::uint64_t target = BucketOf(overflow_.front().when);
   window_base_ = target;
   activated_end_ = target;
@@ -150,64 +159,52 @@ void EventQueue::SlideWindow() {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     EventRec* rec = overflow_.back().rec;
     overflow_.pop_back();
-    // Re-insert through the bucket path (pending_ already counts it).
-    const std::uint64_t bucket = BucketOf(rec->when);
-    Bucket& slot = buckets_[bucket & kBucketMask];
-    rec->next = nullptr;
-    if (slot.tail != nullptr) {
-      slot.tail->next = rec;
-    } else {
-      slot.head = rec;
-      occupied_[(bucket & kBucketMask) >> 6] |= std::uint64_t{1} << (bucket & 63);
-    }
-    slot.tail = rec;
-    if (bucket < next_occupied_) {
-      next_occupied_ = bucket;
-    }
+    AppendToBucket(BucketOf(rec->when), rec);  // pending_ already counts it
   }
 }
 
-EventQueue::EventRec* EventQueue::PrepareTop() {
-  for (;;) {
-    if (!active_.empty()) {
-      // The active heap's top is the global minimum once every bucket that
-      // could start at-or-before it has been drained. Bucket events are
-      // strictly later than BucketStartNs(next_occupied_) - 1, and overflow
-      // events are beyond the window entirely.
-      if (next_occupied_ == kNoBucket ||
-          BucketStartNs(next_occupied_) > active_.front().when) {
-        return active_.front().rec;
+EventQueue::EventRec* EventQueue::PrepareTop(TimeNs deadline) {
+  if (active_mask_ == 0) {
+    // Bucket events are no earlier than BucketStartNs(next_occupied_), and
+    // overflow events lie beyond the window entirely. Activating or sliding
+    // past the deadline would let a caller later schedule, between RunUntil
+    // calls, into a bucket before the activated one.
+    if (next_occupied_ == kNoBucket) {
+      if (overflow_.empty() || overflow_.front().when > deadline) {
+        return nullptr;
       }
-      ActivateBucket(next_occupied_);
-      continue;
+      SlideWindow();  // next_occupied_ becomes the front event's bucket
     }
-    if (next_occupied_ != kNoBucket) {
-      ActivateBucket(next_occupied_);
-      continue;
+    if (BucketStartNs(next_occupied_) > deadline) {
+      return nullptr;
     }
-    if (!overflow_.empty()) {
-      SlideWindow();
-      continue;
-    }
-    return nullptr;
+    ActivateBucket(next_occupied_);
   }
+  return active_[CountTrailingZeros(active_mask_)].head;
+}
+
+void EventQueue::RunTop(EventRec* rec) {
+  const unsigned slot = static_cast<unsigned>(rec->when & (kBucketWidthNs - 1));
+  active_[slot].head = rec->next;
+  if (rec->next == nullptr) {
+    active_mask_ &= ~(std::uint64_t{1} << slot);
+  }
+  --pending_;
+  now_ = rec->when;
+  rec->tramp(rec->payload, /*run=*/true);
+  Release(rec);
+  ++executed_;
 }
 
 std::uint64_t EventQueue::RunUntil(TimeNs deadline) {
   std::uint64_t ran = 0;
   for (;;) {
-    EventRec* rec = PrepareTop();
+    EventRec* rec = PrepareTop(deadline);
     if (rec == nullptr || rec->when > deadline) {
       break;
     }
-    std::pop_heap(active_.begin(), active_.end(), Later{});
-    active_.pop_back();
-    --pending_;
-    now_ = rec->when;
-    rec->tramp(rec->payload, /*run=*/true);
-    Release(rec);
+    RunTop(rec);
     ++ran;
-    ++executed_;
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -217,19 +214,9 @@ std::uint64_t EventQueue::RunUntil(TimeNs deadline) {
 
 std::uint64_t EventQueue::RunAll() {
   std::uint64_t ran = 0;
-  for (;;) {
-    EventRec* rec = PrepareTop();
-    if (rec == nullptr) {
-      break;
-    }
-    std::pop_heap(active_.begin(), active_.end(), Later{});
-    active_.pop_back();
-    --pending_;
-    now_ = rec->when;
-    rec->tramp(rec->payload, /*run=*/true);
-    Release(rec);
+  while (EventRec* rec = PrepareTop(kTimeNsMax)) {
+    RunTop(rec);
     ++ran;
-    ++executed_;
   }
   return ran;
 }

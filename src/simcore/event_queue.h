@@ -18,16 +18,19 @@
 //     the hot paths stay allocation-free.
 //
 //   * Pending events are organized in three tiers keyed by (when, seq):
-//     an "active" binary min-heap of events at-or-before the calendar
-//     cursor, kNumBuckets near-future calendar buckets of kBucketWidthNs
-//     each (intrusive singly-linked lists, occupancy bitmap), and a sorted
-//     overflow heap for events beyond the calendar window. Buckets are
-//     drained into the active heap strictly in calendar order, so the pop
-//     order is exactly the (when, seq) total order the old binary heap
-//     produced — same-timestamp events stay FIFO and every golden trace is
-//     byte-identical. Insert and pop are O(1) amortized for the near-future
-//     traffic that dominates simulation runs, instead of O(log n) moves of
-//     fat std::function nodes.
+//     an "active" tier holding the one activated calendar bucket as 64
+//     per-nanosecond FIFO lists under a 64-bit occupancy mask,
+//     kNumBuckets near-future calendar buckets of kBucketWidthNs each
+//     (intrusive singly-linked lists, occupancy bitmap), and a sorted
+//     overflow heap for events beyond the calendar window. A bucket is
+//     activated only once the active tier is empty, and RunUntil never
+//     activates a bucket (or slides the window to an event) past its
+//     deadline, so every active event lies in that one bucket and
+//     `when & 63` is a unique slot. Each per-slot list stays in seq order,
+//     so the pop order is exactly the (when, seq) total order the old binary
+//     heap produced — same-timestamp events stay FIFO and every golden trace
+//     is byte-identical. Insert and pop are O(1) with no comparisons for the
+//     near-future traffic that dominates simulation runs.
 //
 // Building with -DFSIO_EVENTQ_REFERENCE swaps in the original
 // priority_queue implementation (reference_event_queue.h) for differential
@@ -45,8 +48,10 @@ using EventQueue = ReferenceEventQueue;
 
 #else  // FSIO_EVENTQ_REFERENCE
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -148,6 +153,10 @@ class EventQueue {
   // overflow tier.
   static constexpr std::uint64_t kBucketShift = 6;  // 64 ns per bucket
   static constexpr TimeNs kBucketWidthNs = TimeNs{1} << kBucketShift;
+  // The active tier has one slot per nanosecond of a bucket, one mask bit
+  // per slot.
+  static_assert(kBucketWidthNs == std::numeric_limits<std::uint64_t>::digits,
+                "active-tier slots must fill one 64-bit mask");
   static constexpr std::size_t kNumBuckets = 4096;  // power of two
   static constexpr std::uint64_t kBucketMask = kNumBuckets - 1;
   static constexpr std::size_t kChunkRecs = 2048;   // arena growth quantum
@@ -165,13 +174,14 @@ class EventQueue {
   };
   static_assert(sizeof(EventRec) == 176, "EventRec layout drifted");
 
+  // FIFO list of records: a calendar bucket or an active-tier slot.
   struct Bucket {
     EventRec* head = nullptr;
     EventRec* tail = nullptr;
   };
 
-  // Heap entry: (when, seq) key copied next to the record pointer so heap
-  // sifts never touch the record (or its payload).
+  // Overflow-heap entry: (when, seq) key copied next to the record pointer
+  // so heap sifts never touch the record (or its payload).
   struct HeapEntry {
     TimeNs when;
     std::uint64_t seq;
@@ -221,11 +231,30 @@ class EventQueue {
     rec->next = free_;
     free_ = rec;
   }
+  // Appends `rec` to calendar bucket `bucket` (inside the window).
+  void AppendToBucket(std::uint64_t bucket, EventRec* rec);
+  // Appends `rec` to its active-tier slot (its bucket is the activated one).
+  void AppendActive(EventRec* rec) {
+    const unsigned slot = static_cast<unsigned>(rec->when & (kBucketWidthNs - 1));
+    Bucket& list = active_[slot];
+    rec->next = nullptr;
+    if ((active_mask_ >> slot & 1) == 0) {
+      list.head = rec;
+      active_mask_ |= std::uint64_t{1} << slot;
+    } else {
+      list.tail->next = rec;
+    }
+    list.tail = rec;
+  }
 
-  // Ensures the active heap's top is the globally earliest pending event,
-  // activating calendar buckets / sliding the window as needed. Returns the
-  // top record, or nullptr when nothing is pending.
-  EventRec* PrepareTop();
+  // Returns the globally earliest pending event if it is due by `deadline`
+  // (it may still be later than `deadline` when it was already active),
+  // activating the next calendar bucket / sliding the window only when the
+  // active tier is empty and the bucket starts, or the overflow event lies,
+  // at-or-before `deadline`. Returns nullptr when nothing is pending or due.
+  EventRec* PrepareTop(TimeNs deadline);
+  // Unlinks and runs the earliest active event (PrepareTop's return).
+  void RunTop(EventRec* rec);
   void ActivateBucket(std::uint64_t bucket);
   void SlideWindow();
   // Smallest occupied bucket index in [from, window_base_ + kNumBuckets), or
@@ -237,8 +266,11 @@ class EventQueue {
   std::uint64_t executed_ = 0;
   std::size_t pending_ = 0;
 
-  // Tier 1: events at-or-before the calendar cursor, totally ordered.
-  std::vector<HeapEntry> active_;
+  // Tier 1: the events of bucket activated_end_ - 1, one FIFO list per
+  // nanosecond (slot when & 63); bit s of active_mask_ is set iff slot s is
+  // non-empty.
+  std::array<Bucket, kBucketWidthNs> active_{};
+  std::uint64_t active_mask_ = 0;
   // Tier 2: near-future calendar. Bucket b (absolute index) lives in slot
   // b & kBucketMask while window_base_ <= b < window_base_ + kNumBuckets.
   // Buckets with index < activated_end_ have been drained into active_.

@@ -4,7 +4,11 @@
 // DMA quiesce protocol, peer death).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <ostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/apps/incast.h"
@@ -171,6 +175,70 @@ TEST(ClusterTest, HostIdsAreAssigned) {
   for (std::uint32_t h = 0; h < 4; ++h) {
     EXPECT_EQ(cluster.host(h).config().host_id, h);
   }
+}
+
+// Fields that Cluster derives per host: setting one in the ClusterConfig
+// template would have no effect, so the constructor rejects it and names
+// the ClusterConfig field to set instead.
+struct DerivedFieldCase {
+  const char* name;
+  void (*set)(ClusterConfig*);
+  const char* instead;
+};
+
+// Names the case in test listings (the default prints its pointer bytes).
+void PrintTo(const DerivedFieldCase& c, std::ostream* os) { *os << c.name; }
+
+class ClusterDerivedFieldTest : public ::testing::TestWithParam<DerivedFieldCase> {};
+
+TEST_P(ClusterDerivedFieldTest, RejectsFieldSetInTemplate) {
+  ClusterConfig config;
+  GetParam().set(&config);
+  try {
+    Cluster cluster(config);
+    FAIL() << "no error for " << GetParam().name;
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(GetParam().name), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("set ClusterConfig::") + GetParam().instead),
+              std::string::npos)
+        << message;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ClusterDerivedFieldTest,
+    ::testing::Values(
+        DerivedFieldCase{"host.host_id", [](ClusterConfig* c) { c->host.host_id = 1; },
+                         "num_hosts"},
+        DerivedFieldCase{"host.cores", [](ClusterConfig* c) { c->host.cores = 2; }, "cores"},
+        DerivedFieldCase{"host.mode",
+                         [](ClusterConfig* c) { c->host.mode = ProtectionMode::kFastSafe; },
+                         "mode"},
+        DerivedFieldCase{"host.mtu_bytes", [](ClusterConfig* c) { c->host.mtu_bytes = 9000; },
+                         "mtu_bytes"},
+        DerivedFieldCase{"host.ring_size_pkts",
+                         [](ClusterConfig* c) { c->host.ring_size_pkts = 128; },
+                         "ring_size_pkts"},
+        DerivedFieldCase{"host.track_l3_locality",
+                         [](ClusterConfig* c) { c->host.track_l3_locality = true; },
+                         "track_l3_locality_hosts"},
+        DerivedFieldCase{"dctcp.mss_bytes", [](ClusterConfig* c) { c->dctcp.mss_bytes = 1000; },
+                         "mtu_bytes"}),
+    [](const ::testing::TestParamInfo<DerivedFieldCase>& info) {
+      std::string name = info.param.name;
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
+
+TEST(ClusterTest, ConfigReadBackIsAccepted) {
+  // Cluster::config() carries the MSS derived from a non-default MTU; it
+  // must still be accepted as a config.
+  ClusterConfig config;
+  config.mtu_bytes = 9000;
+  Cluster first(config);
+  Cluster second(first.config());
+  EXPECT_EQ(second.config().dctcp.mss_bytes, 9000u - kHeaderBytes);
 }
 
 // Shared fixture shape for the fault-domain tests: a 4-host / 2-switch

@@ -23,7 +23,8 @@ namespace {
 // Calendar geometry mirrored from event_queue.cc (private there): 4096
 // buckets of 64 ns. The epoch-boundary tests below straddle multiples of
 // this span; if the geometry changes, they still probe interesting offsets.
-constexpr TimeNs kCalendarSpanNs = 4096 * 64;
+constexpr TimeNs kBucketNs = 64;
+constexpr TimeNs kCalendarSpanNs = 4096 * kBucketNs;
 
 TEST(EventCoreOrdering, SameTimestampFifoChains) {
   // Three interleaved chains scheduling at one timestamp: execution must be
@@ -270,12 +271,32 @@ std::vector<std::pair<TimeNs, int>> DriveSchedule(std::uint64_t seed) {
     Spawner::Spawn(&ctx, layout.Below(2 * kCalendarSpanNs));
   }
   // Mix RunUntil stops (exercising window slides with the clock parked) with
-  // a final drain.
+  // a final drain. Between stops the caller schedules too, into the buckets
+  // around the parked clock: at now(), inside the bucket holding the
+  // deadline (possibly in the past, so clamped), and within one bucket
+  // after it. Every third stop lands inside an occupied bucket, before the
+  // event that occupies it.
   TimeNs deadline = 0;
-  for (int i = 0; i < 8; ++i) {
-    deadline += layout.Below(10 * kCalendarSpanNs);
+  TimeNs occupied = 0;  // an outside event scheduled at the last stop
+  for (int i = 0; i < 24; ++i) {
+    switch (i % 3) {
+      case 0:
+        deadline += layout.Below(10 * kCalendarSpanNs);
+        break;
+      case 1:
+        deadline += layout.Below(4 * kBucketNs);
+        break;
+      default:
+        deadline = occupied - occupied % kBucketNs + layout.Below(occupied % kBucketNs + 1);
+        break;
+    }
     q.RunUntil(deadline);
     trace.emplace_back(q.now(), -1);  // clock checkpoints must match too
+    const TimeNs bucket_start = deadline - deadline % kBucketNs;
+    Spawner::Spawn(&ctx, q.now());
+    Spawner::Spawn(&ctx, bucket_start + layout.Below(kBucketNs));
+    occupied = bucket_start + kBucketNs + layout.Below(kBucketNs);
+    Spawner::Spawn(&ctx, occupied);
   }
   q.RunAll();
   trace.emplace_back(q.now(), -2);

@@ -3,7 +3,10 @@
 // the repeat-hit memo and the 2 MB IOTLB namespace.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/faults/safety_oracle.h"
 #include "src/iommu/iommu.h"
@@ -36,6 +39,27 @@ class IommuTest : public ::testing::Test {
     const TranslationResult walk = iommu_->Translate(domain, page, 0);
     ASSERT_FALSE(walk.iotlb_hit);
     ASSERT_TRUE(iommu_->Translate(domain, page, walk.done + 10).iotlb_hit);
+  }
+
+  // Drops the repeat memo and nothing else (the domain has no oracle to
+  // lose), so the next translation takes the full IOTLB probe.
+  void DropMemo(DomainId domain) { iommu_->SetDomainOracle(domain, nullptr); }
+
+  // What a scenario leaves behind: every counter, the IOTLB's own hit and
+  // miss counts, and which of the given IOTLB tags are still resident.
+  struct Outcome {
+    std::map<std::string, std::uint64_t> counters;
+    std::uint64_t iotlb_hits = 0;
+    std::uint64_t iotlb_misses = 0;
+    std::vector<bool> resident;
+    bool operator==(const Outcome&) const = default;
+  };
+  Outcome Observe(const std::vector<std::uint64_t>& tags) const {
+    Outcome out{stats_->Snapshot(), iommu_->iotlb().hits(), iommu_->iotlb().misses(), {}};
+    for (const std::uint64_t tag : tags) {
+      out.resident.push_back(iommu_->iotlb().Peek(tag).has_value());
+    }
+    return out;
   }
 
   IommuConfig config_;
@@ -457,6 +481,108 @@ TEST_F(IommuTest, SetDomainPageTableClearsRepeatMemo) {
   EXPECT_EQ(stats_->Value("iommu.stale_iotlb_use"), 1u);
   FormMemo(tenant, &tenant_pt, 0x1000);
   ExpectPageTableSwapClearsMemo(iommu_.get(), tenant, &tenant_pt);
+  EXPECT_EQ(stats_->Value("iommu.stale_iotlb_use"), 2u);
+}
+
+// A walk arms the repeat memo with the hit its IOTLB fill gives the page's
+// next TLP. Each case below runs twice, once with the memo dropped between
+// the walk and the next TLP so that TLP takes the full probe, and the two
+// runs must leave the same counters, IOTLB counts and resident entries.
+TEST_F(IommuTest, WalkArmsTheMemoOfTheHitItsFillGives) {
+  IommuConfig config;
+  config.iotlb_sets = 1;  // one 4-way set: the LRU victim is observable
+  config.iotlb_ways = 4;
+  const std::vector<std::uint64_t> pages = {1, 2, 3, 4, 5};
+  auto run = [&](bool drop) {
+    Rebuild(config);
+    for (const std::uint64_t page : pages) {
+      EXPECT_TRUE(page_table_->Map(page * kPageSize, 0xa0000 + page * kPageSize));
+    }
+    for (const std::uint64_t page : {1, 2, 3}) {
+      iommu_->Translate(page * kPageSize, page * 1000);
+    }
+    const TranslationResult walk = iommu_->Translate(4 * kPageSize, 4000);  // fills way 4
+    EXPECT_FALSE(walk.iotlb_hit);
+    if (drop) {
+      DropMemo(kHostDomain);
+    }
+    const Outcome before = Observe(pages);
+    const TranslationResult next = iommu_->Translate(4 * kPageSize + 0x40, 4010);
+    const Outcome after = Observe(pages);
+    EXPECT_TRUE(next.iotlb_hit);
+    EXPECT_EQ(next.done, 4010u);
+    EXPECT_EQ(next.phys, 0xa4040u);
+    EXPECT_EQ(after.counters.at("iommu.translations"),
+              before.counters.at("iommu.translations") + 1);
+    EXPECT_EQ(after.iotlb_hits, before.iotlb_hits + 1);
+    EXPECT_EQ(after.iotlb_misses, before.iotlb_misses);
+    // Page 1 is the LRU entry unless the replay refreshed the wrong way.
+    iommu_->Translate(5 * kPageSize, 5000);
+    return Observe(pages);
+  };
+  const Outcome replayed = run(false);
+  EXPECT_EQ(replayed, run(true));
+  EXPECT_EQ(replayed.resident, (std::vector<bool>{false, true, true, true, true}));
+}
+
+TEST_F(IommuTest, TwoMbWalkArmsAMemoThatCountsTheFourKbMiss) {
+  constexpr Iova kHuge = 0x40000000;
+  auto run = [&](bool drop) {
+    Rebuild(IommuConfig{});
+    EXPECT_TRUE(page_table_->MapHuge(kHuge, 0x600000));
+    EXPECT_FALSE(iommu_->Translate(kHuge, 0).iotlb_hit);
+    EXPECT_EQ(iommu_->iotlb().misses(), 2u);  // the 4 KB and the 2 MB probe
+    if (drop) {
+      DropMemo(kHostDomain);
+    }
+    const TranslationResult next = iommu_->Translate(kHuge + 0x40, 1000);
+    EXPECT_TRUE(next.iotlb_hit);
+    EXPECT_EQ(next.phys, 0x600040u);
+    EXPECT_EQ(iommu_->iotlb().misses(), 3u);  // the 4 KB probe misses again
+    EXPECT_EQ(iommu_->iotlb().hits(), 1u);
+    EXPECT_TRUE(iommu_->Translate(kHuge + 0x80, 1010).iotlb_hit);
+    EXPECT_EQ(iommu_->iotlb().misses(), 4u);
+    EXPECT_EQ(iommu_->iotlb().hits(), 2u);
+    return Observe({kHugeIotlbTagBit | LevelTag(kHuge, 3)});
+  };
+  const Outcome replayed = run(false);
+  EXPECT_EQ(replayed, run(true));
+}
+
+TEST_F(IommuTest, MultiDomainWalkArmsAMemoThatCountsPerDomain) {
+  auto run = [&](bool drop) {
+    Rebuild(IommuConfig{});
+    IoPageTable tenant_pt;
+    const DomainId tenant = iommu_->AddDomain(&tenant_pt);
+    EXPECT_TRUE(tenant_pt.Map(0x1000, 0xaa000));
+    EXPECT_FALSE(iommu_->Translate(tenant, 0x1000, 0).iotlb_hit);
+    if (drop) {
+      DropMemo(tenant);
+    }
+    EXPECT_TRUE(iommu_->Translate(tenant, 0x1040, 1000).iotlb_hit);
+    const std::string prefix = "tenant." + std::to_string(tenant.value) + ".";
+    EXPECT_EQ(stats_->Value(prefix + "translations"), 2u);
+    EXPECT_EQ(stats_->Value(prefix + "iotlb_hits"), 1u);
+    EXPECT_EQ(stats_->Value(prefix + "iotlb_misses"), 1u);
+    const Outcome out = Observe({DomainTagBits(tenant) | PageNumber(0x1000)});
+    iommu_.reset();  // before tenant_pt goes
+    return out;
+  };
+  const Outcome replayed = run(false);
+  EXPECT_EQ(replayed, run(true));
+}
+
+TEST_F(IommuTest, UnmapAfterWalkDisarmsTheMemo) {
+  ASSERT_TRUE(page_table_->Map(0x1000, 0xaa000));
+  EXPECT_FALSE(iommu_->Translate(0x1000, 0).iotlb_hit);
+  // Deferred-mode hazard right after the walk: the next TLP must see the
+  // unmap, not replay the walk's clean hit.
+  page_table_->Unmap(0x1000, kPageSize);
+  const TranslationResult stale = iommu_->Translate(0x1040, 1000);
+  EXPECT_TRUE(stale.iotlb_hit);
+  EXPECT_TRUE(stale.stale_iotlb);
+  EXPECT_EQ(stats_->Value("iommu.stale_iotlb_use"), 1u);
+  EXPECT_TRUE(iommu_->Translate(0x1080, 1010).stale_iotlb);  // replayed stale
   EXPECT_EQ(stats_->Value("iommu.stale_iotlb_use"), 2u);
 }
 
