@@ -3,8 +3,9 @@
 // arena against the reference binary-heap scheduler, plus the specific
 // shapes the datapath generates — same-timestamp bursts (NIC commit chains),
 // short-horizon timer wheels (per-packet stack work), dense buckets (F&S
-// Redis), and far-future overflow churn (measurement-window boundaries). Run by the CI perf-smoke
-// job; compare against ReferenceEventQueue locally with --benchmark_filter.
+// Redis), NIC egress backlogs (IOMMU-off iperf) and far-future overflow
+// churn (measurement-window boundaries). Run by the CI perf-smoke job;
+// compare against ReferenceEventQueue locally with --benchmark_filter.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -121,6 +122,52 @@ void BM_EventCore_Dense(benchmark::State& s) { DenseBuckets<EventQueue>(s); }
 void BM_RefHeap_Dense(benchmark::State& s) { DenseBuckets<ReferenceEventQueue>(s); }
 BENCHMARK(BM_EventCore_Dense)->Arg(24)->Arg(96);
 BENCHMARK(BM_RefHeap_Dense)->Arg(24)->Arg(96);
+
+// NIC egress backlog, the lead mix of perfbench's iperf_off: every executed
+// event schedules a successor up to 10 us ahead (77 in 100: per-packet
+// stack, DMA and memory steps), 262-524 us ahead (16: wire departures and Tx
+// completions queued behind the backlog), 1-2 ms ahead (4: RTO re-arms) or
+// 10-262 us ahead (3), and the caller advances in 10 us slices. Reports the
+// share of inserts that took the overflow heap as overflow_frac (0 for the
+// reference queue, which has none).
+template <typename Queue>
+void Backlog(benchmark::State& state) {
+  Queue q;
+  q.Reserve(8192);
+  const std::int64_t population = state.range(0);
+  std::uint64_t executed = 0;
+  Rng rng(11);
+  struct Chain {
+    Queue* q;
+    std::uint64_t* executed;
+    Rng* rng;
+    void Fire() {
+      ++*executed;
+      const std::uint64_t kind = rng->NextBelow(100);
+      const TimeNs delay = kind < 77   ? rng->NextBelow(10'001)
+                           : kind < 93 ? 262'000 + rng->NextBelow(262'001)
+                           : kind < 97 ? 1'000'000 + rng->NextBelow(1'000'001)
+                                       : 10'000 + rng->NextBelow(252'001);
+      q->ScheduleAfter(delay, [this] { Fire(); });
+    }
+  } chain{&q, &executed, &rng};
+  for (std::int64_t i = 0; i < population; ++i) {
+    q.ScheduleAfter(rng.NextBelow(10'000), [&chain] { chain.Fire(); });
+  }
+  for (auto _ : state) {
+    const std::uint64_t target = executed + 1024;
+    while (executed < target) {
+      q.RunUntil(q.now() + 10'000);
+    }
+  }
+  state.counters["overflow_frac"] = static_cast<double>(q.overflow_inserts()) /
+                                    static_cast<double>(executed + q.pending());
+  state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+}
+void BM_EventCore_Backlog(benchmark::State& s) { Backlog<EventQueue>(s); }
+void BM_RefHeap_Backlog(benchmark::State& s) { Backlog<ReferenceEventQueue>(s); }
+BENCHMARK(BM_EventCore_Backlog)->Arg(256)->Arg(4096);
+BENCHMARK(BM_RefHeap_Backlog)->Arg(256)->Arg(4096);
 
 // Overflow-tier churn: a mix of near-future work and events far beyond the
 // calendar window (measurement-window edges, retransmit timers), forcing

@@ -296,7 +296,7 @@ void Host::TransmitFromCore(const Packet& packet, std::uint32_t core_idx) {
   }
   if (!nic_->CanAcceptTx(core_idx, packet.wire_size())) {
     // Local qdisc-style drop; the transport recovers via its loss machinery.
-    stats_.Get("host.tx_qdisc_drops")->Add();
+    LazyCounter(&stats_, &tx_qdisc_drops_, "host.tx_qdisc_drops")->Add();
     if (packet.payload > 0) {
       flow_nic_bytes_[packet.flow_id] -= packet.wire_size();
     }

@@ -225,6 +225,7 @@ class Host {
   Counter* crashes_ = nullptr;           // lazy: crash-path only
   Counter* recoveries_ = nullptr;
   Counter* crash_rx_dropped_ = nullptr;
+  Counter* tx_qdisc_drops_ = nullptr;    // lazy: full-NIC-queue path only
 };
 
 }  // namespace fsio

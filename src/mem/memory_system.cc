@@ -28,11 +28,12 @@ MemorySystem::MemorySystem(const MemoryConfig& config, StatsRegistry* stats)
       per_bank_bw_(GbpsToBytesPerNs(config.bandwidth_gbps) /
                    static_cast<double>(config.parallel_banks)),
       bank_free_(config.parallel_banks, 0),
+      occupancy_(kPageSize + 1),
       accesses_(stats->Get("mem.accesses")),
       queued_ns_(stats->Get("mem.queued_ns")) {
-  cacheline_occupancy_ = ComputeOccupancy(kCachelineSize);
-  memo_bytes_ = kCachelineSize;
-  memo_occupancy_ = cacheline_occupancy_;
+  for (std::uint64_t bytes = 0; bytes <= kPageSize; ++bytes) {
+    occupancy_[bytes] = ComputeOccupancy(bytes);
+  }
 }
 
 TimeNs MemorySystem::ComputeOccupancy(std::uint64_t bytes) const {
@@ -40,17 +41,6 @@ TimeNs MemorySystem::ComputeOccupancy(std::uint64_t bytes) const {
   // the access's bytes at the per-bank share of total bandwidth.
   auto occupancy = static_cast<TimeNs>(static_cast<double>(bytes) / per_bank_bw_);
   return occupancy == 0 ? 1 : occupancy;
-}
-
-TimeNs MemorySystem::Occupancy(std::uint64_t bytes) {
-  if (bytes == kCachelineSize) {
-    return cacheline_occupancy_;
-  }
-  if (bytes != memo_bytes_) {
-    memo_bytes_ = bytes;
-    memo_occupancy_ = ComputeOccupancy(bytes);
-  }
-  return memo_occupancy_;
 }
 
 TimeNs MemorySystem::Grant(TimeNs issue, TimeNs occupancy) {

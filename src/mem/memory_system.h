@@ -58,8 +58,10 @@ class MemorySystem {
   // earliest-free bank; returns its grant time.
   TimeNs Grant(TimeNs issue, TimeNs occupancy);
   // Bank occupancy of an access of `bytes` (already rounded up to a
-  // cacheline), from the one-entry memo when it holds `bytes`.
-  TimeNs Occupancy(std::uint64_t bytes);
+  // cacheline): from the table up to a page, computed above that.
+  TimeNs Occupancy(std::uint64_t bytes) const {
+    return bytes < occupancy_.size() ? occupancy_[bytes] : ComputeOccupancy(bytes);
+  }
   TimeNs ComputeOccupancy(std::uint64_t bytes) const;
 
   MemoryConfig config_;
@@ -70,9 +72,9 @@ class MemorySystem {
   // equally free banks serves an access cannot change any result.
   std::vector<TimeNs> bank_free_;
   std::size_t head_ = 0;
-  TimeNs cacheline_occupancy_;
-  std::uint64_t memo_bytes_;
-  TimeNs memo_occupancy_;
+  // occupancy_[bytes] for every access up to a page (a TLP payload or a
+  // page-table read).
+  std::vector<TimeNs> occupancy_;
   std::uint64_t total_bytes_ = 0;
   Counter* accesses_;
   Counter* queued_ns_;

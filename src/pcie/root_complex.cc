@@ -35,13 +35,23 @@ std::size_t FullSizeRcEntries(const PcieConfig& config) {
 
 }  // namespace
 
+std::vector<RootComplex::TlpCost> RootComplex::TlpCostTable(const PcieConfig& config) {
+  const std::uint64_t largest =
+      config.max_payload_bytes < kPageSize ? config.max_payload_bytes : kPageSize;
+  std::vector<TlpCost> table(largest + 1);
+  for (std::uint64_t payload = 0; payload <= largest; ++payload) {
+    const auto drain =
+        static_cast<TimeNs>(static_cast<double>(payload) / config.commit_bytes_per_ns);
+    table[payload] = {SerializationDelayNs(payload + kTlpHeaderBytes, config.link_gbps),
+                      drain == 0 ? 1 : drain};
+  }
+  return table;
+}
+
 RootComplex::RootComplex(const PcieConfig& config, Iommu* iommu, MemorySystem* memory,
                          StatsRegistry* stats)
     : config_(Validated(config)),
-      full_tlp_wire_ns_(SerializationDelayNs(config.max_payload_bytes + kTlpHeaderBytes,
-                                             config.link_gbps)),
-      full_tlp_drain_ns_(ComputeDrainNs(config.max_payload_bytes)),
-      request_wire_ns_(SerializationDelayNs(kTlpHeaderBytes, config.link_gbps)),
+      tlp_cost_(TlpCostTable(config_)),
       iommu_(iommu),
       memory_(memory),
       rc_buffer_(FullSizeRcEntries(config)),
@@ -60,22 +70,6 @@ std::uint32_t RootComplex::TlpPayload(Iova iova, std::uint32_t remaining) const 
     payload = config_.max_payload_bytes;
   }
   return payload > to_page_end ? to_page_end : payload;
-}
-
-TimeNs RootComplex::TlpWireNs(std::uint32_t payload) const {
-  return payload == config_.max_payload_bytes
-             ? full_tlp_wire_ns_
-             : SerializationDelayNs(payload + kTlpHeaderBytes, config_.link_gbps);
-}
-
-TimeNs RootComplex::ComputeDrainNs(std::uint32_t payload) const {
-  const auto drain =
-      static_cast<TimeNs>(static_cast<double>(payload) / config_.commit_bytes_per_ns);
-  return drain == 0 ? 1 : drain;
-}
-
-TimeNs RootComplex::DrainNs(std::uint32_t payload) const {
-  return payload == config_.max_payload_bytes ? full_tlp_drain_ns_ : ComputeDrainNs(payload);
 }
 
 TimeNs RootComplex::ApplyBackpressure(TimeNs start) {
@@ -137,7 +131,7 @@ DmaTiming RootComplex::DmaWrite(TimeNs start, const std::vector<DmaSegment>& seg
   start = ApplyBackpressure(start);
   TimeNs t = start;
   std::uint64_t total_bytes = 0;
-  const std::uint64_t tlps_before = write_tlps_->value();
+  std::uint64_t tlps = 0;
   for (const DmaSegment& seg : segments) {
     total_bytes += seg.len;
     Iommu* const iommu = seg.passthrough ? nullptr : iommu_;  // once per segment
@@ -145,11 +139,11 @@ DmaTiming RootComplex::DmaWrite(TimeNs start, const std::vector<DmaSegment>& seg
     while (off < seg.len) {
       const Iova iova = seg.iova + off;
       const std::uint32_t payload = TlpPayload(iova, seg.len - off);
-      write_tlps_->Add();
+      const TlpCost& cost = tlp_cost_[payload];
+      ++tlps;
       // Admission: wire serialization plus RC buffer flow control.
       TimeNs send = WaitForBufferSpace(t > upstream_link_free_ ? t : upstream_link_free_, payload);
-      wire_bytes_->Add(payload + kTlpHeaderBytes);
-      upstream_link_free_ = send + TlpWireNs(payload);
+      upstream_link_free_ = send + cost.wire_ns;
       const TimeNs arrival = upstream_link_free_;
       t = arrival;  // the NIC streams the next TLP right behind this one
 
@@ -174,18 +168,20 @@ DmaTiming RootComplex::DmaWrite(TimeNs start, const std::vector<DmaSegment>& seg
       if (commit_free_ > commit_start) {
         commit_start = commit_free_;
       }
-      commit_free_ = commit_start + DrainNs(payload);
+      commit_free_ = commit_start + cost.drain_ns;
       memory_->Post(commit_start, payload);
       ReleaseAt(commit_free_, payload);
       off += payload;
     }
   }
+  // Every TLP carries its payload (a faulted one too) behind a header.
+  write_tlps_->Add(tlps);
+  wire_bytes_->Add(total_bytes + tlps * kTlpHeaderBytes);
   timing.link_done = upstream_link_free_;
   timing.commit_done = commit_free_ > start ? commit_free_ : start;
   if (trace_.enabled()) {
     trace_.Complete("pcie", "dma_write", start, timing.commit_done, "bytes",
-                    static_cast<double>(total_bytes), "tlps",
-                    static_cast<double>(write_tlps_->value() - tlps_before));
+                    static_cast<double>(total_bytes), "tlps", static_cast<double>(tlps));
     trace_.Counter("pcie", "rc_occupancy", start, static_cast<double>(rc_buffer_occupancy_));
   }
   return timing;
@@ -196,13 +192,15 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
   start = ApplyBackpressure(start);
   TimeNs t = start;
   TimeNs last_completion = start;
+  std::uint64_t tlps = 0;
+  std::uint64_t completion_bytes = 0;  // wire bytes of the completions returned
   for (const DmaSegment& seg : segments) {
     Iommu* const iommu = seg.passthrough ? nullptr : iommu_;  // once per segment
     std::uint32_t off = 0;
     while (off < seg.len) {
       const Iova iova = seg.iova + off;
       const std::uint32_t payload = TlpPayload(iova, seg.len - off);
-      read_tlps_->Add();
+      ++tlps;
       // Bounded outstanding read requests.
       while (!outstanding_reads_.empty() && outstanding_reads_.front() <= t) {
         outstanding_reads_.pop_front();
@@ -217,8 +215,7 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
       }
       // Request TLP upstream (header only).
       TimeNs send = t > upstream_link_free_ ? t : upstream_link_free_;
-      wire_bytes_->Add(kTlpHeaderBytes);
-      upstream_link_free_ = send + request_wire_ns_;
+      upstream_link_free_ = send + tlp_cost_[0].wire_ns;
       const TimeNs arrival = upstream_link_free_;
       t = arrival;
 
@@ -233,8 +230,8 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
       // over the downstream link.
       const TimeNs data_ready = memory_->Read(translated, payload);
       TimeNs comp_start = data_ready > downstream_link_free_ ? data_ready : downstream_link_free_;
-      wire_bytes_->Add(payload + kTlpHeaderBytes);
-      downstream_link_free_ = comp_start + TlpWireNs(payload);
+      completion_bytes += payload + kTlpHeaderBytes;
+      downstream_link_free_ = comp_start + tlp_cost_[payload].wire_ns;
       const TimeNs completion = downstream_link_free_;
       outstanding_reads_.push_back(completion);
       if (completion > last_completion) {
@@ -243,6 +240,10 @@ DmaTiming RootComplex::DmaRead(TimeNs start, const std::vector<DmaSegment>& segm
       off += payload;
     }
   }
+  // A header-only request per TLP, and a completion for each that did not
+  // fault.
+  read_tlps_->Add(tlps);
+  wire_bytes_->Add(tlps * kTlpHeaderBytes + completion_bytes);
   timing.link_done = upstream_link_free_ > start ? upstream_link_free_ : start;
   timing.commit_done = last_completion;
   return timing;

@@ -108,16 +108,21 @@ class RootComplex {
   // Payload of the TLP at `iova` with `remaining` bytes left in its segment:
   // at most max_payload_bytes, and never across a 4 KB boundary.
   std::uint32_t TlpPayload(Iova iova, std::uint32_t remaining) const;
-  // Wire time of a TLP carrying `payload` bytes, and the time its payload
-  // takes to drain into memory. Full-size TLPs use the constructor's values.
-  TimeNs TlpWireNs(std::uint32_t payload) const;
-  TimeNs DrainNs(std::uint32_t payload) const;
-  TimeNs ComputeDrainNs(std::uint32_t payload) const;
+
+  // Costs of a TLP carrying `payload` bytes: its wire time (payload plus
+  // header) and the time its payload takes to drain into memory.
+  struct TlpCost {
+    TimeNs wire_ns;
+    TimeNs drain_ns;
+  };
+  // The costs of every payload size, 0 through the largest TLP.
+  static std::vector<TlpCost> TlpCostTable(const PcieConfig& config);
 
   PcieConfig config_;
-  TimeNs full_tlp_wire_ns_;   // max_payload_bytes + header on the wire
-  TimeNs full_tlp_drain_ns_;  // max_payload_bytes into memory
-  TimeNs request_wire_ns_;    // header-only read request on the wire
+  // tlp_cost_[payload] for every payload a TLP can carry: up to
+  // max_payload_bytes and never more than a page. A read request is a
+  // header-only TLP, tlp_cost_[0].
+  std::vector<TlpCost> tlp_cost_;
   Iommu* iommu_;
   MemorySystem* memory_;
   FaultInjector* fault_injector_ = nullptr;

@@ -64,10 +64,11 @@ void EventQueue::Insert(EventRec* rec) {
     AppendActive(rec);
     return;
   }
-  if (bucket < window_base_ + kNumBuckets) {
+  if (bucket < activated_end_ + kNumBuckets) {
     AppendToBucket(bucket, rec);
     return;
   }
+  ++overflow_inserts_;
   overflow_.push_back(HeapEntry{rec->when, rec->seq, rec});
   std::push_heap(overflow_.begin(), overflow_.end(), Later{});
 }
@@ -87,46 +88,23 @@ void EventQueue::AppendToBucket(std::uint64_t bucket, EventRec* rec) {
   }
 }
 
-std::uint64_t EventQueue::FindNextOccupied(std::uint64_t from) const {
-  const std::uint64_t end = window_base_ + kNumBuckets;
-  if (from >= end) {
-    return kNoBucket;
-  }
-  // The live range [from, end) covers each slot at most once; it wraps the
-  // slot space at most once, splitting into at most two linear segments.
-  const std::uint64_t base_slot = window_base_ & kBucketMask;
-  const std::uint64_t start_slot = from & kBucketMask;
-  auto scan = [this](std::uint64_t begin, std::uint64_t limit) -> std::uint64_t {
-    if (begin >= limit) {
-      return kNoBucket;
+std::uint64_t EventQueue::FindNextOccupied() const {
+  // The horizon covers every slot once, starting at the slot of
+  // activated_end_: scan the bitmap words from there, wrapping once, and end
+  // on the low bits of the start word.
+  constexpr std::size_t kWords = kNumBuckets / 64;
+  const std::uint64_t start = activated_end_ & kBucketMask;
+  std::size_t wi = start >> 6;
+  std::uint64_t word = occupied_[wi] & (~std::uint64_t{0} << (start & 63));
+  for (std::size_t step = 0; step <= kWords; ++step) {
+    if (word != 0) {
+      const std::uint64_t slot = (wi << 6) + CountTrailingZeros(word);
+      return activated_end_ + ((slot - start) & kBucketMask);
     }
-    std::uint64_t wi = begin >> 6;
-    std::uint64_t word = occupied_[wi] & (~std::uint64_t{0} << (begin & 63));
-    for (;;) {
-      if (word != 0) {
-        const std::uint64_t slot = (wi << 6) + CountTrailingZeros(word);
-        return slot < limit ? slot : kNoBucket;
-      }
-      ++wi;
-      if ((wi << 6) >= limit) {
-        return kNoBucket;
-      }
-      word = occupied_[wi];
-    }
-  };
-  std::uint64_t slot;
-  if (start_slot >= base_slot) {
-    slot = scan(start_slot, kNumBuckets);
-    if (slot == kNoBucket && base_slot != 0) {
-      slot = scan(0, base_slot);
-    }
-  } else {
-    slot = scan(start_slot, base_slot);
+    wi = (wi + 1) & (kWords - 1);
+    word = occupied_[wi];
   }
-  if (slot == kNoBucket) {
-    return kNoBucket;
-  }
-  return window_base_ + ((slot - base_slot) & kBucketMask);
+  return kNoBucket;
 }
 
 void EventQueue::ActivateBucket(std::uint64_t bucket) {
@@ -143,18 +121,16 @@ void EventQueue::ActivateBucket(std::uint64_t bucket) {
   slot.tail = nullptr;
   occupied_[(bucket & kBucketMask) >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
   activated_end_ = bucket + 1;
-  next_occupied_ = FindNextOccupied(activated_end_);
+  PromoteOverflow();
+  next_occupied_ = FindNextOccupied();
 }
 
-void EventQueue::SlideWindow() {
-  // Pre: the active tier and every calendar bucket are empty; overflow_ is
-  // not. Re-anchor the window at the earliest overflow event and promote
-  // everything that now falls inside it, in (when, seq) order.
-  const std::uint64_t target = BucketOf(overflow_.front().when);
-  window_base_ = target;
-  activated_end_ = target;
-  next_occupied_ = kNoBucket;
-  const std::uint64_t end = window_base_ + kNumBuckets;
+void EventQueue::PromoteOverflow() {
+  // The buckets that just entered the horizon reuse the slots of buckets
+  // drained one lap earlier (or, after a jump, of an empty calendar), and
+  // nothing is ever inserted past the horizon, so they are empty: promoting
+  // in (when, seq) order leaves each bucket's list in seq order.
+  const std::uint64_t end = activated_end_ + kNumBuckets;
   while (!overflow_.empty() && BucketOf(overflow_.front().when) < end) {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     EventRec* rec = overflow_.back().rec;
@@ -166,14 +142,16 @@ void EventQueue::SlideWindow() {
 EventQueue::EventRec* EventQueue::PrepareTop(TimeNs deadline) {
   if (active_mask_ == 0) {
     // Bucket events are no earlier than BucketStartNs(next_occupied_), and
-    // overflow events lie beyond the window entirely. Activating or sliding
+    // overflow events lie beyond the horizon entirely. Activating or jumping
     // past the deadline would let a caller later schedule, between RunUntil
     // calls, into a bucket before the activated one.
     if (next_occupied_ == kNoBucket) {
       if (overflow_.empty() || overflow_.front().when > deadline) {
         return nullptr;
       }
-      SlideWindow();  // next_occupied_ becomes the front event's bucket
+      // The calendar is empty: start the horizon at the overflow heap's top.
+      activated_end_ = BucketOf(overflow_.front().when);
+      PromoteOverflow();  // next_occupied_ becomes the top event's bucket
     }
     if (BucketStartNs(next_occupied_) > deadline) {
       return nullptr;

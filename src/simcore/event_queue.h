@@ -20,17 +20,21 @@
 //   * Pending events are organized in three tiers keyed by (when, seq):
 //     an "active" tier holding the one activated calendar bucket as 64
 //     per-nanosecond FIFO lists under a 64-bit occupancy mask,
-//     kNumBuckets near-future calendar buckets of kBucketWidthNs each
-//     (intrusive singly-linked lists, occupancy bitmap), and a sorted
-//     overflow heap for events beyond the calendar window. A bucket is
-//     activated only once the active tier is empty, and RunUntil never
-//     activates a bucket (or slides the window to an event) past its
-//     deadline, so every active event lies in that one bucket and
-//     `when & 63` is a unique slot. Each per-slot list stays in seq order,
-//     so the pop order is exactly the (when, seq) total order the old binary
-//     heap produced — same-timestamp events stay FIFO and every golden trace
-//     is byte-identical. Insert and pop are O(1) with no comparisons for the
-//     near-future traffic that dominates simulation runs.
+//     kNumBuckets calendar buckets of kBucketWidthNs each (intrusive
+//     singly-linked lists, occupancy bitmap) covering the rolling horizon
+//     that starts just after the activated bucket, and a sorted overflow
+//     heap for events beyond that horizon. Each activation moves the
+//     horizon forward to the new bucket and promotes the overflow events
+//     whose buckets just entered it; a drained bucket's slot is reused one
+//     lap later. A bucket is activated only once the active tier is empty,
+//     and RunUntil never activates a bucket (or jumps to an overflow
+//     event) past its deadline, so every active event lies in that one
+//     bucket and `when & 63` is a unique slot. Each per-slot list stays in
+//     seq order, so the pop order is exactly the (when, seq) total order
+//     the old binary heap produced — same-timestamp events stay FIFO and
+//     every golden trace is byte-identical. Insert and pop are O(1) with no
+//     comparisons for every event scheduled at most kHorizonNs ahead of
+//     the running one.
 //
 // Building with -DFSIO_EVENTQ_REFERENCE swaps in the original
 // priority_queue implementation (reference_event_queue.h) for differential
@@ -73,6 +77,14 @@ class EventQueue {
   // plus a vector handle and a few scalars) with headroom; anything larger
   // takes the counted heap-box fallback.
   static constexpr std::size_t kInlinePayloadBytes = 144;
+
+  // Calendar geometry: 2^14 buckets of 64 ns, a horizon of ~1.05 ms — wide
+  // enough that serialization, DMA, memory, think-time and NIC egress-backlog
+  // events all land in buckets; only RTO-scale timers take the overflow
+  // heap. While an event runs, anything it schedules at most kHorizonNs
+  // ahead goes into the calendar.
+  static constexpr TimeNs kBucketWidthNs = 64;
+  static constexpr TimeNs kHorizonNs = kBucketWidthNs << 14;
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -139,6 +151,10 @@ class EventQueue {
   // allocations, and tests assert exactly that.
   std::uint64_t allocations() const { return allocations_; }
 
+  // Number of ScheduleAt calls whose event lay beyond the calendar horizon
+  // and went into the overflow heap.
+  std::uint64_t overflow_inserts() const { return overflow_inserts_; }
+
   // Pre-allocates arena capacity for at least `events` concurrently-pending
   // events, so a run sized below that bound never grows the arena mid-window.
   void Reserve(std::size_t events);
@@ -147,17 +163,14 @@ class EventQueue {
   std::size_t arena_capacity() const { return capacity_; }
 
  private:
-  // Calendar geometry: kNumBuckets buckets of kBucketWidthNs each give a
-  // 256 us near-future window — wide enough that serialization, DMA, memory
-  // and think-time events all land in buckets; only RTO-scale timers take the
-  // overflow tier.
-  static constexpr std::uint64_t kBucketShift = 6;  // 64 ns per bucket
-  static constexpr TimeNs kBucketWidthNs = TimeNs{1} << kBucketShift;
+  static constexpr std::uint64_t kBucketShift = 6;
+  static_assert(kBucketWidthNs == TimeNs{1} << kBucketShift, "bucket width is 2^kBucketShift");
   // The active tier has one slot per nanosecond of a bucket, one mask bit
   // per slot.
   static_assert(kBucketWidthNs == std::numeric_limits<std::uint64_t>::digits,
                 "active-tier slots must fill one 64-bit mask");
-  static constexpr std::size_t kNumBuckets = 4096;  // power of two
+  static constexpr std::size_t kNumBuckets = kHorizonNs >> kBucketShift;  // power of two
+  static_assert((kNumBuckets & (kNumBuckets - 1)) == 0, "bucket count must be a power of two");
   static constexpr std::uint64_t kBucketMask = kNumBuckets - 1;
   static constexpr std::size_t kChunkRecs = 2048;   // arena growth quantum
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
@@ -231,7 +244,7 @@ class EventQueue {
     rec->next = free_;
     free_ = rec;
   }
-  // Appends `rec` to calendar bucket `bucket` (inside the window).
+  // Appends `rec` to calendar bucket `bucket` (inside the horizon).
   void AppendToBucket(std::uint64_t bucket, EventRec* rec);
   // Appends `rec` to its active-tier slot (its bucket is the activated one).
   void AppendActive(EventRec* rec) {
@@ -249,17 +262,20 @@ class EventQueue {
 
   // Returns the globally earliest pending event if it is due by `deadline`
   // (it may still be later than `deadline` when it was already active),
-  // activating the next calendar bucket / sliding the window only when the
-  // active tier is empty and the bucket starts, or the overflow event lies,
-  // at-or-before `deadline`. Returns nullptr when nothing is pending or due.
+  // activating the next calendar bucket, or jumping the horizon to the
+  // overflow heap's top, only when the active tier is empty and the bucket
+  // starts, or the overflow event lies, at-or-before `deadline`. Returns
+  // nullptr when nothing is pending or due.
   EventRec* PrepareTop(TimeNs deadline);
   // Unlinks and runs the earliest active event (PrepareTop's return).
   void RunTop(EventRec* rec);
+  // Moves `bucket` into the active tier and rolls the horizon forward.
   void ActivateBucket(std::uint64_t bucket);
-  void SlideWindow();
-  // Smallest occupied bucket index in [from, window_base_ + kNumBuckets), or
-  // kNoBucket. `from` must be >= window_base_.
-  std::uint64_t FindNextOccupied(std::uint64_t from) const;
+  // Moves the overflow events whose buckets now lie inside the horizon into
+  // those buckets, in (when, seq) order.
+  void PromoteOverflow();
+  // Smallest occupied calendar bucket index, or kNoBucket.
+  std::uint64_t FindNextOccupied() const;
 
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -271,17 +287,18 @@ class EventQueue {
   // non-empty.
   std::array<Bucket, kBucketWidthNs> active_{};
   std::uint64_t active_mask_ = 0;
-  // Tier 2: near-future calendar. Bucket b (absolute index) lives in slot
-  // b & kBucketMask while window_base_ <= b < window_base_ + kNumBuckets.
+  // Tier 2: the calendar over the horizon [activated_end_, activated_end_ +
+  // kNumBuckets). Bucket b (absolute index) lives in slot b & kBucketMask;
+  // the slot of a drained bucket serves the bucket kNumBuckets later.
   // Buckets with index < activated_end_ have been drained into active_.
   std::vector<Bucket> buckets_ = std::vector<Bucket>(kNumBuckets);
   std::vector<std::uint64_t> occupied_ = std::vector<std::uint64_t>(kNumBuckets / 64, 0);
-  std::uint64_t window_base_ = 0;     // absolute index of the calendar's first bucket
   std::uint64_t activated_end_ = 0;   // buckets below this are in active_
-  std::uint64_t next_occupied_ = kNoBucket;  // cached FindNextOccupied(activated_end_)
-  // Tier 3: beyond-window events, promoted into buckets when the window
-  // slides past them.
+  std::uint64_t next_occupied_ = kNoBucket;  // cached FindNextOccupied()
+  // Tier 3: events beyond the horizon, promoted into their buckets as the
+  // horizon reaches them.
   std::vector<HeapEntry> overflow_;
+  std::uint64_t overflow_inserts_ = 0;
 
   // Arena: chunked storage + intrusive free list.
   std::vector<std::unique_ptr<EventRec[]>> chunks_;

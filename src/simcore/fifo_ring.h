@@ -1,7 +1,8 @@
 // FIFO queue on a circular buffer, for the simulator's per-packet and
 // per-TLP queues (root complex, NIC Rx/Tx engines, host cores).
 //
-// Storage is allocated once, at the capacity the owner expects to need;
+// Storage is allocated once, at the capacity the owner expects to need
+// rounded up to a power of two, so a slot index is a mask and not a compare;
 // push_back doubles it only when the ring is full, so a queue that stays
 // within its high-water mark never allocates again. pop_front leaves the
 // popped slot's value in place until a later push overwrites it: move a
@@ -9,6 +10,7 @@
 #ifndef FASTSAFE_SRC_SIMCORE_FIFO_RING_H_
 #define FASTSAFE_SRC_SIMCORE_FIFO_RING_H_
 
+#include <bit>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -18,7 +20,8 @@ namespace fsio {
 template <typename T>
 class FifoRing {
  public:
-  explicit FifoRing(std::size_t capacity) : slots_(capacity == 0 ? 1 : capacity) {}
+  explicit FifoRing(std::size_t capacity)
+      : slots_(std::bit_ceil(capacity)), mask_(slots_.size() - 1) {}
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -29,7 +32,7 @@ class FifoRing {
   const T& operator[](std::size_t i) const { return slots_[Slot(i)]; }
 
   void pop_front() {
-    head_ = head_ + 1 == slots_.size() ? 0 : head_ + 1;
+    head_ = (head_ + 1) & mask_;
     --size_;
   }
 
@@ -46,14 +49,11 @@ class FifoRing {
   }
 
  private:
-  std::size_t Slot(std::size_t i) const {
-    const std::size_t slot = head_ + i;
-    return slot >= slots_.size() ? slot - slots_.size() : slot;
-  }
+  std::size_t Slot(std::size_t i) const { return (head_ + i) & mask_; }
 
   // Makes room for one more element and returns its (tail) slot.
   T& EmplaceTail() {
-    if (size_ == slots_.size()) {
+    if (size_ > mask_) {
       Grow();
     }
     T& tail = slots_[Slot(size_)];
@@ -69,9 +69,11 @@ class FifoRing {
     }
     head_ = 0;
     slots_.swap(bigger);
+    mask_ = slots_.size() - 1;
   }
 
   std::vector<T> slots_;
+  std::size_t mask_;  // slots_.size() - 1
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -39,6 +39,10 @@ class ReferenceEventQueue {
   // hot closures against this bound); the reference queue itself has no
   // inline-payload limit — std::function takes any size.
   static constexpr std::size_t kInlinePayloadBytes = 144;
+  // API parity: the calendar EventQueue's geometry, so tests derive their
+  // schedules from it in either build. The reference queue has no calendar.
+  static constexpr TimeNs kBucketWidthNs = 64;
+  static constexpr TimeNs kHorizonNs = kBucketWidthNs << 14;
 
   ReferenceEventQueue() = default;
   ReferenceEventQueue(const ReferenceEventQueue&) = delete;
@@ -85,6 +89,8 @@ class ReferenceEventQueue {
   std::uint64_t allocations() const { return 0; }
   void Reserve(std::size_t /*events*/) {}
   std::size_t arena_capacity() const { return 0; }
+  // No overflow heap either: always 0.
+  std::uint64_t overflow_inserts() const { return 0; }
 
  private:
   struct Event {

@@ -126,7 +126,7 @@ void DctcpSender::OnRto(std::uint64_t armed_epoch) {
     // and abort instead of probing a black hole forever. The counter is
     // fetched lazily so abort-free runs publish the historical counter set.
     aborted_ = true;
-    stats_->Get("dctcp.flow_aborts")->Add();
+    LazyCounter(stats_, &flow_aborts_, "dctcp.flow_aborts")->Add();
     trace_.Instant("transport", "flow_abort", ev_->now(), "flow",
                    static_cast<double>(flow_id_), "timeouts",
                    static_cast<double>(consecutive_timeouts_));

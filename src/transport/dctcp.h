@@ -130,6 +130,7 @@ class DctcpSender {
   Counter* sent_packets_;
   Counter* retransmit_packets_;
   Counter* timeout_events_;
+  Counter* flow_aborts_ = nullptr;  // lazy: abort path only
 };
 
 class DctcpReceiver {

@@ -1,11 +1,12 @@
-// Calendar-queue event core tests (ISSUE 7 satellite): ordering guarantees
-// the rearchitected EventQueue must share bit-for-bit with the reference
-// scheduler — same-timestamp FIFO chains, past-clamp ordering, bucket
-// rollover at calendar-epoch boundaries, far-future overflow promotion —
-// plus the arena-allocation contract (Reserve(), allocations()) and the
-// ScheduleAfter overflow saturation regression. The randomized differential
-// section replays identical schedules through EventQueue and
-// ReferenceEventQueue and requires identical execution sequences.
+// Calendar-queue event core tests: ordering guarantees the EventQueue must
+// share bit-for-bit with the reference scheduler — same-timestamp FIFO
+// chains, past-clamp ordering, bucket rollover at horizon boundaries,
+// far-future overflow promotion, leads at the horizon's edge, a parked
+// clock — plus the arena-allocation contract (Reserve(), allocations()),
+// the overflow-heap count and the ScheduleAfter overflow saturation
+// regression. The randomized differential section replays identical
+// schedules through EventQueue and ReferenceEventQueue and requires
+// identical execution sequences.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,11 +21,14 @@
 namespace fsio {
 namespace {
 
-// Calendar geometry mirrored from event_queue.cc (private there): 4096
-// buckets of 64 ns. The epoch-boundary tests below straddle multiples of
-// this span; if the geometry changes, they still probe interesting offsets.
-constexpr TimeNs kBucketNs = 64;
-constexpr TimeNs kCalendarSpanNs = 4096 * kBucketNs;
+// Calendar geometry, from the queue under test (the reference queue
+// mirrors it): the boundary tests below straddle multiples of the horizon
+// and lead by whole buckets around it.
+constexpr TimeNs kBucketNs = EventQueue::kBucketWidthNs;
+constexpr TimeNs kCalendarSpanNs = EventQueue::kHorizonNs;
+static_assert(kBucketNs == ReferenceEventQueue::kBucketWidthNs &&
+                  kCalendarSpanNs == ReferenceEventQueue::kHorizonNs,
+              "both queues must report one geometry");
 
 TEST(EventCoreOrdering, SameTimestampFifoChains) {
   // Three interleaved chains scheduling at one timestamp: execution must be
@@ -313,6 +317,178 @@ TEST(EventCoreDifferential, MatchesReferenceQueueOnRandomSchedules) {
     }
   }
 }
+
+// Lead-time shapes from the datapath. Every executed event records
+// (now, tag) and schedules one successor `lead(rng)` ahead until `budget`
+// events have run; the caller advances in RunUntil slices of `slice_ns`.
+// With `outside` set, the caller also schedules between slices: at now()
+// and one lead ahead of it, from a clock parked at the slice's end.
+template <typename Queue, typename Lead>
+std::vector<std::pair<TimeNs, int>> DriveLeads(Queue& q, std::uint64_t seed, Lead lead,
+                                               TimeNs slice_ns, bool outside) {
+  SplitMix rng(seed);
+  std::vector<std::pair<TimeNs, int>> trace;
+  struct Ctx {
+    Queue* q;
+    SplitMix* rng;
+    Lead* lead;
+    std::vector<std::pair<TimeNs, int>>* trace;
+    int tag = 0;
+    int budget = 20000;
+  } ctx{&q, &rng, &lead, &trace};
+  struct Spawner {
+    static void Spawn(Ctx* ctx, TimeNs when) {
+      const int t = ctx->tag++;
+      ctx->q->ScheduleAt(when, [ctx, t] {
+        ctx->trace->emplace_back(ctx->q->now(), t);
+        if (--ctx->budget > 0) {
+          Spawn(ctx, ctx->q->now() + (*ctx->lead)(*ctx->rng));
+        }
+      });
+    }
+  };
+  for (int i = 0; i < 64; ++i) {
+    Spawner::Spawn(&ctx, rng.Below(1000));
+  }
+  while (ctx.budget > 0 && q.pending() > 0) {
+    q.RunUntil(q.now() + slice_ns);
+    trace.emplace_back(q.now(), -1);
+    if (outside) {
+      Spawner::Spawn(&ctx, q.now());
+      Spawner::Spawn(&ctx, q.now() + lead(rng));
+    }
+  }
+  q.RunAll();
+  trace.emplace_back(q.now(), -2);
+  return trace;
+}
+
+template <typename Lead>
+void ExpectLeadsMatchReference(Lead lead, TimeNs slice_ns) {
+  for (const std::uint64_t seed : {3ull, 99ull, 0xbeefull}) {
+    for (const bool outside : {false, true}) {
+      EventQueue calendar_q;
+      ReferenceEventQueue reference_q;
+      const auto calendar = DriveLeads(calendar_q, seed, lead, slice_ns, outside);
+      const auto reference = DriveLeads(reference_q, seed, lead, slice_ns, outside);
+      ASSERT_EQ(calendar.size(), reference.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < calendar.size(); ++i) {
+        ASSERT_EQ(calendar[i], reference[i])
+            << "seed " << seed << " outside " << outside << " step " << i;
+      }
+    }
+  }
+}
+
+// A NIC egress backlog: a dense near-term stream where ~15% of events lie
+// 400-600 us ahead, plus 1-2 ms retransmit timers past the horizon.
+TimeNs BacklogLead(SplitMix& rng) {
+  const std::uint64_t kind = rng.Below(100);
+  if (kind < 10) {
+    return 0;
+  }
+  if (kind < 80) {
+    return rng.Below(2000);
+  }
+  if (kind < 95) {
+    return 400'000 + rng.Below(200'001);
+  }
+  return 1'000'000 + rng.Below(1'000'001);
+}
+
+TEST(EventCoreDifferential, BacklogStreamMatchesReference) {
+  ExpectLeadsMatchReference(BacklogLead, 50'000);
+}
+
+// Leads of exactly horizon - 1, horizon and horizon + 1 buckets, each with
+// a sub-bucket offset, mixed with same-bucket work: the first two stay in
+// the calendar from a running event, the last takes the overflow heap, and
+// all three land on slots the rolling horizon just freed.
+TimeNs HorizonEdgeLead(SplitMix& rng) {
+  const std::uint64_t kind = rng.Below(8);
+  if (kind < 2) {
+    return rng.Below(kBucketNs);
+  }
+  const TimeNs buckets = kCalendarSpanNs / kBucketNs + (kind % 3) - 1;
+  return buckets * kBucketNs + (kind < 5 ? 0 : rng.Below(kBucketNs));
+}
+
+TEST(EventCoreDifferential, HorizonEdgeLeadsMatchReference) {
+  ExpectLeadsMatchReference(HorizonEdgeLead, kCalendarSpanNs / 3);
+}
+
+TEST(EventCoreOrdering, ParkedClockSchedulesAfterFarRunUntil) {
+  // RunUntil parks the clock far past the activated bucket with work still
+  // pending in the calendar and in the overflow heap; the caller then
+  // schedules a little, a bucket, and about a horizon past now().
+  auto drive = [](auto& q) {
+    std::vector<std::pair<TimeNs, int>> trace;
+    int tag = 0;
+    auto at = [&q, &trace, &tag](TimeNs when) {
+      q.ScheduleAt(when, [&q, &trace, t = tag++] { trace.emplace_back(q.now(), t); });
+    };
+    at(5);
+    at(7 * kCalendarSpanNs + 3);   // pending behind the parked clock's horizon
+    at(20 * kCalendarSpanNs + 9);  // overflow
+    q.RunUntil(10);
+    TimeNs parked = 10;
+    for (const TimeNs jump : {3 * kCalendarSpanNs + 17, 6 * kCalendarSpanNs,
+                              kCalendarSpanNs / 2 + 1}) {
+      parked += jump;
+      q.RunUntil(parked);
+      trace.emplace_back(q.now(), -1);
+      for (const TimeNs delta : {TimeNs{0}, TimeNs{1}, kBucketNs - 1, kBucketNs,
+                                 kCalendarSpanNs - 1, kCalendarSpanNs,
+                                 kCalendarSpanNs + kBucketNs}) {
+        at(q.now() + delta);
+      }
+      at(q.now() - 1);  // the past: clamped to now()
+    }
+    q.RunAll();
+    trace.emplace_back(q.now(), -2);
+    return trace;
+  };
+  EventQueue calendar_q;
+  ReferenceEventQueue reference_q;
+  const auto calendar = drive(calendar_q);
+  EXPECT_EQ(calendar, drive(reference_q));
+  for (std::size_t i = 1; i < calendar.size(); ++i) {
+    EXPECT_LE(calendar[i - 1].first, calendar[i].first) << "step " << i;
+  }
+}
+
+// --- Overflow-heap count --------------------------------------------------
+
+TEST(EventCoreOverflow, LeadsWithinHorizonNeverOverflow) {
+  // Every lead, up to and including a whole horizon, scheduled by a running
+  // event lands in the calendar, also with RunUntil slices in between.
+  EventQueue q;
+  auto lead = [](SplitMix& rng) {
+    const std::uint64_t kind = rng.Below(4);
+    return kind == 0 ? kCalendarSpanNs - rng.Below(2 * kBucketNs)
+                     : rng.Below(kCalendarSpanNs + 1);
+  };
+  DriveLeads(q, 17, lead, kCalendarSpanNs / 5, /*outside=*/false);
+  EXPECT_GT(q.executed(), 20000u);
+  EXPECT_EQ(q.overflow_inserts(), 0u);
+}
+
+#ifndef FSIO_EVENTQ_REFERENCE
+TEST(EventCoreOverflow, LeadsPastHorizonOverflowOnce) {
+  // The reference queue has no overflow heap; here each event scheduled a
+  // bucket past the horizon is counted once, however it is later promoted.
+  EventQueue q;
+  q.ScheduleAt(0, [&q] {
+    for (int i = 0; i < 10; ++i) {
+      q.ScheduleAfter(kCalendarSpanNs + kBucketNs + static_cast<TimeNs>(i), [] {});
+    }
+    q.ScheduleAfter(kCalendarSpanNs, [] {});
+  });
+  q.RunAll();
+  EXPECT_EQ(q.overflow_inserts(), 10u);
+  EXPECT_EQ(q.executed(), 12u);
+}
+#endif
 
 }  // namespace
 }  // namespace fsio

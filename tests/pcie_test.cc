@@ -281,8 +281,9 @@ TEST_F(PcieTest, OutstandingReadLimitThrottles) {
 }
 
 // Deque-based oracle: the root complex before the FIFO rings and the
-// hoisted full-size TLP costs, kept verbatim in behaviour — every TLP's
-// wire time and drain computed from its payload, std::deque queues.
+// per-size TLP cost tables, kept verbatim in behaviour — every TLP's wire
+// time and drain computed from its payload, std::deque queues, counters
+// added per TLP.
 class DequeRootComplex {
  public:
   DequeRootComplex(const PcieConfig& config, Iommu* iommu, MemorySystem* memory,
@@ -597,7 +598,12 @@ INSTANTIATE_TEST_SUITE_P(
                       RcGeometry{"SmallBufferOneRead", 300, 1, 256, 0.5, false},
                       RcGeometry{"SmallBufferThreeReadsIommu", 512, 3, 256, 2.0, true},
                       RcGeometry{"OneReadIommu", 6400, 1, 256, 16.0, true},
-                      RcGeometry{"OddPayloadThreeReads", 1000, 3, 100, 1.0, false}),
+                      RcGeometry{"OddPayloadThreeReads", 1000, 3, 100, 1.0, false},
+                      // Payload limits above a page: a TLP still ends at the
+                      // page boundary, so it never exceeds 4096 B.
+                      RcGeometry{"PayloadAbovePageIommu", 20000, 8, 8192, 16.0, true},
+                      RcGeometry{"OddPayloadAbovePage", 9000, 2, 5000, 3.0, false},
+                      RcGeometry{"OddPayloadIommu", 6400, 16, 1500, 16.0, true}),
     [](const ::testing::TestParamInfo<RcGeometry>& info) { return info.param.name; });
 
 // Degenerate configs the constructor refuses, one field each: each would

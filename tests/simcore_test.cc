@@ -220,6 +220,51 @@ TEST(FifoRingTest, StaysAtCapacityWhileNotFull) {
   EXPECT_EQ(ring.front(), 97);
 }
 
+// A capacity request that is not a power of two rounds up (the RC-buffer
+// ring asks for 26 entries by default): the ring holds 32 without
+// allocating, wraps across the mask boundary in deque order, and grows past
+// 32 from a wrapped state without losing that order.
+TEST(FifoRingTest, RoundsCapacityUpAndWrapsAcrossMask) {
+  FifoRing<std::uint64_t> ring(26);
+  EXPECT_EQ(ring.capacity(), 32u);
+  std::deque<std::uint64_t> ref;
+  std::uint64_t next = 0;
+  auto check = [&ring, &ref](const char* when) {
+    ASSERT_EQ(ring.size(), ref.size()) << when;
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      ASSERT_EQ(ring[k], ref[k]) << when << " index " << k;
+    }
+    if (!ref.empty()) {
+      ASSERT_EQ(ring.front(), ref.front()) << when;
+    }
+  };
+  // Hold 20-32 elements while the head laps the 32 slots several times.
+  for (int round = 0; round < 200; ++round) {
+    while (ref.size() < 20 + static_cast<std::size_t>(round % 13)) {
+      ring.push_back(next);
+      ref.push_back(next++);
+    }
+    for (int pops = 0; pops < 7; ++pops) {
+      ring.pop_front();
+      ref.pop_front();
+    }
+    check("lapping");
+  }
+  EXPECT_EQ(ring.capacity(), 32u) << "never more than 32 queued";
+  // Fill the wrapped ring to 32, then push past it.
+  while (ref.size() < 40) {
+    ring.push_back(next);
+    ref.push_back(next++);
+  }
+  EXPECT_EQ(ring.capacity(), 64u);
+  check("grown");
+  while (!ref.empty()) {
+    ring.pop_front();
+    ref.pop_front();
+    check("draining");
+  }
+}
+
 // Move-only elements: push_back moves in, growth moves across, front()
 // hands the element out, clear() destroys what is still queued.
 TEST(FifoRingTest, MovesOwningElements) {
