@@ -10,9 +10,7 @@
 
 #include "bench/figure_common.h"
 
-int main() {
-  using namespace fsio;
-
+void fsio::bench::AblationModel() {
   struct Variant {
     std::string name;
     std::function<void(TestbedConfig*)> apply;
@@ -43,36 +41,30 @@ int main() {
       {"no IOVA free migration",
        [](TestbedConfig* c) { c->host.dma.free_migration_fraction = 0.0; }},
   };
-  if (bench::SmokeMode()) {
+  if (SmokeMode()) {
     variants.resize(1);
   }
 
   // Each (variant, mode) pair is an independent sweep point.
-  struct Cell {
-    double gbps = 0;
-    double reads = 0;
-  };
   const ProtectionMode modes[] = {ProtectionMode::kStrict, ProtectionMode::kFastSafe};
-  const auto cells = bench::ParallelSweep<Cell>(variants.size() * 2, [&](std::size_t i) {
+  const auto runs = ParallelSweep<IperfRun>(variants.size() * 2, [&](std::size_t i) {
     TestbedConfig config;
     config.mode = modes[i % 2];
     config.cores = 5;
     variants[i / 2].apply(&config);
-    const auto run = bench::RunIperf(config, 5);
-    return Cell{run.window.goodput_gbps, run.window.mem_reads_per_page};
+    return RunIperf({config, 5});
   });
 
   Table table({"variant", "strict_gbps", "fs_gbps", "strict_reads/pg", "fs_reads/pg"});
   for (std::size_t v = 0; v < variants.size(); ++v) {
     table.BeginRow();
     table.AddCell(variants[v].name);
-    table.AddNumber(cells[v * 2].gbps, 1);
-    table.AddNumber(cells[v * 2 + 1].gbps, 1);
-    table.AddNumber(cells[v * 2].reads, 2);
-    table.AddNumber(cells[v * 2 + 1].reads, 2);
+    table.AddNumber(runs[v * 2].window.goodput_gbps, 1);
+    table.AddNumber(runs[v * 2 + 1].window.goodput_gbps, 1);
+    table.AddNumber(runs[v * 2].window.mem_reads_per_page, 2);
+    table.AddNumber(runs[v * 2 + 1].window.mem_reads_per_page, 2);
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Model ablation: strict vs F&S (iperf, 5 flows) under simulator variants\n\n",
       table);
-  return 0;
 }

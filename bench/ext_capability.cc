@@ -22,15 +22,13 @@
 #include "src/apps/rpc.h"
 #include "src/stats/histogram.h"
 
-int main() {
-  using namespace fsio;
-
+void fsio::bench::ExtCapability() {
   struct Point {
     ProtectionMode mode;
     TimeNs check_ns;  // capability rows only; 0 = mode has no check
   };
   std::vector<Point> points;
-  for (TimeNs check_ns : bench::Sweep<TimeNs>({20, 40, 80, 160, 320})) {
+  for (TimeNs check_ns : Sweep<TimeNs>({20, 40, 80, 160, 320})) {
     points.push_back(Point{ProtectionMode::kCapability, check_ns});
   }
   for (ProtectionMode mode :
@@ -45,7 +43,7 @@ int main() {
     Histogram rpc_latency;
     std::uint64_t violations = 0;
   };
-  const auto rows = bench::ParallelSweep<Row>(points.size(), [&](std::size_t i) {
+  const auto rows = ParallelSweep<Row>(points.size(), [&](std::size_t i) {
     TestbedConfig config;
     config.mode = points[i].mode;
     config.cores = 6;  // 5 iperf + 1 RPC core
@@ -58,9 +56,9 @@ int main() {
     auto rpc = std::make_unique<RequestResponseApp>(
         &testbed, NetperfRpcConfig(/*size=*/4096, /*rpc_core=*/5));
     rpc->Start();
-    testbed.RunUntil(bench::WarmupNs());
+    testbed.RunUntil(WarmupNs());
     rpc->mutable_latency().Reset();
-    const WindowResult window = testbed.MeasureWindow(1, bench::WindowNs());
+    const WindowResult window = testbed.MeasureWindow(1, WindowNs());
 
     Row row;
     row.gbps = window.goodput_gbps;
@@ -86,10 +84,9 @@ int main() {
     table.AddNumber(static_cast<double>(row.rpc_latency.Percentile(99)) / 1000.0, 1);
     table.AddInteger(static_cast<long long>(row.violations));
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Extension: capability-checked kernel bypass vs IOMMU protection\n"
       "(check-cost sweep; expected: flat check cost beats per-miss walk\n"
       "costs until the check dominates the per-page budget; 0 violations)\n\n",
       table);
-  return 0;
 }

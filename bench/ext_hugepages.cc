@@ -13,8 +13,7 @@
 
 #include "bench/figure_common.h"
 
-int main() {
-  using namespace fsio;
+void fsio::bench::ExtHugepages() {
   struct Cfg {
     const char* name;
     ProtectionMode mode;
@@ -28,7 +27,7 @@ int main() {
       {"fast-and-safe+huge", ProtectionMode::kFastSafe, true, "strict"},
       {"hugepage-persistent", ProtectionMode::kHugepagePersistent, false, "weak"},
   };
-  if (!bench::SmokeMode()) {
+  if (!SmokeMode()) {
     // Full runs add the kernel-bypass design (IOMMU off, table-checked).
     cfgs.push_back({"capability", ProtectionMode::kCapability, false, "strict"});
   }
@@ -39,27 +38,22 @@ int main() {
   };
   std::vector<Point> points;
   for (const Cfg& cfg : cfgs) {
-    for (std::uint32_t flows : bench::Sweep({5u, 40u})) {
+    for (std::uint32_t flows : Sweep({5u, 40u})) {
       points.push_back(Point{cfg, flows});
     }
   }
 
-  const auto runs = bench::ParallelSweep<bench::IperfRun>(points.size(), [&](std::size_t i) {
+  const auto runs = ParallelSweep<IperfRun>(points.size(), [&](std::size_t i) {
     TestbedConfig config;
     config.mode = points[i].cfg.mode;
     config.cores = 5;
     config.host.use_hugepages = points[i].cfg.huge;
-    return bench::RunIperf(config, points[i].flows);
+    return RunIperf({config, points[i].flows});
   });
 
   Table table({"config", "safety", "gbps", "iotlb/pg", "reads/pg", "inv_req/pg"});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& run = runs[i];
-    const double inv =
-        run.window.pages_of_data > 0
-            ? static_cast<double>(run.window.raw_rx_host.at("dma.inv_requests")) /
-                  static_cast<double>(run.window.pages_of_data)
-            : 0.0;
     table.BeginRow();
     table.AddCell(std::string(points[i].cfg.name) + "/" + std::to_string(points[i].flows) +
                   "f");
@@ -67,12 +61,11 @@ int main() {
     table.AddNumber(run.window.goodput_gbps, 1);
     table.AddNumber(run.window.iotlb_miss_per_page, 3);
     table.AddNumber(run.window.mem_reads_per_page, 3);
-    table.AddNumber(inv, 3);
+    table.AddNumber(InvRequestsPerPage(run.window), 3);
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Extension: hugepages x F&S (the paper's §5 future-work direction)\n"
       "F&S+huge keeps strict safety while cutting IOTLB misses ~5x further;\n"
       "persistent hugepages (related work) are marginally cheaper but weak.\n\n",
       table);
-  return 0;
 }

@@ -7,55 +7,36 @@
 // granularity), and leaves the evaluation to future work. This bench runs
 // it: iperf at 5 flows with pages-per-descriptor in {1, 8, 64}.
 #include <string>
-#include <vector>
 
 #include "bench/figure_common.h"
 
-int main() {
-  using namespace fsio;
+void fsio::bench::ExtSinglePageDesc() {
+  const auto points = ModeGrid(PaperModes(), Sweep({1u, 8u, 64u}));
 
-  struct Point {
-    ProtectionMode mode;
-    std::uint32_t pages;
-  };
-  std::vector<Point> points;
-  for (ProtectionMode mode : bench::WithCapability(
-           {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe})) {
-    for (std::uint32_t pages : bench::Sweep({1u, 8u, 64u})) {
-      points.push_back(Point{mode, pages});
-    }
-  }
-
-  const auto runs = bench::ParallelSweep<bench::IperfRun>(points.size(), [&](std::size_t i) {
+  const auto runs = ParallelSweep<IperfRun>(points.size(), [&](std::size_t i) {
     TestbedConfig config;
     config.mode = points[i].mode;
     config.cores = 5;
-    config.host.pages_per_desc = points[i].pages;
-    return bench::RunIperf(config, 5);
+    config.host.pages_per_desc = points[i].x;
+    return RunIperf({config, 5});
   });
 
   Table table({"mode", "pages/desc", "gbps", "iotlb/pg", "l3/pg", "reads/pg",
                "inv_req/pg"});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& run = runs[i];
-    const double inv =
-        run.window.pages_of_data > 0
-            ? static_cast<double>(run.window.raw_rx_host.at("dma.inv_requests")) /
-                  static_cast<double>(run.window.pages_of_data)
-            : 0.0;
     table.BeginRow();
     table.AddCell(ProtectionModeName(points[i].mode));
-    table.AddCell(std::to_string(points[i].pages));
+    table.AddCell(std::to_string(points[i].x));
     table.AddNumber(run.window.goodput_gbps, 1);
     table.AddNumber(run.window.iotlb_miss_per_page, 2);
     table.AddNumber(run.window.l3_miss_per_page, 3);
     table.AddNumber(run.window.mem_reads_per_page, 2);
-    table.AddNumber(inv, 2);
+    table.AddNumber(InvRequestsPerPage(run.window), 2);
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Extension: F&S with single-page descriptors (paper leaves this to\n"
       "future work). Expected: preservation + contiguity still help; the\n"
       "batched-invalidation benefit shrinks as pages/descriptor -> 1.\n\n",
       table);
-  return 0;
 }

@@ -20,6 +20,7 @@
 // must make no translation.
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,7 @@
 #include "src/driver/protection.h"
 #include "src/tenant/tenant_system.h"
 
-namespace fsio {
+namespace fsio::bench {
 namespace {
 
 enum class Variant : int { kSolo = 0, kContended, kContendedPartitioned };
@@ -64,7 +65,7 @@ PointResult RunPoint(const Point& point, std::uint64_t rounds) {
     // A deep pipeline keeps ~depth*64 pages live, spread across far more
     // 2 MB regions than PTcache-L3 holds — the neighbor shape that actually
     // evicts the victim's walk path, not just its IOTLB lines.
-    noisy.pipeline_depth = bench::SmokeMode() ? 128 : 1024;
+    noisy.pipeline_depth = SmokeMode() ? 128 : 1024;
     config.tenants.push_back(noisy);
   }
   if (point.variant == Variant::kContendedPartitioned) {
@@ -82,12 +83,14 @@ PointResult RunPoint(const Point& point, std::uint64_t rounds) {
   return out;
 }
 
-int Main() {
-  const std::vector<ProtectionMode> modes = bench::WithCapability(bench::Sweep({
+}  // namespace
+
+void ExtTenantInterference() {
+  const std::vector<ProtectionMode> modes = WithCapability(Sweep({
       ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kDeferred,
       ProtectionMode::kStrictPreserve, ProtectionMode::kStrictContig,
       ProtectionMode::kFastSafe, ProtectionMode::kHugepagePersistent}));
-  const std::uint64_t rounds = bench::SmokeMode() ? 300 : 4000;
+  const std::uint64_t rounds = SmokeMode() ? 300 : 4000;
 
   std::vector<Point> points;
   for (ProtectionMode mode : modes) {
@@ -95,12 +98,12 @@ int Main() {
       points.push_back(Point{mode, v});
     }
   }
-  const auto results = bench::ParallelSweep<PointResult>(
+  const auto results = ParallelSweep<PointResult>(
       points.size(), [&](std::size_t i) { return RunPoint(points[i], rounds); });
 
   Table table({"mode", "neighbor", "iotlb_part", "ops", "p50_ns", "p99_ns", "p999_ns",
                "noisy_ops", "cross_dom", "violations"});
-  int status = 0;
+  bool failed = false;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PointResult& r = results[i];
     const std::uint64_t faulted = r.victim.faulted_dmas + r.noisy.faulted_dmas;
@@ -109,7 +112,7 @@ int Main() {
                 << VariantNeighbor(points[i].variant) << " / "
                 << VariantPartition(points[i].variant) << ": " << faulted
                 << " faulted DMA(s), " << r.translations << " IOMMU translation(s)\n";
-      status = 1;
+      failed = true;
     }
     table.BeginRow();
     table.AddCell(ProtectionModeName(points[i].mode));
@@ -125,16 +128,15 @@ int Main() {
     table.AddInteger(static_cast<long long>(r.victim.violations +
                                             (r.has_noisy ? r.noisy.violations : 0)));
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Extension: tenant interference (victim latency tail vs noisy neighbor)\n"
       "a churn neighbor delays the victim in every mode: through the shared\n"
       "walkers and link in IOMMU modes, the link alone in off and capability;\n"
       "IOTLB way partitioning barely changes it.\n\n",
       table);
-  return status;
+  if (failed) {
+    throw std::runtime_error("ext_tenant_interference: safety check failed (see above)");
+  }
 }
 
-}  // namespace
-}  // namespace fsio
-
-int main() { return fsio::Main(); }
+}  // namespace fsio::bench

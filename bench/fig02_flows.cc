@@ -6,16 +6,11 @@
 // degrading PTcache-L3 locality.
 #include "bench/figure_common.h"
 
-int main() {
-  using namespace fsio;
-  bench::RunIperfFigure<std::uint32_t>(
+void fsio::bench::Fig02Flows() {
+  RunIperfFigure(
       "Figure 2: memory protection overheads vs number of flows\n"
       "(iperf, 4KB MTU, ring 256, 5 cores; paper: 80->35 Gbps for strict)\n\n",
-      "flows", bench::WithCapability({ProtectionMode::kOff, ProtectionMode::kStrict}),
-      bench::Sweep({5u, 10u, 20u, 40u}), /*flows_or_zero=*/0,
-      [](TestbedConfig* config, std::uint32_t flows, std::uint32_t* out_flows) {
-        config->cores = 5;
-        *out_flows = flows;
-      });
-  return 0;
+      "flows", WithCapability({ProtectionMode::kOff, ProtectionMode::kStrict}),
+      Sweep({5u, 10u, 20u, 40u}),
+      [](const TestbedConfig& config, std::uint32_t flows) { return IperfPoint{config, flows}; });
 }

@@ -6,16 +6,13 @@
 // throughput degradation at 2048.
 #include "bench/figure_common.h"
 
-int main() {
-  using namespace fsio;
-  bench::RunIperfFigure<std::uint32_t>(
+void fsio::bench::Fig03RingSize() {
+  RunIperfFigure(
       "Figure 3: memory protection overheads vs ring buffer size\n"
       "(iperf, 5 flows, 4KB MTU; paper: L3 misses grow with the working set)\n\n",
-      "ring", bench::WithCapability({ProtectionMode::kOff, ProtectionMode::kStrict}),
-      bench::Sweep({256u, 512u, 1024u, 2048u}), /*flows_or_zero=*/5,
-      [](TestbedConfig* config, std::uint32_t ring, std::uint32_t*) {
-        config->cores = 5;
-        config->ring_size_pkts = ring;
+      "ring", WithCapability({ProtectionMode::kOff, ProtectionMode::kStrict}),
+      Sweep({256u, 512u, 1024u, 2048u}), [](TestbedConfig config, std::uint32_t ring) {
+        config.ring_size_pkts = ring;
+        return IperfPoint{config, 5};
       });
-  return 0;
 }

@@ -6,18 +6,10 @@
 // keeps IOVA locality flat.
 #include "bench/figure_common.h"
 
-int main() {
-  using namespace fsio;
-  bench::RunIperfFigure<std::uint32_t>(
+void fsio::bench::Fig07FlowsFs() {
+  RunIperfFigure(
       "Figure 7: F&S near-completely eliminates protection overheads vs flows\n"
       "(expected: fast-and-safe == iommu-off, l1/l2/l3 misses ~ 0)\n\n",
-      "flows",
-      bench::WithCapability(
-          {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe}),
-      bench::Sweep({5u, 10u, 20u, 40u}), /*flows_or_zero=*/0,
-      [](TestbedConfig* config, std::uint32_t flows, std::uint32_t* out_flows) {
-        config->cores = 5;
-        *out_flows = flows;
-      });
-  return 0;
+      "flows", PaperModes(), Sweep({5u, 10u, 20u, 40u}),
+      [](const TestbedConfig& config, std::uint32_t flows) { return IperfPoint{config, flows}; });
 }

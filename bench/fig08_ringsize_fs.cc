@@ -5,18 +5,13 @@
 // (§4.4); locality stays flat because it is guaranteed per descriptor.
 #include "bench/figure_common.h"
 
-int main() {
-  using namespace fsio;
-  bench::RunIperfFigure<std::uint32_t>(
+void fsio::bench::Fig08RingSizeFs() {
+  RunIperfFigure(
       "Figure 8: F&S maintains locality as the IO working set grows\n"
       "(expected: fast-and-safe ~ iommu-off at every ring size)\n\n",
-      "ring",
-      bench::WithCapability(
-          {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe}),
-      bench::Sweep({256u, 512u, 1024u, 2048u}), /*flows_or_zero=*/5,
-      [](TestbedConfig* config, std::uint32_t ring, std::uint32_t*) {
-        config->cores = 5;
-        config->ring_size_pkts = ring;
+      "ring", PaperModes(), Sweep({256u, 512u, 1024u, 2048u}),
+      [](TestbedConfig config, std::uint32_t ring) {
+        config.ring_size_pkts = ring;
+        return IperfPoint{config, 5};
       });
-  return 0;
 }

@@ -13,25 +13,14 @@
 #include "src/apps/rpc.h"
 #include "src/stats/histogram.h"
 
-int main() {
-  using namespace fsio;
+void fsio::bench::Fig09RpcTail() {
+  const auto points =
+      ModeGrid(PaperModes(), Sweep({128ull, 1024ull, 4096ull, 16384ull, 32768ull}));
 
-  struct Point {
-    ProtectionMode mode;
-    std::uint64_t size;
-  };
-  std::vector<Point> points;
-  for (ProtectionMode mode : bench::WithCapability(
-           {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe})) {
-    for (std::uint64_t size : bench::Sweep({128ull, 1024ull, 4096ull, 16384ull, 32768ull})) {
-      points.push_back(Point{mode, size});
-    }
-  }
+  const TimeNs rpc_warmup = SmokeMode() ? 3 * kNsPerMs : 15 * kNsPerMs;
+  const TimeNs rpc_window = SmokeMode() ? 5 * kNsPerMs : 80 * kNsPerMs;
 
-  const TimeNs rpc_warmup = bench::SmokeMode() ? 3 * kNsPerMs : 15 * kNsPerMs;
-  const TimeNs rpc_window = bench::SmokeMode() ? 5 * kNsPerMs : 80 * kNsPerMs;
-
-  const auto merged = bench::ParallelSweep<Histogram>(points.size(), [&](std::size_t i) {
+  const auto merged = ParallelSweep<Histogram>(points.size(), [&](std::size_t i) {
     TestbedConfig config;
     config.mode = points[i].mode;
     config.cores = 6;  // 5 iperf + 1 RPC core
@@ -40,7 +29,7 @@ int main() {
     std::vector<std::unique_ptr<RequestResponseApp>> rpcs;
     for (int r = 0; r < 4; ++r) {
       rpcs.push_back(std::make_unique<RequestResponseApp>(
-          &testbed, NetperfRpcConfig(points[i].size, /*rpc_core=*/5)));
+          &testbed, NetperfRpcConfig(points[i].x, /*rpc_core=*/5)));
     }
     for (auto& rpc : rpcs) {
       rpc->Start();
@@ -62,16 +51,15 @@ int main() {
   for (std::size_t i = 0; i < points.size(); ++i) {
     table.BeginRow();
     table.AddCell(ProtectionModeName(points[i].mode));
-    table.AddInteger(static_cast<long long>(points[i].size));
+    table.AddInteger(static_cast<long long>(points[i].x));
     table.AddInteger(static_cast<long long>(merged[i].count()));
     table.AddNumber(static_cast<double>(merged[i].Percentile(50)) / 1000.0, 1);
     table.AddNumber(static_cast<double>(merged[i].Percentile(90)) / 1000.0, 1);
     table.AddNumber(static_cast<double>(merged[i].Percentile(99)) / 1000.0, 1);
     table.AddNumber(static_cast<double>(merged[i].Percentile(99.9)) / 1000.0, 1);
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Figure 9: RPC tail latency colocated with iperf\n"
       "(expected: strict inflates tails; fast-and-safe ~ iommu-off)\n\n",
       table);
-  return 0;
 }

@@ -4,48 +4,19 @@
 // strict loses 38-70% (worse at small values, where per-request replies
 // inflate IOTLB contention); F&S matches IOMMU-off except a small gap at
 // 4 KB values.
-#include <string>
-#include <vector>
-
 #include "bench/figure_common.h"
 #include "src/apps/redis.h"
 
-int main() {
-  using namespace fsio;
-
-  struct Point {
-    ProtectionMode mode;
-    std::uint64_t value_kb;
-  };
-  std::vector<Point> points;
-  for (ProtectionMode mode : bench::WithCapability(
-           {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe})) {
-    for (std::uint64_t value_kb : bench::Sweep({4ull, 8ull, 16ull, 32ull, 64ull, 128ull})) {
-      points.push_back(Point{mode, value_kb});
-    }
-  }
-
-  const auto runs = bench::ParallelSweep<bench::AppsRun>(points.size(), [&](std::size_t i) {
-    TestbedConfig config;
-    config.mode = points[i].mode;
-    config.cores = 8;
-    config.mtu_bytes = 9000;
-    return bench::RunApps(config, RedisSetConfig(points[i].value_kb * 1024), 8);
-  });
-
-  Table table({"mode", "value_kb", "set_gbps", "kops/s", "iotlb/pg", "reads/pg"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    table.BeginRow();
-    table.AddCell(ProtectionModeName(points[i].mode));
-    table.AddInteger(static_cast<long long>(points[i].value_kb));
-    table.AddNumber(runs[i].request_gbps, 1);
-    table.AddNumber(runs[i].ops_per_s / 1000.0, 1);
-    table.AddNumber(runs[i].window.iotlb_miss_per_page, 2);
-    table.AddNumber(runs[i].window.mem_reads_per_page, 2);
-  }
-  bench::EmitFigure(
+void fsio::bench::Fig11aRedis() {
+  RunAppsFigure(
       "Figure 11a: Redis 100% SET throughput vs value size\n"
       "(expected: strict -38..70%, worst at small values; F&S ~ off)\n\n",
-      table);
-  return 0;
+      {"mode", "value_kb", "set_gbps", "kops/s", "iotlb/pg", "reads/pg"},
+      Sweep<std::uint64_t>({4, 8, 16, 32, 64, 128}), RedisSetConfig,
+      [](Table* table, const AppsRun& run) {
+        table->AddNumber(run.request_gbps, 1);
+        table->AddNumber(run.ops_per_s / 1000.0, 1);
+        table->AddNumber(run.window.iotlb_miss_per_page, 2);
+        table->AddNumber(run.window.mem_reads_per_page, 2);
+      });
 }

@@ -4,48 +4,19 @@
 // instance per core. Paper results: IOMMU-off tops out near 90 Gbps
 // (application overhead); strict loses 65-70% across all page sizes; F&S
 // fully recovers the IOMMU-off throughput.
-#include <string>
-#include <vector>
-
 #include "bench/figure_common.h"
 #include "src/apps/nginx.h"
 
-int main() {
-  using namespace fsio;
-
-  struct Point {
-    ProtectionMode mode;
-    std::uint64_t page_kb;
-  };
-  std::vector<Point> points;
-  for (ProtectionMode mode : bench::WithCapability(
-           {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe})) {
-    for (std::uint64_t page_kb : bench::Sweep({128ull, 256ull, 512ull, 1024ull, 2048ull})) {
-      points.push_back(Point{mode, page_kb});
-    }
-  }
-
-  const auto runs = bench::ParallelSweep<bench::AppsRun>(points.size(), [&](std::size_t i) {
-    TestbedConfig config;
-    config.mode = points[i].mode;
-    config.cores = 8;
-    config.mtu_bytes = 9000;
-    // Server on host 1 (the measured host, transmitting pages), clients on
-    // host 0: NginxGetConfig defaults have the server on host 1.
-    return bench::RunApps(config, NginxGetConfig(points[i].page_kb * 1024), 8);
-  });
-
-  Table table({"mode", "page_kb", "gbps", "pages/s"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    table.BeginRow();
-    table.AddCell(ProtectionModeName(points[i].mode));
-    table.AddInteger(static_cast<long long>(points[i].page_kb));
-    table.AddNumber(runs[i].response_gbps, 1);
-    table.AddNumber(runs[i].ops_per_s, 0);
-  }
-  bench::EmitFigure(
+void fsio::bench::Fig11bNginx() {
+  // Server on host 1 (the measured host, transmitting pages), clients on
+  // host 0: NginxGetConfig defaults have the server on host 1.
+  RunAppsFigure(
       "Figure 11b: Nginx throughput vs web page size\n"
       "(expected: off ~ 90 Gbps app-limited; strict -65..70%; F&S ~ off)\n\n",
-      table);
-  return 0;
+      {"mode", "page_kb", "gbps", "pages/s"},
+      Sweep<std::uint64_t>({128, 256, 512, 1024, 2048}), NginxGetConfig,
+      [](Table* table, const AppsRun& run) {
+        table->AddNumber(run.response_gbps, 1);
+        table->AddNumber(run.ops_per_s, 0);
+      });
 }

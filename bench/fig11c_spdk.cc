@@ -4,47 +4,17 @@
 // from a storage server. Paper results: strict caps near ~60 Gbps; F&S
 // matches IOMMU-off except a small gap at 32 KB (request-packet IOTLB
 // contention).
-#include <string>
-#include <vector>
-
 #include "bench/figure_common.h"
 #include "src/apps/spdk.h"
 
-int main() {
-  using namespace fsio;
-
-  struct Point {
-    ProtectionMode mode;
-    std::uint64_t block_kb;
-  };
-  std::vector<Point> points;
-  for (ProtectionMode mode : bench::WithCapability(
-           {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe})) {
-    for (std::uint64_t block_kb : bench::Sweep({32ull, 64ull, 128ull, 256ull})) {
-      points.push_back(Point{mode, block_kb});
-    }
-  }
-
-  const auto runs = bench::ParallelSweep<bench::AppsRun>(points.size(), [&](std::size_t i) {
-    TestbedConfig config;
-    config.mode = points[i].mode;
-    config.cores = 8;
-    config.mtu_bytes = 9000;
-    // SPDK config puts the measured client on host 1.
-    return bench::RunApps(config, SpdkReadConfig(points[i].block_kb * 1024), 8);
-  });
-
-  Table table({"mode", "block_kb", "gbps", "kiops"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    table.BeginRow();
-    table.AddCell(ProtectionModeName(points[i].mode));
-    table.AddInteger(static_cast<long long>(points[i].block_kb));
-    table.AddNumber(runs[i].response_gbps, 1);
-    table.AddNumber(runs[i].ops_per_s / 1000.0, 1);
-  }
-  bench::EmitFigure(
+void fsio::bench::Fig11cSpdk() {
+  // SPDK config puts the measured client on host 1.
+  RunAppsFigure(
       "Figure 11c: SPDK read throughput vs block size (IO depth 8)\n"
       "(expected: strict <= ~60 Gbps; F&S ~ off, small gap at 32 KB)\n\n",
-      table);
-  return 0;
+      {"mode", "block_kb", "gbps", "kiops"}, Sweep<std::uint64_t>({32, 64, 128, 256}),
+      SpdkReadConfig, [](Table* table, const AppsRun& run) {
+        table->AddNumber(run.response_gbps, 1);
+        table->AddNumber(run.ops_per_s / 1000.0, 1);
+      });
 }

@@ -12,19 +12,16 @@
 #include "bench/figure_common.h"
 #include "src/apps/redis.h"
 
-int main() {
-  using namespace fsio;
-
-  const std::vector<ProtectionMode> configs = bench::WithCapability(
-      bench::Sweep({ProtectionMode::kStrict, ProtectionMode::kStrictPreserve,
-                    ProtectionMode::kStrictContig, ProtectionMode::kFastSafe,
-                    ProtectionMode::kOff}));
-  const auto runs = bench::ParallelSweep<bench::AppsRun>(configs.size(), [&](std::size_t i) {
+void fsio::bench::Fig12Ablation() {
+  const std::vector<ProtectionMode> configs = WithCapability(
+      Sweep({ProtectionMode::kStrict, ProtectionMode::kStrictPreserve,
+             ProtectionMode::kStrictContig, ProtectionMode::kFastSafe, ProtectionMode::kOff}));
+  const auto runs = ParallelSweep<AppsRun>(configs.size(), [&](std::size_t i) {
     TestbedConfig config;
     config.mode = configs[i];
     config.cores = 8;
     config.mtu_bytes = 9000;
-    return bench::RunApps(config, RedisSetConfig(8 * 1024), 8);
+    return RunApps({config, RedisSetConfig(8 * 1024), 8});
   });
 
   Table table({"config", "set_gbps", "iotlb/pg", "l1/pg", "l2/pg", "l3/pg", "reads/pg"});
@@ -38,9 +35,8 @@ int main() {
     table.AddNumber(runs[i].window.l3_miss_per_page, 3);
     table.AddNumber(runs[i].window.mem_reads_per_page, 2);
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Figure 12: necessity of each F&S idea (Redis SET, 8 KB values)\n"
       "(expected: strict < strict+A, strict+B < fast-and-safe ~ off)\n\n",
       table);
-  return 0;
 }

@@ -14,42 +14,28 @@
 #include "bench/figure_common.h"
 #include "src/apps/incast.h"
 
-int main() {
-  using namespace fsio;
-
-  const std::vector<ProtectionMode> modes = bench::WithCapability(
-      {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe});
-  const std::vector<std::uint32_t> senders_axis = bench::Sweep({1u, 3u, 7u, 15u});
-
-  struct Point {
-    ProtectionMode mode;
-    std::uint32_t senders;
-  };
-  std::vector<Point> points;
-  for (ProtectionMode mode : modes) {
-    for (std::uint32_t senders : senders_axis) {
-      points.push_back(Point{mode, senders});
-    }
-  }
+void fsio::bench::IncastScaling() {
+  const std::vector<std::uint32_t> senders_axis = Sweep({1u, 3u, 7u, 15u});
+  const auto points = ModeGrid(PaperModes(), senders_axis);
 
   // One full per-host result vector per point (index == host id; host 0 is
   // the receiver).
-  const auto runs = bench::ParallelSweep<std::vector<WindowResult>>(
+  const auto runs = ParallelSweep<std::vector<WindowResult>>(
       points.size(), [&](std::size_t i) {
         ClusterConfig config;
-        config.num_hosts = points[i].senders + 1;
+        config.num_hosts = points[i].x + 1;
         config.mode = points[i].mode;
         config.cores = 5;
         Cluster cluster(config);
         StartIncast(&cluster, /*dst_host=*/0);
-        cluster.RunUntil(bench::WarmupNs());
-        return cluster.MeasureWindowAll(bench::WindowNs());
+        cluster.RunUntil(WarmupNs());
+        return cluster.MeasureWindowAll(WindowNs());
       });
 
   auto tx_gbps = [](const WindowResult& r) {
     auto it = r.raw_rx_host.find("nic.tx_bytes");
     const std::uint64_t bytes = it == r.raw_rx_host.end() ? 0 : it->second;
-    return static_cast<double>(bytes) * 8.0 / static_cast<double>(bench::WindowNs());
+    return static_cast<double>(bytes) * 8.0 / static_cast<double>(WindowNs());
   };
 
   Table table({"mode", "senders", "rx_gbps", "drop_%", "iotlb/pg", "reads/pg", "rx_cpu_%",
@@ -68,7 +54,7 @@ int main() {
     }
     table.BeginRow();
     table.AddCell(ProtectionModeName(points[i].mode));
-    table.AddCell(std::to_string(points[i].senders));
+    table.AddCell(std::to_string(points[i].x));
     table.AddNumber(rx.goodput_gbps, 1);
     table.AddNumber(rx.drop_rate * 100.0, 2);
     table.AddNumber(rx.iotlb_miss_per_page, 2);
@@ -78,7 +64,7 @@ int main() {
     table.AddNumber(min_tx, 1);
     table.AddNumber(max_tx, 1);
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Incast scaling: N senders -> 1 receiver through the Cluster API\n"
       "(bulk flow per sender, receiver metrics are Rx-window quantities)\n\n",
       table);
@@ -87,7 +73,7 @@ int main() {
   Table breakdown({"mode", "host", "role", "rx_gbps", "tx_gbps", "cpu_%", "reads/pg"});
   const std::uint32_t largest = senders_axis.back();
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].senders != largest) {
+    if (points[i].x != largest) {
       continue;
     }
     const std::vector<WindowResult>& hosts = runs[i];
@@ -102,6 +88,5 @@ int main() {
       breakdown.AddNumber(hosts[h].mem_reads_per_page, 2);
     }
   }
-  bench::EmitFigure("\nPer-host breakdown at the largest fan-in:\n\n", breakdown);
-  return 0;
+  EmitFigure("\nPer-host breakdown at the largest fan-in:\n\n", breakdown);
 }

@@ -6,16 +6,14 @@
 // strict configurations, then compare the model's predictions against the
 // measured throughput of every other configuration.
 #include <cmath>
-#include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/figure_common.h"
 #include "src/stats/linear_fit.h"
 
-int main() {
-  using namespace fsio;
-
+void fsio::bench::ModelValidation() {
   struct Point {
     ProtectionMode mode;
     std::uint32_t flows;
@@ -35,46 +33,39 @@ int main() {
       {ProtectionMode::kFastSafe, 40, 256, "fs-40f"},
   };
 
-  struct Observation {
-    double reads_per_page = 0;
-    double gbps = 0;
-  };
-  const auto observations =
-      bench::ParallelSweep<Observation>(points.size(), [&](std::size_t i) {
-        TestbedConfig config;
-        config.mode = points[i].mode;
-        config.cores = 5;
-        config.ring_size_pkts = points[i].ring;
-        const auto result = bench::RunIperf(config, points[i].flows);
-        return Observation{result.window.mem_reads_per_page, result.window.goodput_gbps};
-      });
+  const auto runs = ParallelSweep<IperfRun>(points.size(), [&](std::size_t i) {
+    TestbedConfig config;
+    config.mode = points[i].mode;
+    config.cores = 5;
+    config.ring_size_pkts = points[i].ring;
+    return RunIperf({config, points[i].flows});
+  });
 
   // Fit from two strict points, as the paper does.
   const double p = 4096.0;
   const ThroughputModel model = FitThroughputModel(
-      p, {observations[0].reads_per_page, observations[3].reads_per_page},
-      {observations[0].gbps / 8.0, observations[3].gbps / 8.0});
-
-  std::cout << "Model T = p / (l0 + M*lm), fitted from strict 5- and 40-flow runs:\n";
-  std::cout << "  l0 = " << model.l0_ns << " ns   (paper: 65 ns)\n";
-  std::cout << "  lm = " << model.lm_ns << " ns   (paper: 197 ns)\n\n";
+      p, {runs[0].window.mem_reads_per_page, runs[3].window.mem_reads_per_page},
+      {runs[0].window.goodput_gbps / 8.0, runs[3].window.goodput_gbps / 8.0});
 
   Table table({"config", "M(reads/pg)", "measured_gbps", "predicted_gbps", "error_%"});
   double worst = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const Observation& obs = observations[i];
-    const double predicted =
-        std::min(model.PredictBytesPerNs(p, obs.reads_per_page) * 8.0, 98.6);
-    const double err = obs.gbps > 0 ? 100.0 * (predicted - obs.gbps) / obs.gbps : 0.0;
+    const double reads = runs[i].window.mem_reads_per_page;
+    const double gbps = runs[i].window.goodput_gbps;
+    const double predicted = std::min(model.PredictBytesPerNs(p, reads) * 8.0, 98.6);
+    const double err = gbps > 0 ? 100.0 * (predicted - gbps) / gbps : 0.0;
     worst = std::max(worst, std::abs(err));
     table.BeginRow();
     table.AddCell(points[i].label);
-    table.AddNumber(obs.reads_per_page, 2);
-    table.AddNumber(obs.gbps, 1);
+    table.AddNumber(reads, 2);
+    table.AddNumber(gbps, 1);
     table.AddNumber(predicted, 1);
     table.AddNumber(err, 1);
   }
-  table.Print(std::cout);
-  std::cout << "\nworst |error| = " << worst << "% (paper: within ~10%)\n";
-  return 0;
+  std::ostringstream title;
+  title << "Model T = p / (l0 + M*lm), fitted from strict 5- and 40-flow runs:\n"
+        << "  l0 = " << model.l0_ns << " ns   (paper: 65 ns)\n"
+        << "  lm = " << model.lm_ns << " ns   (paper: 197 ns)\n"
+        << "  worst |error| = " << worst << "% (paper: within ~10%)\n\n";
+  EmitFigure(title.str(), table);
 }

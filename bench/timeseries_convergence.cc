@@ -12,12 +12,9 @@
 
 #include "bench/figure_common.h"
 
-int main() {
-  using namespace fsio;
-
-  const std::vector<ProtectionMode> modes = bench::WithCapability(
-      {ProtectionMode::kOff, ProtectionMode::kStrict, ProtectionMode::kFastSafe});
-  const int total_ms = bench::SmokeMode() ? 6 : 30;
+void fsio::bench::TimeseriesConvergence() {
+  const std::vector<ProtectionMode> modes = PaperModes();
+  const int total_ms = SmokeMode() ? 6 : 30;
 
   struct Sample {
     int ms = 0;
@@ -26,7 +23,7 @@ int main() {
     double reads = 0;
   };
   const auto series =
-      bench::ParallelSweep<std::vector<Sample>>(modes.size(), [&](std::size_t i) {
+      ParallelSweep<std::vector<Sample>>(modes.size(), [&](std::size_t i) {
         TestbedConfig config;
         config.mode = modes[i];
         config.cores = 5;
@@ -59,7 +56,6 @@ int main() {
       table.AddNumber(s.reads, 2);
     }
   }
-  bench::EmitFigure(
+  EmitFigure(
       "Convergence time series (iperf, 10 flows, cold start, 1 ms samples)\n\n", table);
-  return 0;
 }

@@ -39,6 +39,7 @@ struct RequestResponseConfig {
   std::uint32_t server_host = 1;
   std::uint32_t client_core = 0;
   std::uint32_t server_core = 0;
+  bool operator==(const RequestResponseConfig&) const = default;
 };
 
 class RequestResponseApp {

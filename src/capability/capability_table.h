@@ -37,6 +37,7 @@ struct CapabilityConfig {
   // Device-side lookup cost per capability check (the kCapability analogue
   // of an IOTLB hit / page-table walk).
   TimeNs check_ns = 40;
+  bool operator==(const CapabilityConfig&) const = default;
 };
 
 // Epoch-tagged handle for one granted DMA buffer. slot 0 is never granted,

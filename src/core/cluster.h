@@ -61,6 +61,7 @@ struct ClusterConfig {
   DctcpConfig dctcp;  // mss_bytes is derived from mtu_bytes
   // Host ids whose IOVA allocation locality is traced (Figs 2e/3e/7e/8e).
   std::vector<std::uint32_t> track_l3_locality_hosts;
+  bool operator==(const ClusterConfig&) const = default;
 };
 
 // Per-window measurement of one host, matching the quantities in the paper's

@@ -69,6 +69,7 @@ struct DmaApiConfig {
   // scope every invalidation to their own domain, and the retry path's
   // last-resort flush becomes domain-selective instead of global.
   DomainId domain{};
+  bool operator==(const DmaApiConfig&) const = default;
 };
 
 // One mapped DMA page handed to the NIC.

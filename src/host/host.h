@@ -45,6 +45,7 @@ struct HostCpuConfig {
   // TCP-Small-Queues limit: bytes one flow may hold in the local NIC Tx path
   // before further segments wait in the stack (resumed on Tx completion).
   std::uint64_t tsq_limit_bytes = 128 * 1024;
+  bool operator==(const HostCpuConfig&) const = default;
 };
 
 struct HostConfig {
@@ -72,6 +73,7 @@ struct HostConfig {
   // oracle must catch the resulting kStaleDmaTranslation /
   // kDmaToReclaimedFrame violations.
   bool skip_recovery_invalidation = false;
+  bool operator==(const HostConfig&) const = default;
 };
 
 // Host lifecycle for cluster-scale fault experiments. Transitions:

@@ -83,6 +83,7 @@ struct IommuConfig {
   // domain's lookups can hit another domain's entries. The safety oracle
   // must catch the resulting dma_cross_domain_hit violations.
   bool inject_untagged_iotlb = false;
+  bool operator==(const IommuConfig&) const = default;
 };
 
 // Namespace bit distinguishing 2 MB-granularity IOTLB tags from 4 KB ones

@@ -29,6 +29,7 @@ struct IovaAllocatorConfig {
   std::uint32_t magazine_size = 127;
   std::uint32_t depot_magazines = 32;  // per size class, shared by all cores
   std::uint32_t max_cached_order = 6;  // cache size classes up to 2^6 = 64 pages
+  bool operator==(const IovaAllocatorConfig&) const = default;
 };
 
 class IovaAllocator {

@@ -22,6 +22,7 @@ struct MemoryConfig {
   TimeNs access_latency_ns = 90;      // row-hit DRAM access latency
   double bandwidth_gbps = 375.0;      // 46.9 GB/s ≈ 375 Gbit/s (2 channels DDR4)
   std::uint32_t parallel_banks = 8;   // independent bank groups
+  bool operator==(const MemoryConfig&) const = default;
 };
 
 class MemorySystem {

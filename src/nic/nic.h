@@ -39,6 +39,7 @@ struct NicConfig {
   // cut into MTU-sized wire packets on egress.
   std::uint32_t mtu_bytes = 4096;
   bool model_descriptor_fetch = true;
+  bool operator==(const NicConfig&) const = default;
 };
 
 class Nic {

@@ -46,6 +46,7 @@ struct PcieConfig {
   // would drain into the LLC roughly twice as fast.
   double commit_bytes_per_ns = 16.0;
   std::uint32_t max_outstanding_reads = 64;
+  bool operator==(const PcieConfig&) const = default;
 };
 
 // One contiguous piece of a DMA in IOVA space. Segments never cross page

@@ -39,6 +39,7 @@ struct DctcpConfig {
   // of retransmitting forever into a dead host. 0 (default) never aborts —
   // the historical retransmit-forever behaviour.
   std::uint32_t abort_after_timeouts = 0;
+  bool operator==(const DctcpConfig&) const = default;
 };
 
 class DctcpSender {

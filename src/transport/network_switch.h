@@ -29,6 +29,7 @@ struct SwitchConfig {
   TimeNs prop_delay_ns = 1 * kNsPerUs;          // per hop, each direction
   std::uint64_t ecn_threshold_bytes = 512 * 1024;  // DCTCP K
   std::uint64_t queue_capacity_bytes = 16ull << 20;
+  bool operator==(const SwitchConfig&) const = default;
 };
 
 class NetworkSwitch {

@@ -162,6 +162,9 @@ TEST(EventCoreSaturation, ReferenceQueueSaturatesIdentically) {
 
 // --- Arena allocation contract (satellite) -------------------------------
 
+#ifndef FSIO_EVENTQ_REFERENCE
+// The reference queue has no arena: every closure is a heap-backed
+// std::function, so these two arena tests are calendar-queue-only.
 TEST(EventCoreArena, SteadyStateSchedulingDoesNotAllocate) {
   EventQueue q;
   q.Reserve(4096);
@@ -178,6 +181,7 @@ TEST(EventCoreArena, SteadyStateSchedulingDoesNotAllocate) {
   EXPECT_EQ(q.allocations(), after_reserve);
   EXPECT_EQ(q.executed(), 100000u);
 }
+#endif
 
 TEST(EventCoreArena, ReserveIsIdempotentAndMonotonic) {
   EventQueue q;
@@ -191,6 +195,7 @@ TEST(EventCoreArena, ReserveIsIdempotentAndMonotonic) {
   EXPECT_GE(q.arena_capacity(), 10 * cap);
 }
 
+#ifndef FSIO_EVENTQ_REFERENCE
 TEST(EventCoreArena, OversizedClosureTakesCountedHeapFallback) {
   EventQueue q;
   q.Reserve(16);
@@ -208,6 +213,7 @@ TEST(EventCoreArena, OversizedClosureTakesCountedHeapFallback) {
   EXPECT_EQ(q.allocations(), base + 1);
   EXPECT_EQ(seen, 8u);
 }
+#endif
 
 // --- Randomized differential vs the reference scheduler ------------------
 

@@ -12,7 +12,8 @@
 #    fsio_model --depth x (depth 0), fsio_sidechan --trials -1 (a huge
 #    allocation), fsio_chaos --window abc (a 0 window), the removed
 #    fsio_chaos --selftest-determinism, and the shared parser's generic
-#    cases on fsio_trace and fsio_lint.
+#    cases on fsio_trace and fsio_lint;
+#  - fsio_bench with a figure name it does not have.
 # Valid runs in both flag syntaxes (--name=value and --name value) must still
 # exit 0, and so must the topology, multi-tenant and capability paths of
 # fsio_sim end to end (the --jobs=4 sweep is why this test is also labelled
@@ -22,8 +23,9 @@
 # Invoked by ctest as
 #   cmake -DSIM=<fsio_sim> -DDIFF=<fsio_diff> -DMODEL=<fsio_model>
 #         -DSIDECHAN=<fsio_sidechan> -DCHAOS=<fsio_chaos>
-#         -DTRACE_TOOL=<fsio_trace> -DLINT=<fsio_lint> -P run_bad_flags_check.cmake
-foreach(tool SIM DIFF MODEL SIDECHAN CHAOS TRACE_TOOL LINT)
+#         -DTRACE_TOOL=<fsio_trace> -DLINT=<fsio_lint> -DBENCH=<fsio_bench>
+#         -P run_bad_flags_check.cmake
+foreach(tool SIM DIFF MODEL SIDECHAN CHAOS TRACE_TOOL LINT BENCH)
   if(NOT DEFINED ${tool})
     message(FATAL_ERROR "pass -D${tool}=<path to the tool>")
   endif()
@@ -70,7 +72,8 @@ list(APPEND cases
      "CHAOS|--jobs=+2|--jobs"
      "CHAOS|--selftest-determinism|--selftest-determinism"
      "TRACE_TOOL|top trace.json --n=0|--n must be at least 1"
-     "LINT|--rules=bogus src|--rules")
+     "LINT|--rules=bogus src|--rules"
+     "BENCH|no_such_bench|unknown bench 'no_such_bench'")
 
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" fields "${case}")
@@ -112,7 +115,8 @@ set(valid
     "SIDECHAN|--trials 32 --partition=none"
     "CHAOS|--help"
     "TRACE_TOOL|--help"
-    "LINT|--list-rules")
+    "LINT|--list-rules"
+    "BENCH|--help")
 foreach(case IN LISTS valid)
   string(REPLACE "|" ";" fields "${case}")
   list(GET fields 0 tool)

@@ -1,8 +1,8 @@
-# Golden-baseline comparator for one figure bench.
+# Golden-baseline comparator for one figure of the bench runner.
 #
-# Runs BENCH in deterministic smoke mode (FSIO_BENCH_SMOKE=1,
-# FSIO_BENCH_CSV_ONLY=1) and byte-compares its stdout against
-# GOLDEN (tests/golden/<name>.csv). On mismatch the full unified diff is
+# Runs `BENCH <name>` (BENCH is fsio_bench; <name> is GOLDEN's file name) in
+# deterministic smoke mode (FSIO_BENCH_SMOKE=1, FSIO_BENCH_CSV_ONLY=1) and
+# byte-compares its stdout against GOLDEN (tests/golden/<name>.csv). On mismatch the full unified diff is
 # printed and the test fails — a bench whose numbers move must either be
 # fixed or have its baseline re-recorded.
 #
@@ -18,7 +18,7 @@ set(actual "${WORKDIR}/golden_actual_${name}.csv")
 
 set(ENV{FSIO_BENCH_SMOKE} 1)
 set(ENV{FSIO_BENCH_CSV_ONLY} 1)
-execute_process(COMMAND ${BENCH}
+execute_process(COMMAND ${BENCH} ${name}
                 OUTPUT_FILE ${actual}
                 RESULT_VARIABLE bench_result)
 if(NOT bench_result EQUAL 0)
